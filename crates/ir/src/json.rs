@@ -95,6 +95,16 @@ impl Value {
         }
     }
 
+    /// The object's fields by value, or a shape error naming `what`, so
+    /// that [`ObjectExt::take_str`] can move strings out of a document
+    /// the caller owns.
+    pub fn into_object(self, what: &str) -> Result<Vec<(String, Value)>, JsonError> {
+        match self {
+            Value::Object(fields) => Ok(fields),
+            _ => Err(JsonError::shape(format!("{what} must be an object"))),
+        }
+    }
+
     /// The array's items, or a shape error naming `what`.
     pub fn as_array(&self, what: &str) -> Result<&[Value], JsonError> {
         match self {
@@ -134,7 +144,7 @@ impl Value {
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(n) => out.push_str(&n.to_string()),
             Value::Float(x) => out.push_str(&float(*x)),
-            Value::Str(s) => out.push_str(&string(s)),
+            Value::Str(s) => push_string(out, s),
             Value::Array(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -151,7 +161,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&string(k));
+                    push_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -167,6 +177,10 @@ pub trait ObjectExt {
     fn field(&self, key: &str) -> Option<&Value>;
     /// The string field `key`.
     fn get_str(&self, key: &str) -> Result<String, JsonError>;
+    /// The string field `key`, moved out (the field is left empty): what
+    /// a decoder that owns the document uses for a source text or an IR
+    /// dump instead of cloning it.
+    fn take_str(&mut self, key: &str) -> Result<String, JsonError>;
     /// The non-negative integer field `key` as `u64`.
     fn get_u64(&self, key: &str) -> Result<u64, JsonError>;
     /// The non-negative integer field `key` as `u32`.
@@ -189,6 +203,13 @@ impl ObjectExt for [(String, Value)] {
     fn get_str(&self, key: &str) -> Result<String, JsonError> {
         match self.field(key) {
             Some(Value::Str(s)) => Ok(s.clone()),
+            _ => Err(JsonError::shape(format!("`{key}` must be a string"))),
+        }
+    }
+
+    fn take_str(&mut self, key: &str) -> Result<String, JsonError> {
+        match self.iter_mut().find(|(k, _)| k == key) {
+            Some((_, Value::Str(s))) => Ok(std::mem::take(s)),
             _ => Err(JsonError::shape(format!("`{key}` must be a string"))),
         }
     }
@@ -242,28 +263,40 @@ impl ObjectExt for [(String, Value)] {
 /// Serializes a string as a quoted JSON string literal, escaping `"`,
 /// `\`, and every control character in `U+0000`–`U+001F`.
 pub fn string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = String::new();
     push_string(&mut out, s);
     out
 }
 
 /// Appends the escaped, quoted form of `s` to `out` (allocation-free
-/// form of [`string`]).
+/// form of [`string`]). Runs of characters that need no escape are
+/// copied whole: every escaped byte is ASCII, so each run is a checked
+/// `&s[start..i]` slice.
 pub fn push_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -390,6 +423,7 @@ impl Obj {
 /// Returns a [`JsonError`] with the byte offset of the first problem.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
         depth: 0,
@@ -408,6 +442,7 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -485,7 +520,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        let text = &self.src[start..self.pos];
         if !fractional {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Value::Int(n));
@@ -496,17 +531,26 @@ impl Parser<'_> {
             .map_err(|_| self.err("malformed number"))
     }
 
+    /// Decodes a string literal a run at a time: everything up to the
+    /// next `"` or `\` is appended whole. Both delimiters are ASCII, so
+    /// a run always starts and ends on a character boundary of `src`.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            self.pos = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |run| start + run);
+            out.push_str(&self.src[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -517,34 +561,51 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(cp).ok_or_else(|| self.err("bad \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// The four hex digits after the `u` at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let err = |message| JsonError {
+            message: String::from(message),
+            offset: Some(at),
+        };
+        let digits = self
+            .bytes
+            .get(at + 1..at + 5)
+            .ok_or_else(|| err("truncated \\u escape"))?;
+        digits.iter().try_fold(0, |cp, &d| {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| err("bad \\u escape"))?;
+            Ok((cp << 4) | digit)
+        })
+    }
+
+    /// Decodes the `\uXXXX` whose `u` is at `pos`, leaving `pos` on the
+    /// escape's last digit. A high surrogate must be followed by a
+    /// `\uXXXX` low surrogate (the pair is how `ensure_ascii` encoders
+    /// write a character beyond U+FFFF); a lone surrogate is an error at
+    /// its own `u`.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let mut cp = self.hex4(self.pos)?;
+        let mut last = self.pos + 4;
+        if (0xd800..0xdc00).contains(&cp) && self.bytes[last + 1..].starts_with(b"\\u") {
+            let low = self.hex4(last + 2)?;
+            if (0xdc00..0xe000).contains(&low) {
+                cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                last += 6;
+            }
+        }
+        let c = char::from_u32(cp).ok_or_else(|| self.err("bad \\u code point"))?;
+        self.pos = last;
+        Ok(c)
     }
 
     fn object(&mut self) -> Result<Value, JsonError> {

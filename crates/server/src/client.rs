@@ -84,8 +84,12 @@ impl Client {
         })
     }
 
-    fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let mut line = req.to_json();
+    /// Sends `kind` under this connection's next request id (borrowed:
+    /// a retry re-encodes the request, it does not clone it).
+    pub(crate) fn send(&mut self, kind: &RequestKind) -> Result<Response, ClientError> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let mut line = Request::line(id, self.deadline_ms, false, kind);
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -97,11 +101,10 @@ impl Client {
         let resp = Response::from_json(reply.trim_end())
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
         // id 0 marks a response to an unparseable request line.
-        if resp.id() != req.id && resp.id() != 0 {
+        if resp.id() != id && resp.id() != 0 {
             return Err(ClientError::Protocol(format!(
-                "response id {} does not match request id {}",
+                "response id {} does not match request id {id}",
                 resp.id(),
-                req.id
             )));
         }
         Ok(resp)
@@ -117,14 +120,7 @@ impl Client {
     ///
     /// Only connection and protocol failures.
     pub fn request_once(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
-        let req = Request {
-            id: self.next_id,
-            deadline_ms: self.deadline_ms,
-            fwd: false,
-            kind,
-        };
-        self.next_id += 1;
-        self.roundtrip(&req)
+        self.send(&kind)
     }
 
     /// Sends one request, retrying on backpressure with capped
@@ -139,7 +135,7 @@ impl Client {
     pub fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
         let attempts = self.max_retries.max(1);
         for attempt in 0..attempts {
-            match self.request_once(kind.clone())? {
+            match self.send(&kind)? {
                 Response::Error {
                     error,
                     retry_after_ms: Some(ms),

@@ -113,8 +113,7 @@ impl PeerConn {
         })
     }
 
-    fn roundtrip(&mut self, req: &Request) -> std::io::Result<Response> {
-        let mut line = req.to_json();
+    fn roundtrip(&mut self, mut line: String) -> std::io::Result<Response> {
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -201,16 +200,13 @@ impl ClusterState {
     ///
     /// Connection or protocol failures talking to the peer.
     pub fn forward(&self, req: &Request, peer: &str) -> std::io::Result<Response> {
-        let fwd_req = Request {
-            fwd: true,
-            ..req.clone()
-        };
+        let line = Request::line(req.id, req.deadline_ms, true, &req.kind);
         let pooled = self.conns.lock().unwrap().get_mut(peer).and_then(Vec::pop);
         let mut conn = match pooled {
             Some(c) => c,
             None => PeerConn::connect(peer).inspect_err(|_| self.record_failure(peer))?,
         };
-        match conn.roundtrip(&fwd_req) {
+        match conn.roundtrip(line) {
             Ok(resp) => {
                 self.record_success(peer);
                 self.forwarded.fetch_add(1, Ordering::Relaxed);
@@ -287,7 +283,7 @@ impl ClusterState {
             let Ok(mut conn) = PeerConn::connect_within(&peer, PROBE_CONNECT_TIMEOUT) else {
                 continue;
             };
-            if conn.roundtrip(&ping).is_err() {
+            if conn.roundtrip(ping.to_json()).is_err() {
                 continue;
             }
             self.readmit(&peer);
@@ -434,7 +430,7 @@ impl ClusterClient {
                 }
             }
             let client = self.conns.get_mut(&addr).expect("just inserted");
-            match client.request_once(kind.clone()) {
+            match client.send(&kind) {
                 Ok(Response::Error {
                     error,
                     retry_after_ms: Some(ms),

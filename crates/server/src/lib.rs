@@ -70,16 +70,15 @@ impl<E> Artifact<E> {
     /// [`Artifact::to_spill_json`] output. Returns `None` on any
     /// malformed input — a corrupt spill file is just a cache miss.
     pub fn from_spill_json(text: &str) -> Option<Artifact<E>> {
-        let v = json::parse(text).ok()?;
-        let obj = v.as_object("artifact").ok()?;
+        let mut obj = json::parse(text).ok()?.into_object("artifact").ok()?;
         Some(Artifact {
-            source: obj.get_str("source").ok()?,
+            source: obj.take_str("source").ok()?,
             opts: CompileOptions {
                 optimize: obj.get_bool("optimize").ok()?,
                 locality: obj.get_bool("locality").ok()?,
                 use_profile: obj.get_bool("use_profile").ok()?,
             },
-            ir: obj.get_str("ir").ok()?,
+            ir: obj.take_str("ir").ok()?,
             report: obj.field("report").map(json::Value::render)?,
             exec: None,
         })

@@ -41,10 +41,58 @@ const MAX_SLEEP: Duration = Duration::from_millis(10);
 /// Bound on flushing outstanding responses after shutdown.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
+/// A connection's unread bytes, split into newline-terminated request
+/// lines. Each byte is searched for `\n` once, however many reads a line
+/// arrives in: `scanned` remembers how far earlier pumps looked.
+#[derive(Default)]
+struct LineBuf {
+    buf: Vec<u8>,
+    /// `buf[..scanned]` holds no `\n`.
+    scanned: usize,
+}
+
+impl LineBuf {
+    fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Calls `f` on every complete line in arrival order (at `eof` the
+    /// unterminated tail is one too), trimmed, blank lines skipped, then
+    /// drops them from the buffer in one move. Returns how many it
+    /// passed on. A line that is valid UTF-8 is borrowed, not copied.
+    fn drain_lines(&mut self, eof: bool, mut f: impl FnMut(&str)) -> usize {
+        let mut lines = 0;
+        let mut emit = |raw: &[u8]| {
+            let text = String::from_utf8_lossy(raw);
+            let text = text.trim();
+            if !text.is_empty() {
+                f(text);
+                lines += 1;
+            }
+        };
+        let mut start = 0;
+        while let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let end = self.scanned + i;
+            emit(&self.buf[start..end]);
+            start = end + 1;
+            self.scanned = start;
+        }
+        if eof {
+            emit(&self.buf[start..]);
+            start = self.buf.len();
+        }
+        self.buf.drain(..start);
+        self.scanned = self.buf.len();
+        lines
+    }
+}
+
 struct Conn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    rbuf: LineBuf,
     wbuf: Vec<u8>,
+    /// `wbuf[..wsent]` is already on the socket.
+    wsent: usize,
     last_activity: Instant,
     /// Requests handed to the pool whose responses have not come back.
     pending: usize,
@@ -58,8 +106,9 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            rbuf: Vec::new(),
+            rbuf: LineBuf::default(),
             wbuf: Vec::new(),
+            wsent: 0,
             last_activity: Instant::now(),
             pending: 0,
             closing: false,
@@ -73,13 +122,17 @@ impl Conn {
     }
 
     /// Writes as much buffered output as the socket accepts right now.
+    /// A partial write advances `wsent`; the sent prefix is dropped once
+    /// it is all of `wbuf`, or at least half of it (so each byte is moved
+    /// at most once more, and a reader that stalls cannot pin a sent
+    /// prefix in memory).
     fn flush_writes(&mut self) -> bool {
         let mut moved = false;
-        while !self.wbuf.is_empty() && !self.dead {
-            match self.stream.write(&self.wbuf) {
+        while self.wsent < self.wbuf.len() && !self.dead {
+            match self.stream.write(&self.wbuf[self.wsent..]) {
                 Ok(0) => self.dead = true,
                 Ok(n) => {
-                    self.wbuf.drain(..n);
+                    self.wsent += n;
                     self.last_activity = Instant::now();
                     moved = true;
                 }
@@ -88,19 +141,21 @@ impl Conn {
                 Err(_) => self.dead = true,
             }
         }
+        if self.wsent >= self.wbuf.len() - self.wsent {
+            self.wbuf.drain(..self.wsent);
+            self.wsent = 0;
+        }
         moved
     }
 
-    /// Reads until the socket would block and returns every complete
-    /// request line that arrived (a final unterminated line is included
-    /// once the peer has sent EOF).
-    fn read_lines(&mut self) -> Vec<String> {
+    /// Reads into `rbuf` until the socket would block.
+    fn fill(&mut self) {
         let mut chunk = [0u8; 16 * 1024];
         while !self.closing && !self.dead {
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.closing = true,
                 Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.rbuf.buf.extend_from_slice(&chunk[..n]);
                     self.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -108,23 +163,6 @@ impl Conn {
                 Err(_) => self.dead = true,
             }
         }
-        let mut lines = Vec::new();
-        while let Some(pos) = self.rbuf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = self.rbuf.drain(..=pos).collect();
-            let text = String::from_utf8_lossy(&raw);
-            let text = text.trim();
-            if !text.is_empty() {
-                lines.push(text.to_string());
-            }
-        }
-        if self.closing && !self.rbuf.is_empty() {
-            let text = String::from_utf8_lossy(&self.rbuf).trim().to_string();
-            self.rbuf.clear();
-            if !text.is_empty() {
-                lines.push(text);
-            }
-        }
-        lines
     }
 }
 
@@ -236,12 +274,11 @@ impl<B: Backend> EventLoop<B> {
                 continue;
             };
             any |= conn.flush_writes();
-            let lines = conn.read_lines();
-            if lines.len() >= 2 {
-                self.inner.note_batched(lines.len() as u64);
-            }
-            for line in &lines {
-                any = true;
+            conn.fill();
+            // Lines are dispatched straight out of the read buffer, which
+            // is taken out of `conn` while the replies go into it.
+            let mut rbuf = std::mem::take(&mut conn.rbuf);
+            let lines = rbuf.drain_lines(conn.closing, |line| {
                 match self.inner.dispatch(id, line, &self.tx) {
                     Dispatched::Reply(resp) => conn.queue_response(&resp),
                     Dispatched::Async => conn.pending += 1,
@@ -250,8 +287,13 @@ impl<B: Backend> EventLoop<B> {
                         self.inner.begin_shutdown();
                     }
                 }
+            });
+            conn.rbuf = rbuf;
+            if lines >= 2 {
+                self.inner.note_batched(lines as u64);
             }
-            if !lines.is_empty() {
+            if lines > 0 {
+                any = true;
                 conn.flush_writes();
             }
             self.conns.insert(id, conn);
@@ -307,5 +349,56 @@ impl<B: Backend> EventLoop<B> {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LineBuf;
+
+    fn lines(buf: &mut LineBuf, eof: bool) -> Vec<String> {
+        let mut out = Vec::new();
+        let n = buf.drain_lines(eof, |line| out.push(line.to_string()));
+        assert_eq!(n, out.len());
+        out
+    }
+
+    #[test]
+    fn lines_are_framed_across_reads() {
+        let mut buf = LineBuf::default();
+        buf.buf.extend_from_slice(b"{\"a\":1}\n\r\n  {\"b\"");
+        assert_eq!(lines(&mut buf, false), ["{\"a\":1}"]);
+        assert_eq!(lines(&mut buf, false), [""; 0]);
+        buf.buf.extend_from_slice(b":2}\r\n\xff\n{\"c\":3}\ntail ");
+        assert_eq!(
+            lines(&mut buf, false),
+            ["{\"b\":2}", "\u{fffd}", "{\"c\":3}"]
+        );
+        assert!(!buf.is_empty());
+        // Only EOF makes the unterminated tail a line.
+        assert_eq!(lines(&mut buf, true), ["tail"]);
+        assert!(buf.is_empty());
+        assert_eq!(lines(&mut buf, true), [""; 0]);
+    }
+
+    /// A 4 MB line arriving 1 KB at a time, framed after every read as
+    /// the event loop does: rescanning the buffer from byte 0 each time
+    /// would be 8 GB of byte compares.
+    #[test]
+    fn a_line_in_many_small_reads_is_scanned_once() {
+        let start = std::time::Instant::now();
+        let mut buf = LineBuf::default();
+        let piece = [b'x'; 1024];
+        for _ in 0..4096 {
+            buf.buf.extend_from_slice(&piece);
+            assert_eq!(buf.drain_lines(false, |_| panic!("no newline yet")), 0);
+        }
+        buf.buf.extend_from_slice(b"\nnext");
+        let mut got = 0;
+        assert_eq!(buf.drain_lines(false, |line| got = line.len()), 1);
+        assert_eq!(got, 4 << 20);
+        assert_eq!(buf.buf, b"next");
+        let took = start.elapsed();
+        assert!(took.as_secs() < 5, "framing 4 MB took {took:?}");
     }
 }

@@ -99,6 +99,40 @@ fn args_from_value(v: &Value) -> Result<Vec<Arg>, json::JsonError> {
         .collect()
 }
 
+// Readers of the optional request fields; `Request::from_json` runs each
+// only for the endpoints that carry the field.
+
+fn opts_field(obj: &[(String, Value)]) -> Result<CompileOptions, json::JsonError> {
+    CompileOptions::from_value(
+        obj.field("opts")
+            .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
+    )
+}
+
+fn entry_or_main(obj: &[(String, Value)]) -> Result<String, json::JsonError> {
+    match obj.field("entry") {
+        None | Some(Value::Null) => Ok("main".into()),
+        Some(v) => Ok(v.as_str("`entry`")?.to_string()),
+    }
+}
+
+fn nodes_or_one(obj: &[(String, Value)]) -> Result<u16, json::JsonError> {
+    match obj.field("nodes") {
+        None | Some(Value::Null) => Ok(1),
+        Some(v) => {
+            let n = v.as_u64("`nodes`")?;
+            u16::try_from(n).map_err(|_| json::JsonError::shape("`nodes` must fit u16"))
+        }
+    }
+}
+
+fn args_or_none(obj: &[(String, Value)]) -> Result<Vec<Arg>, json::JsonError> {
+    match obj.field("args") {
+        None | Some(Value::Null) => Ok(Vec::new()),
+        Some(v) => args_from_value(v),
+    }
+}
+
 /// The request body, by endpoint.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestKind {
@@ -183,17 +217,24 @@ pub struct Request {
 impl Request {
     /// Encodes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
+        Request::line(self.id, self.deadline_ms, self.fwd, &self.kind)
+    }
+
+    /// [`Request::to_json`] from borrowed parts: a sender that changes
+    /// only the envelope (a retry's new id, a forward's `fwd` marker)
+    /// does not clone the source text to do it.
+    pub(crate) fn line(id: u64, deadline_ms: Option<u64>, fwd: bool, kind: &RequestKind) -> String {
         let mut o = Obj::new()
             .u64("v", PROTOCOL_VERSION)
-            .u64("id", self.id)
-            .str("cmd", self.kind.endpoint());
-        if let Some(d) = self.deadline_ms {
+            .u64("id", id)
+            .str("cmd", kind.endpoint());
+        if let Some(d) = deadline_ms {
             o = o.u64("deadline_ms", d);
         }
-        if self.fwd {
+        if fwd {
             o = o.bool("fwd", true);
         }
-        match &self.kind {
+        match kind {
             RequestKind::Compile { source, opts } => o
                 .str("source", source)
                 .raw("opts", &opts.to_json())
@@ -234,8 +275,7 @@ impl Request {
     /// Returns a [`json::JsonError`] for malformed JSON, an unknown
     /// `cmd`, or a protocol-version mismatch.
     pub fn from_json(src: &str) -> Result<Request, json::JsonError> {
-        let v = json::parse(src)?;
-        let obj = v.as_object("request")?;
+        let mut obj = json::parse(src)?.into_object("request")?;
         let version = obj.get_u64("v")?;
         if version != PROTOCOL_VERSION {
             return Err(json::JsonError::shape(format!(
@@ -248,54 +288,26 @@ impl Request {
             Some(v) => Some(v.as_u64("`deadline_ms`")?),
         };
         let fwd = matches!(obj.field("fwd"), Some(Value::Bool(true)));
-        let cmd = obj.get_str("cmd")?;
-        let entry_or_main = || -> Result<String, json::JsonError> {
-            match obj.field("entry") {
-                None | Some(Value::Null) => Ok("main".into()),
-                Some(v) => Ok(v.as_str("`entry`")?.to_string()),
-            }
-        };
-        let nodes = || -> Result<u16, json::JsonError> {
-            match obj.field("nodes") {
-                None | Some(Value::Null) => Ok(1),
-                Some(v) => {
-                    let n = v.as_u64("`nodes`")?;
-                    u16::try_from(n).map_err(|_| json::JsonError::shape("`nodes` must fit u16"))
-                }
-            }
-        };
-        let args = || -> Result<Vec<Arg>, json::JsonError> {
-            match obj.field("args") {
-                None | Some(Value::Null) => Ok(Vec::new()),
-                Some(v) => args_from_value(v),
-            }
-        };
-        let kind = match cmd.as_str() {
+        let kind = match obj.take_str("cmd")?.as_str() {
             "compile" => RequestKind::Compile {
-                source: obj.get_str("source")?,
-                opts: CompileOptions::from_value(
-                    obj.field("opts")
-                        .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
-                )?,
+                source: obj.take_str("source")?,
+                opts: opts_field(&obj)?,
             },
             "run" => RequestKind::Run {
-                source: obj.get_str("source")?,
-                opts: CompileOptions::from_value(
-                    obj.field("opts")
-                        .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
-                )?,
-                entry: entry_or_main()?,
-                nodes: nodes()?,
-                args: args()?,
+                source: obj.take_str("source")?,
+                opts: opts_field(&obj)?,
+                entry: entry_or_main(&obj)?,
+                nodes: nodes_or_one(&obj)?,
+                args: args_or_none(&obj)?,
             },
             "pgo" => RequestKind::Pgo {
-                source: obj.get_str("source")?,
-                entry: entry_or_main()?,
-                nodes: nodes()?,
-                args: args()?,
+                source: obj.take_str("source")?,
+                entry: entry_or_main(&obj)?,
+                nodes: nodes_or_one(&obj)?,
+                args: args_or_none(&obj)?,
             },
             "lint" => RequestKind::Lint {
-                source: obj.get_str("source")?,
+                source: obj.take_str("source")?,
             },
             "stats" => RequestKind::Stats,
             "ping" => RequestKind::Ping,
@@ -522,40 +534,38 @@ impl Response {
     /// Returns a [`json::JsonError`] for malformed JSON or an unknown
     /// response kind.
     pub fn from_json(src: &str) -> Result<Response, json::JsonError> {
-        let v = json::parse(src)?;
-        let obj = v.as_object("response")?;
+        let mut obj = json::parse(src)?.into_object("response")?;
         let id = obj.get_u64("id")?;
         if !obj.get_bool("ok")? {
             return Ok(Response::Error {
                 id,
-                error: obj.get_str("error")?,
+                error: obj.take_str("error")?,
                 retry_after_ms: match obj.field("retry_after_ms") {
                     None | Some(Value::Null) => None,
                     Some(v) => Some(v.as_u64("`retry_after_ms`")?),
                 },
             });
         }
-        let kind = obj.get_str("kind")?;
-        let raw = |key: &str| -> Result<String, json::JsonError> {
+        let raw = |obj: &[(String, Value)], key: &str| {
             obj.field(key)
                 .map(Value::render)
                 .ok_or_else(|| json::JsonError::shape(format!("missing `{key}`")))
         };
-        match kind.as_str() {
+        match obj.take_str("kind")?.as_str() {
             "compile" => Ok(Response::Compile {
                 id,
-                key: obj.get_str("key")?,
+                key: obj.take_str("key")?,
                 cached: obj.get_bool("cached")?,
-                ir: obj.get_str("ir")?,
-                report: raw("report")?,
+                ir: obj.take_str("ir")?,
+                report: raw(&obj, "report")?,
             }),
             "run" => Ok(Response::Run {
                 id,
-                key: obj.get_str("key")?,
+                key: obj.take_str("key")?,
                 cached: obj.get_bool("cached")?,
-                ret: obj.get_str("ret")?,
+                ret: obj.take_str("ret")?,
                 time_ns: obj.get_u64("time_ns")?,
-                stats: obj.get_str("stats")?,
+                stats: obj.take_str("stats")?,
                 output: obj
                     .get_array("output")?
                     .iter()
@@ -567,12 +577,12 @@ impl Response {
                 sites: obj.get_u64("sites")?,
                 merged_sites: obj.get_u64("merged_sites")?,
                 invalidated: obj.get_u64("invalidated")?,
-                ret: obj.get_str("ret")?,
+                ret: obj.take_str("ret")?,
             }),
             "lint" => Ok(Response::Lint {
                 id,
                 independent: obj.get_bool("independent")?,
-                diagnostics: raw("diagnostics")?,
+                diagnostics: raw(&obj, "diagnostics")?,
             }),
             "stats" => Ok(Response::Stats {
                 id,

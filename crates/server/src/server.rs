@@ -187,13 +187,16 @@ impl<B: Backend> Inner<B> {
 
     /// Fetches (or cold-compiles, single-flight) the artifact for one
     /// `(source, opts)` pair. `cached` is true when no compile ran.
+    /// `key` is the pair's cache key when `dispatch` already hashed the
+    /// source for it.
     #[allow(clippy::type_complexity)]
     fn acquire(
         &self,
         source: &str,
         opts: &crate::proto::CompileOptions,
+        key: Option<u64>,
     ) -> Result<(Arc<Artifact<B::Exec>>, u64, bool), String> {
-        let key = self.backend.cache_key(source, opts);
+        let key = key.unwrap_or_else(|| self.backend.cache_key(source, opts));
         match self.cache.lookup(key) {
             Lookup::Hit(a) | Lookup::Spilled(a) => Ok((a, key, true)),
             Lookup::Miss(guard) => {
@@ -215,11 +218,12 @@ impl<B: Backend> Inner<B> {
         }
     }
 
-    /// Executes one pooled request kind to completion.
-    fn execute(&self, id: u64, kind: RequestKind) -> Response {
+    /// Executes one pooled request kind to completion (`key`: see
+    /// [`Inner::acquire`]).
+    fn execute(&self, id: u64, kind: RequestKind, key: Option<u64>) -> Response {
         let result = match kind {
             RequestKind::Compile { source, opts } => {
-                self.acquire(&source, &opts)
+                self.acquire(&source, &opts, key)
                     .map(|(artifact, key, cached)| Response::Compile {
                         id,
                         key: key_hex(key),
@@ -235,7 +239,7 @@ impl<B: Backend> Inner<B> {
                 nodes,
                 args,
             } => self
-                .acquire(&source, &opts)
+                .acquire(&source, &opts, key)
                 .and_then(|(artifact, key, cached)| {
                     let run = self.backend.run(&artifact, &entry, nodes, &args)?;
                     Ok(Response::Run {
@@ -352,7 +356,7 @@ impl<B: Backend> Inner<B> {
                                 // Forward failed: fill the miss locally
                                 // so the request still completes.
                                 cluster.count_remote_fill();
-                                inner.execute(id, req.kind)
+                                inner.execute(id, req.kind, None)
                             }
                         }
                     };
@@ -365,6 +369,9 @@ impl<B: Backend> Inner<B> {
         // in flight joins that job instead of taking a queue slot.
         if let RequestKind::Compile { source, opts } = &req.kind {
             let key = self.backend.cache_key(source, opts);
+            // The worker reuses this hash unless the key can change before
+            // it runs: a `use_profile` key follows the accumulated profile.
+            let carried = (!opts.use_profile).then_some(key);
             {
                 let mut inflight = self.inflight.lock().expect("inflight lock");
                 if let Some(followers) = inflight.get_mut(&key) {
@@ -380,7 +387,7 @@ impl<B: Backend> Inner<B> {
                 let resp = if deadline_passed(deadline) {
                     inner.deadline_miss(id)
                 } else {
-                    inner.execute(id, kind)
+                    inner.execute(id, kind, carried)
                 };
                 let followers = inner
                     .inflight
@@ -414,7 +421,7 @@ impl<B: Backend> Inner<B> {
             let resp = if deadline_passed(deadline) {
                 inner.deadline_miss(id)
             } else {
-                inner.execute(id, kind)
+                inner.execute(id, kind, None)
             };
             let _ = tx.send((conn, resp));
         })

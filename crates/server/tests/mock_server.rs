@@ -436,3 +436,45 @@ fn malformed_lines_get_an_error_response() {
     client.shutdown().unwrap();
     join.join().unwrap();
 }
+
+/// A 4 MB request dribbled in 1 KB writes while another client keeps
+/// asking: framing and decoding are linear, so the event loop answers
+/// both in time (either one quadratic holds the loop for minutes).
+#[test]
+fn a_large_request_in_small_writes_is_answered() {
+    use earth_serve::proto::{Request, RequestKind};
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let source = "int f() { return \"é\"; }\n".repeat((4 << 20) / 25);
+    let line = Request {
+        id: 9,
+        deadline_ms: None,
+        fwd: false,
+        kind: RequestKind::Lint { source },
+    }
+    .to_json();
+    assert!(line.len() > 4 << 20);
+    let started = std::time::Instant::now();
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut other = Client::connect(addr).unwrap();
+    for (i, piece) in line.as_bytes().chunks(1024).enumerate() {
+        stream.write_all(piece).unwrap();
+        if i % 512 == 0 {
+            other.ping().unwrap();
+        }
+    }
+    stream.write_all(b"\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    match Response::from_json(reply.trim_end()).unwrap() {
+        Response::Lint {
+            id, independent, ..
+        } => assert!(id == 9 && independent),
+        other => panic!("{other:?}"),
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "took {took:?}");
+    other.shutdown().unwrap();
+    join.join().unwrap();
+}

@@ -120,10 +120,12 @@ fn encode_snapshot_inputs(source: &str, opts: &CompileOptions) -> String {
 }
 
 fn decode_snapshot_inputs(text: &str) -> Option<(String, CompileOptions)> {
-    let v = json::parse(text).ok()?;
-    let o = v.as_object("snapshot inputs").ok()?;
+    let mut o = json::parse(text)
+        .ok()?
+        .into_object("snapshot inputs")
+        .ok()?;
     Some((
-        o.get_str("source").ok()?,
+        o.take_str("source").ok()?,
         CompileOptions {
             optimize: o.get_bool("optimize").ok()?,
             locality: o.get_bool("locality").ok()?,

@@ -1,13 +1,12 @@
-//! State and accounting shared by both execution backends.
+//! The records of the machine core and the arithmetic evaluators.
 //!
-//! Everything that determines a run's *observable* outcome — frame cells
-//! with split-phase ready times, thread records, per-node EU accounting,
-//! and the arithmetic evaluators — lives here and is used verbatim by the
-//! interpreter ([`Machine`](crate::Machine)) and the pre-decoded native
-//! tier ([`NativeMachine`](crate::exec::NativeMachine)). Sharing the layer
-//! is what makes "cycle-identical" a structural property rather than a
-//! hoped-for coincidence: neither backend has its own notion of readiness,
-//! EU busy time, or value semantics to drift.
+//! Frame cells with split-phase ready times, activation records, thread
+//! records and per-node EU accounting are the vocabulary of
+//! [`core::Core`](super::core::Core), which is the only code that creates,
+//! schedules or retires a thread. [`eval_bin`] and [`eval_un`] are the
+//! one definition of value semantics and its error strings: the
+//! interpreter calls them for every `Bin`/`Un`/`Br`, the native tier for
+//! everything its Int×Int fast path does not cover.
 
 use crate::bytecode::{Pc, Slot};
 use crate::value::{NodeId, Value};
@@ -33,9 +32,8 @@ pub(crate) struct Cell {
     pub ready: u64,
 }
 
-/// An activation record. `frame` is backend-defined: the interpreter
-/// stores an index into its frame table, the native tier a base offset
-/// into its cell arena.
+/// An activation record. `frame` is the base offset of the function's
+/// frame in the core's cell arena.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ActRec {
     pub func: FuncId,
@@ -62,8 +60,8 @@ const INLINE_FRAMES: usize = 4;
 /// frames live inline in the thread record, so spawning a thread (one
 /// per remote call, fork arm, and forall iteration) performs no host
 /// allocation; only recursion deeper than the inline window spills to a
-/// heap `Vec`. Thread creation is the hottest shared cost of both
-/// execution backends on spawn-heavy programs.
+/// heap `Vec`. Thread creation is the hottest cost of the core on
+/// spawn-heavy programs.
 #[derive(Debug)]
 pub(crate) struct FrameStack {
     inline: [ActRec; INLINE_FRAMES],

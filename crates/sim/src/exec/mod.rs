@@ -1,24 +1,37 @@
-//! The `earth-exec` execution subsystem: backend-shared accounting plus
-//! the pre-decoded, closure-compiled native tier.
+//! The execution subsystem: one machine core under two dispatchers.
 //!
 //! Two backends execute the same [`CompiledProgram`]s:
 //!
-//! * **interp** — [`Machine`](crate::Machine), the original op-at-a-time
+//! * **interp** — [`Machine`], the op-at-a-time
 //!   interpreter; the semantic reference.
 //! * **native** — [`NativeMachine`] running a [`NativeProgram`]: a
 //!   pre-decoding pass resolves every jump target, field offset, and
 //!   operand slot into a flat step table, bakes per-op costs in, elides
-//!   provably-unneeded readiness checks, and fuses common adjacent op
-//!   pairs into single dispatches.
+//!   provably-unneeded readiness checks, and chains straight-line ops
+//!   into single dispatches. The default ([`ExecBackend::default`]).
 //!
-//! Both produce cycle- and byte-identical [`RunResult`]s (including
-//! [`SiteTrace`](crate::SiteTrace) PGO counters and stall accounting)
-//! because all outcome-determining state lives in the shared
-//! [`account`] layer and every native handler replicates the
-//! interpreter's micro-op ordering. The differential suites
-//! (`tests/prop_exec.rs`, `tests/exec_sweep.rs`) enforce the contract.
+//! Shared by construction — both machines wrap the same `core::Core`
+//! and there is no second copy to keep equal: machine state (heaps, the
+//! cell arena of frames, thread table, EU accounting, statistics), the
+//! scheduler (boot, event loop, EU-span prologue, result and deadlock
+//! reporting), frame allocation and reclaim, stall/release accounting,
+//! and every thread-protocol transition (call, `Ret`, `Fork`,
+//! `SpawnIter`, `JoinIters`, `EndArm`); `account` holds the records and
+//! the arithmetic evaluators.
+//!
+//! Implemented twice, on purpose: how one op is decoded and what its
+//! value, memory and cost effects are. The interpreter matches on `Op`
+//! at run time, always computes the op's ready time first, and has one
+//! arm per op — that is the reference. The native tier's handlers are
+//! what the reference is there to check: pre-decoded operands,
+//! `CHECK`-elided readiness tests, chaining, the Int×Int fast path. The
+//! differential suites (`tests/prop_exec.rs`, `tests/exec_sweep.rs`)
+//! compare the two on every [`RunResult`] field, including
+//! [`SiteTrace`](crate::SiteTrace) counters and stall accounting; a
+//! difference can only come from those handlers.
 
 pub(crate) mod account;
+pub(crate) mod core;
 mod native;
 mod predecode;
 
@@ -36,10 +49,11 @@ use std::str::FromStr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// The op-at-a-time interpreter (the semantic reference).
-    #[default]
     Interp,
     /// The pre-decoded, closure-compiled tier (byte-identical results,
-    /// much higher run throughput).
+    /// much higher run throughput). The default everywhere a backend can
+    /// be chosen.
+    #[default]
     Native,
 }
 
@@ -304,7 +318,7 @@ mod tests {
             ExecBackend::Native
         );
         assert!("jit".parse::<ExecBackend>().is_err());
-        assert_eq!(ExecBackend::default(), ExecBackend::Interp);
+        assert_eq!(ExecBackend::default(), ExecBackend::Native);
         assert_eq!(ExecBackend::Native.to_string(), "native");
     }
 }

@@ -3,119 +3,47 @@
 //! [`NativeMachine`] runs a pre-decoded [`NativeProgram`]: each basic
 //! block executes as a chain of fused Rust functions dispatched through
 //! one indirect call per step, with no per-op enum matching, no `Op`
-//! clone, and no cost-model clone. All outcome-determining state (cells,
-//! threads, node accounting, evaluators) comes from
-//! [`account`](super::account) — the same layer the interpreter uses —
-//! and every handler reproduces the interpreter's micro-op ordering
-//! (counter bumps, cost charges, error points, stall accounting)
-//! exactly, so results are cycle- and byte-identical by construction.
-//! `tests/prop_exec.rs` and `tests/exec_sweep.rs` hold both backends to
-//! that contract.
+//! clone, and no cost-model clone. Machine state, scheduling, frames and
+//! the thread protocol are the [`core`](super::core)'s; the handlers
+//! here implement each op's value, memory and cost effects a second
+//! time, specialized by what pre-decoding proved, and
+//! `tests/prop_exec.rs` and `tests/exec_sweep.rs` hold them to the
+//! interpreter's results cycle for cycle and byte for byte.
 
-use crate::bytecode::{CallAt, Opnd, Slot, NO_SITE};
+use crate::bytecode::{CallAt, Opnd};
 use crate::machine::{MachineConfig, RunResult, SimError};
-use crate::stats::{OpStats, SiteCounters, SiteTrace, Stats};
-use crate::value::{Addr, NodeHeap, NodeId, Value};
+use crate::value::{Addr, NodeId, Value};
 use earth_ir::{Builtin, FuncId, UnOp};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use super::account::{
-    eval_bin, eval_un, ActRec, Cell, FrameStack, NodeState, ParentLink, Thread, ThreadId,
-    ThreadState,
-};
+use super::account::{eval_bin, eval_un, Cell};
+use super::core::{at, Core, Ctx, Flow, StepResult};
 use super::predecode::{NativeFunc, NativeProgram, Step};
 
-/// Per-EU-span execution context: the registers of the dispatch loop.
-/// The thread's stack-top `pc` is only synchronized from `pc` here when
-/// the EU is released (stall, block, spawn), never per-op.
-#[derive(Debug)]
-pub(crate) struct Ctx {
-    pub now: u64,
-    pub span_start: u64,
-    pub tid: ThreadId,
-    pub node: usize,
-    pub func: u32,
-    pub pc: u32,
-    /// Base offset of the current frame in the cell arena.
-    pub base: usize,
-}
-
-/// What a step tells the dispatch loop to do next.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Flow {
-    /// Continue dispatching at `ctx.pc`.
-    Next,
-    /// The EU was released (stall, block, end, or program completion).
-    Release,
-}
-
-/// Per-dispatch result. The error is boxed so the whole value is 16
-/// bytes and returns in a register pair instead of through a hidden
-/// out-pointer on every step — errors are terminal, so the box cost is
-/// paid at most once per run.
-pub(crate) type StepResult = Result<Flow, Box<SimError>>;
-
-/// The native-tier machine: same global address space and per-node EU
-/// model as [`Machine`](crate::Machine), but executing pre-decoded
-/// [`NativeProgram`]s. Frames live in one contiguous cell arena instead
-/// of a frame table.
+/// The native-tier machine: the same machine core as
+/// [`Machine`](crate::Machine), driven by pre-decoded [`NativeProgram`]s.
 #[derive(Debug)]
 pub struct NativeMachine {
-    cfg: MachineConfig,
-    heaps: Vec<NodeHeap>,
-    nodes: Vec<NodeState>,
-    threads: Vec<Thread>,
-    /// The frame arena; an [`ActRec::frame`] is a base offset in here.
-    cells: Vec<Cell>,
-    events: BinaryHeap<Reverse<(u64, u64, ThreadId)>>,
-    event_seq: u64,
-    stats: Stats,
-    site_trace: SiteTrace,
-    rng: u64,
-    output: Vec<String>,
-    result: Option<Value>,
-    finished_at: u64,
-    op_stats: OpStats,
-    /// Reusable buffer for block writes and call arguments.
-    scratch: Vec<Value>,
+    core: Core,
 }
 
 impl NativeMachine {
     /// Creates a machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.n_nodes >= 1, "need at least one node");
         NativeMachine {
-            heaps: (0..cfg.n_nodes).map(|_| NodeHeap::default()).collect(),
-            nodes: vec![NodeState::default(); cfg.n_nodes as usize],
-            threads: Vec::new(),
-            cells: Vec::new(),
-            events: BinaryHeap::new(),
-            event_seq: 0,
-            stats: Stats::default(),
-            site_trace: SiteTrace::default(),
-            rng: cfg
-                .seed
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493),
-            output: Vec::new(),
-            result: None,
-            finished_at: 0,
-            op_stats: OpStats::default(),
-            scratch: Vec::new(),
-            cfg,
+            core: Core::new(cfg),
         }
     }
 
     /// Number of nodes.
     pub fn n_nodes(&self) -> u16 {
-        self.cfg.n_nodes
+        self.core.cfg.n_nodes
     }
 
     /// Runs `func` (by id) with `args` on node 0 and simulates to
     /// completion. The program must have been compiled against the same
     /// cost model as this machine's config (fixed costs are baked into
-    /// the step table at pre-decode time).
+    /// the step table at pre-decode time). A machine may be run any
+    /// number of times; every run starts from a fresh machine state.
     ///
     /// # Errors
     ///
@@ -128,239 +56,28 @@ impl NativeMachine {
         args: &[Value],
     ) -> Result<RunResult, SimError> {
         assert_eq!(
-            prog.cost, self.cfg.cost,
+            prog.cost, self.core.cfg.cost,
             "NativeProgram compiled against a different cost model"
         );
         let cf = &prog.funcs[func.index()];
-        if args.len() != cf.param_slots.len() {
-            return Err(SimError {
-                time_ns: 0,
-                message: format!(
-                    "entry `{}` expects {} arguments, got {}",
-                    cf.name,
-                    cf.param_slots.len(),
-                    args.len()
-                ),
-            });
-        }
-        self.site_trace = SiteTrace::sized(prog.n_sites, self.cfg.n_nodes as usize);
-        let base = self.new_frame(cf.n_slots);
-        for (&slot, &v) in cf.param_slots.iter().zip(args) {
-            self.cells[base + slot as usize] = Cell { val: v, ready: 0 };
-        }
-        let tid = self.new_thread(
-            0,
-            ActRec {
-                func,
-                pc: 0,
-                frame: base,
-                ret_slot: None,
-            },
-            ParentLink::Root,
-        );
-        self.schedule(0, tid);
-
-        while let Some(Reverse((time, _, tid))) = self.events.pop() {
-            if self.threads[tid as usize].state != ThreadState::Ready {
-                continue;
-            }
-            self.run_thread(prog, tid, time).map_err(|e| *e)?;
-            if self.result.is_some() {
-                break;
-            }
-        }
-        match self.result.take() {
-            Some(ret) => Ok(RunResult {
-                ret,
-                time_ns: self.finished_at,
-                stats: self.stats,
-                output: std::mem::take(&mut self.output),
-                node_busy_ns: self.nodes.iter().map(|n| n.busy_ns).collect(),
-                site_trace: std::mem::take(&mut self.site_trace),
-                op_stats: std::mem::take(&mut self.op_stats),
-            }),
-            None => Err(SimError {
-                time_ns: self.finished_at,
-                message: "deadlock: no runnable threads but the program has not finished".into(),
-            }),
-        }
-    }
-
-    /// Allocates a zeroed frame at the top of the arena, returning its
-    /// base offset.
-    fn new_frame(&mut self, n_slots: u32) -> usize {
-        let base = self.cells.len();
-        self.cells.resize(
-            base + n_slots as usize,
-            Cell {
-                val: Value::Uninit,
-                ready: 0,
-            },
-        );
-        base
-    }
-
-    fn new_thread(&mut self, node: NodeId, root: ActRec, parent: ParentLink) -> ThreadId {
-        let tid = self.threads.len() as ThreadId;
-        self.threads.push(Thread {
-            node,
-            stack: FrameStack::new(root),
-            state: ThreadState::Blocked,
-            parent,
-            outstanding_children: 0,
-            waiting_join: false,
-            writes_done_at: 0,
-        });
-        tid
-    }
-
-    fn schedule(&mut self, time: u64, tid: ThreadId) {
-        self.threads[tid as usize].state = ThreadState::Ready;
-        self.event_seq += 1;
-        self.events.push(Reverse((time, self.event_seq, tid)));
-    }
-
-    fn err<T>(&self, time: u64, message: impl Into<String>) -> Result<T, Box<SimError>> {
-        Err(Box::new(SimError {
-            time_ns: time,
-            message: message.into(),
-        }))
-    }
-
-    #[inline]
-    fn site_mut(&mut self, site: u32, node: usize) -> Option<&mut SiteCounters> {
-        if self.site_trace.per_site.is_empty() || site == NO_SITE {
-            return None;
-        }
-        Some(&mut self.site_trace.per_site[site as usize][node])
-    }
-
-    #[inline]
-    fn cell(&self, base: usize, slot: Slot) -> Cell {
-        self.cells[base + slot as usize]
-    }
-
-    #[inline]
-    fn set_cell(&mut self, base: usize, slot: Slot, val: Value, ready: u64) {
-        self.cells[base + slot as usize] = Cell { val, ready };
-    }
-
-    #[inline]
-    fn slot_ready(&self, base: usize, s: Slot) -> u64 {
-        self.cells[base + s as usize].ready
-    }
-
-    #[inline]
-    fn opnd_ready(&self, base: usize, o: &Opnd) -> u64 {
-        match o {
-            Opnd::Slot(s) => self.slot_ready(base, *s),
-            Opnd::Imm(_) => 0,
-        }
-    }
-
-    #[inline]
-    fn opnd_val(&self, base: usize, o: &Opnd) -> Value {
-        match o {
-            Opnd::Slot(s) => self.cells[base + *s as usize].val,
-            Opnd::Imm(v) => *v,
-        }
-    }
-
-    /// Interpreter-identical stall: charge the gap to the run and to the
-    /// consuming op's site, release the EU, reschedule at the value's
-    /// ready time with the pc parked on the consuming op.
-    fn stall(&mut self, ctx: &Ctx, site: u32, ready_at: u64) -> Flow {
-        self.stats.stall_ns += ready_at - ctx.now;
-        if let Some(sc) = self.site_mut(site, ctx.node) {
-            sc.stall_ns += ready_at - ctx.now;
-        }
-        self.nodes[ctx.node].eu_free_at = ctx.now;
-        self.nodes[ctx.node].busy_ns += ctx.now - ctx.span_start;
-        self.threads[ctx.tid as usize].stack.last_mut().unwrap().pc = ctx.pc;
-        self.schedule(ready_at, ctx.tid);
-        Flow::Release
-    }
-
-    /// Interpreter-identical EU release at `ctx.now`.
-    fn release(&mut self, ctx: &Ctx) {
-        self.nodes[ctx.node].eu_free_at = ctx.now;
-        self.nodes[ctx.node].busy_ns += ctx.now - ctx.span_start;
-    }
-
-    fn expect_local_addr(&self, ctx: &Ctx, ptr: Slot) -> Result<Addr, Box<SimError>> {
-        match self.cell(ctx.base, ptr).val {
-            Value::Ptr(a) => {
-                if a.node as usize != ctx.node {
-                    return self.err(
-                        ctx.now,
-                        format!(
-                            "locality violation: local access to {a} from node {}",
-                            ctx.node
-                        ),
-                    );
-                }
-                Ok(a)
-            }
-            Value::Null => self.err(ctx.now, "local dereference of NULL"),
-            other => self.err(
-                ctx.now,
-                format!("local dereference of non-pointer {other:?}"),
-            ),
-        }
-    }
-
-    /// Runs thread `tid` from `event_time` until it stalls, blocks, or
-    /// finishes — the native analogue of the interpreter's EU loop.
-    fn run_thread(
-        &mut self,
-        prog: &NativeProgram,
-        tid: ThreadId,
-        event_time: u64,
-    ) -> Result<(), Box<SimError>> {
-        let node = self.threads[tid as usize].node as usize;
-        let mut now = event_time.max(self.nodes[node].eu_free_at);
-        if self.nodes[node].last_thread != Some(tid) {
-            now += self.cfg.cost.switch_ns;
-        }
-        self.nodes[node].last_thread = Some(tid);
-        let rec = *self.threads[tid as usize]
-            .stack
-            .last()
-            .expect("running thread has a frame");
-        let mut ctx = Ctx {
-            now,
-            span_start: now,
-            tid,
-            node,
-            func: rec.func.0,
-            pc: rec.pc,
-            base: rec.frame,
-        };
-        loop {
-            self.stats.ops += 1;
-            if self.stats.ops > self.cfg.max_ops {
-                return self.err(ctx.now, "operation budget exceeded (infinite loop?)");
-            }
-            let f = &prog.funcs[ctx.func as usize];
-            let step = &f.steps[ctx.pc as usize];
-            if self.cfg.record_op_stats {
-                self.op_stats.bump(step.kind);
-            }
-            match (step.run)(self, prog, f, step, &mut ctx)? {
-                Flow::Next => {}
-                Flow::Release => return Ok(()),
-            }
-        }
+        self.core
+            .run(&cf.name, cf.callee(func), prog.n_sites, args, |m, ctx| {
+                run_thread(m, prog, ctx)
+            })
     }
 }
 
-#[inline]
-fn at(now: u64) -> impl Fn(String) -> Box<SimError> {
-    move |message| {
-        Box::new(SimError {
-            time_ns: now,
-            message,
-        })
+/// Runs the thread of the EU span `ctx` until it stalls, blocks, or
+/// finishes — the native analogue of the interpreter's EU loop.
+fn run_thread(m: &mut Core, prog: &NativeProgram, mut ctx: Ctx) -> Result<(), Box<SimError>> {
+    loop {
+        let f = &prog.funcs[ctx.func as usize];
+        let step = &f.steps[ctx.pc as usize];
+        m.tick(ctx.now, step.kind)?;
+        match (step.run)(m, prog, f, step, &mut ctx)? {
+            Flow::Next => {}
+            Flow::Release => return Ok(()),
+        }
     }
 }
 
@@ -368,26 +85,21 @@ fn at(now: u64) -> impl Fn(String) -> Box<SimError> {
 /// main-loop prologue (dispatch count, budget, histogram), so a fused
 /// pair is observationally identical to two loop iterations.
 #[inline]
-fn chain(m: &mut NativeMachine, p: &NativeProgram, f: &NativeFunc, ctx: &mut Ctx) -> StepResult {
-    m.stats.ops += 1;
-    if m.stats.ops > m.cfg.max_ops {
-        return m.err(ctx.now, "operation budget exceeded (infinite loop?)");
-    }
+fn chain(m: &mut Core, p: &NativeProgram, f: &NativeFunc, ctx: &mut Ctx) -> StepResult {
     let s2 = &f.steps[ctx.pc as usize];
-    if m.cfg.record_op_stats {
-        m.op_stats.bump(s2.kind);
-    }
+    m.tick(ctx.now, s2.kind)?;
     (s2.run)(m, p, f, s2, ctx)
 }
 
 // ---- step handlers ------------------------------------------------------
 //
-// Each handler mirrors one interpreter arm: same order of counter bumps,
-// cost charges, heap touches, and error points. `CHECK` selects whether
-// the readiness test was proven elidable at pre-decode time.
+// One handler per interpreter arm, with the same observable order of
+// counter bumps, cost charges, heap touches, and error points. `CHECK`
+// selects whether the readiness test was proven elidable at pre-decode
+// time.
 
 pub(crate) fn mov_slot(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -401,7 +113,7 @@ pub(crate) fn mov_slot(
 }
 
 pub(crate) fn mov_imm(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -471,7 +183,7 @@ fn bin_fast<const BOP: u8>(av: Value, bv: Value) -> Option<Value> {
 /// cell is read directly, skipping the `Opnd` match. `false` falls back
 /// to the generic operand path (immediates and mixed forms).
 pub(crate) fn bin<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -514,12 +226,7 @@ pub(crate) fn bin<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bo
 }
 
 #[inline]
-fn un_impl<const CHECK: bool>(
-    m: &mut NativeMachine,
-    s: &Step,
-    ctx: &mut Ctx,
-    op: UnOp,
-) -> StepResult {
+fn un_impl<const CHECK: bool>(m: &mut Core, s: &Step, ctx: &mut Ctx, op: UnOp) -> StepResult {
     if CHECK {
         let r = m.opnd_ready(ctx.base, &s.x);
         if r > ctx.now {
@@ -535,7 +242,7 @@ fn un_impl<const CHECK: bool>(
 }
 
 pub(crate) fn un_neg<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -545,7 +252,7 @@ pub(crate) fn un_neg<const CHECK: bool>(
 }
 
 pub(crate) fn un_not<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -555,7 +262,7 @@ pub(crate) fn un_not<const CHECK: bool>(
 }
 
 pub(crate) fn load_local<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -579,7 +286,7 @@ pub(crate) fn load_local<const CHECK: bool>(
 }
 
 pub(crate) fn load_remote<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -629,7 +336,7 @@ pub(crate) fn load_remote<const CHECK: bool>(
 }
 
 pub(crate) fn store_local<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -655,7 +362,7 @@ pub(crate) fn store_local<const CHECK: bool>(
 }
 
 pub(crate) fn store_remote<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -685,8 +392,7 @@ pub(crate) fn store_remote<const CHECK: bool>(
         ctx.now += p.cost.pseudo_remote_ns;
     } else {
         let done = ctx.now + p.cost.write_latency_ns;
-        let t = &mut m.threads[ctx.tid as usize];
-        t.writes_done_at = t.writes_done_at.max(done);
+        m.remote_write_done(ctx.tid, done);
         ctx.now += p.cost.write_issue_ns;
     }
     ctx.pc += 1;
@@ -694,7 +400,7 @@ pub(crate) fn store_remote<const CHECK: bool>(
 }
 
 pub(crate) fn blk_read<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -746,7 +452,7 @@ pub(crate) fn blk_read<const CHECK: bool>(
 }
 
 pub(crate) fn blk_write<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -783,8 +489,7 @@ pub(crate) fn blk_write<const CHECK: bool>(
         ctx.now += p.cost.pseudo_remote_ns;
     } else {
         let done = ctx.now + p.cost.blk_latency(words as usize);
-        let t = &mut m.threads[ctx.tid as usize];
-        t.writes_done_at = t.writes_done_at.max(done);
+        m.remote_write_done(ctx.tid, done);
         ctx.now += p.cost.blk_issue(words as usize);
     }
     ctx.pc += 1;
@@ -792,7 +497,7 @@ pub(crate) fn blk_write<const CHECK: bool>(
 }
 
 pub(crate) fn copy_slots<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -819,7 +524,7 @@ pub(crate) fn copy_slots<const CHECK: bool>(
 }
 
 pub(crate) fn malloc_here(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -841,7 +546,7 @@ pub(crate) fn malloc_here(
 }
 
 pub(crate) fn malloc_on<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -874,7 +579,7 @@ pub(crate) fn malloc_on<const CHECK: bool>(
 }
 
 pub(crate) fn alloc_shared(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -899,7 +604,7 @@ pub(crate) fn alloc_shared(
 }
 
 pub(crate) fn atomic<const CHECK: bool, const ADD: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -940,7 +645,7 @@ pub(crate) fn atomic<const CHECK: bool, const ADD: bool>(
 }
 
 pub(crate) fn value_of<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -973,7 +678,7 @@ pub(crate) fn value_of<const CHECK: bool>(
 }
 
 pub(crate) fn call<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,
@@ -1015,53 +720,12 @@ pub(crate) fn call<const CHECK: bool>(
         let v = m.opnd_val(ctx.base, a);
         m.scratch.push(v);
     }
-    let new_base = m.new_frame(callee.n_slots);
-    for (i, &slot) in callee.param_slots.iter().enumerate() {
-        m.cells[new_base + slot as usize] = Cell {
-            val: m.scratch[i],
-            ready: 0,
-        };
-    }
-    ctx.now += s.cost;
-    if target == ctx.node {
-        // Synchronous local call: push a frame and fall straight into
-        // the callee's step table.
-        let t = &mut m.threads[ctx.tid as usize];
-        t.stack.last_mut().unwrap().pc = ctx.pc + 1;
-        t.stack.push(ActRec {
-            func: nc.func,
-            pc: 0,
-            frame: new_base,
-            ret_slot: nc.dst,
-        });
-        ctx.func = nc.func.0;
-        ctx.pc = 0;
-        ctx.base = new_base;
-        Ok(Flow::Next)
-    } else {
-        // Remote invocation: suspend and spawn over there.
-        m.stats.remote_calls += 1;
-        let child = m.new_thread(
-            target as NodeId,
-            ActRec {
-                func: nc.func,
-                pc: 0,
-                frame: new_base,
-                ret_slot: None,
-            },
-            ParentLink::Reply(ctx.tid, nc.dst),
-        );
-        m.schedule(ctx.now + p.cost.remote_call_ns, child);
-        let t = &mut m.threads[ctx.tid as usize];
-        t.state = ThreadState::Blocked;
-        t.stack.last_mut().unwrap().pc = ctx.pc + 1;
-        m.release(ctx);
-        Ok(Flow::Release)
-    }
+    ctx.pc += 1;
+    Ok(m.call(ctx, callee.callee(nc.func), nc.dst, target))
 }
 
 pub(crate) fn builtin<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,
@@ -1074,7 +738,7 @@ pub(crate) fn builtin<const CHECK: bool>(
             r = r.max(m.opnd_ready(ctx.base, a));
         }
         if matches!(nb.which, Builtin::Fence) {
-            r = r.max(m.threads[ctx.tid as usize].writes_done_at);
+            r = r.max(m.writes_done_at(ctx.tid));
         }
         if r > ctx.now {
             return Ok(m.stall(ctx, s.site, r));
@@ -1121,70 +785,10 @@ pub(crate) fn builtin<const CHECK: bool>(
     Ok(Flow::Next)
 }
 
-/// The shared `Ret` tail (after the return value is known).
-fn ret_common(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    s: &Step,
-    ctx: &mut Ctx,
-    v: Value,
-) -> StepResult {
-    ctx.now += s.cost;
-    let popped = m.threads[ctx.tid as usize].stack.pop().expect("frame");
-    // Reclaim the frame when it is still the top of the arena (always
-    // true for straight-line recursion), keeping memory proportional to
-    // stack depth rather than total calls.
-    let popped_words = p.funcs[popped.func.index()].n_slots as usize;
-    if popped.frame + popped_words == m.cells.len() {
-        m.cells.truncate(popped.frame);
-    }
-    if let Some(caller) = m.threads[ctx.tid as usize].stack.last().copied() {
-        if let Some(slot) = popped.ret_slot {
-            m.set_cell(caller.frame, slot, v, 0);
-        }
-        ctx.func = caller.func.0;
-        ctx.pc = caller.pc;
-        ctx.base = caller.frame;
-        return Ok(Flow::Next);
-    }
-    // Root frame of this thread.
-    match m.threads[ctx.tid as usize].parent {
-        ParentLink::Root => {
-            m.threads[ctx.tid as usize].state = ThreadState::Done;
-            m.release(ctx);
-            // Completion waits for outstanding writes.
-            m.finished_at = ctx.now.max(m.threads[ctx.tid as usize].writes_done_at);
-            m.result = Some(v);
-            Ok(Flow::Release)
-        }
-        ParentLink::Reply(caller, dst) => {
-            m.threads[ctx.tid as usize].state = ThreadState::Done;
-            let arrive = ctx.now + p.cost.remote_call_ns;
-            let caller_frame = m.threads[caller as usize]
-                .stack
-                .last()
-                .expect("caller stack")
-                .frame;
-            if let Some(slot) = dst {
-                m.set_cell(caller_frame, slot, v, arrive);
-            }
-            // The callee's remote writes are covered by the reply
-            // ordering; fold them into the caller's fence state.
-            let wd = m.threads[ctx.tid as usize].writes_done_at;
-            let ct = &mut m.threads[caller as usize];
-            ct.writes_done_at = ct.writes_done_at.max(wd);
-            m.schedule(arrive, caller);
-            m.release(ctx);
-            Ok(Flow::Release)
-        }
-        ParentLink::Arm(_) => m.err(ctx.now, "return from a parallel arm"),
-    }
-}
-
 pub(crate) fn ret_val<const CHECK: bool>(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    _f: &NativeFunc,
+    m: &mut Core,
+    _p: &NativeProgram,
+    f: &NativeFunc,
     s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
@@ -1195,21 +799,21 @@ pub(crate) fn ret_val<const CHECK: bool>(
         }
     }
     let v = m.opnd_val(ctx.base, &s.x);
-    ret_common(m, p, s, ctx, v)
+    m.ret(ctx, v, f.n_slots)
 }
 
 pub(crate) fn ret_void(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    _f: &NativeFunc,
-    s: &Step,
+    m: &mut Core,
+    _p: &NativeProgram,
+    f: &NativeFunc,
+    _s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    ret_common(m, p, s, ctx, Value::Int(0))
+    m.ret(ctx, Value::Int(0), f.n_slots)
 }
 
 pub(crate) fn jmp(
-    _m: &mut NativeMachine,
+    _m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -1221,7 +825,7 @@ pub(crate) fn jmp(
 }
 
 pub(crate) fn br<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     s: &Step,
@@ -1275,7 +879,7 @@ pub(crate) fn br<const CHECK: bool, const BOP: u8, const XS: bool, const YS: boo
 }
 
 pub(crate) fn switch_step<const CHECK: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,
@@ -1301,108 +905,48 @@ pub(crate) fn switch_step<const CHECK: bool>(
 }
 
 pub(crate) fn fork(
-    m: &mut NativeMachine,
-    p: &NativeProgram,
-    f: &NativeFunc,
-    s: &Step,
-    ctx: &mut Ctx,
-) -> StepResult {
-    let arms = &f.forks[s.a as usize];
-    let t = &mut m.threads[ctx.tid as usize];
-    t.stack.last_mut().unwrap().pc = s.b;
-    t.outstanding_children = arms.len() as u32;
-    t.waiting_join = true;
-    t.state = ThreadState::Blocked;
-    for &arm_pc in arms.iter() {
-        ctx.now += p.cost.spawn_ns;
-        m.stats.spawns += 1;
-        let child = m.new_thread(
-            ctx.node as NodeId,
-            ActRec {
-                func: FuncId(ctx.func),
-                pc: arm_pc,
-                frame: ctx.base,
-                ret_slot: None,
-            },
-            ParentLink::Arm(ctx.tid),
-        );
-        m.schedule(ctx.now, child);
-    }
-    m.release(ctx);
-    Ok(Flow::Release)
-}
-
-pub(crate) fn spawn_iter(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    ctx.now += s.cost;
-    m.stats.spawns += 1;
-    // The iteration gets a copy of the frame: forall bodies must not
-    // carry dependences on ordinary variables.
-    let new_base = m.cells.len();
-    m.cells
-        .extend_from_within(ctx.base..ctx.base + f.n_slots as usize);
-    m.threads[ctx.tid as usize].outstanding_children += 1;
-    let child = m.new_thread(
-        ctx.node as NodeId,
-        ActRec {
-            func: FuncId(ctx.func),
-            pc: s.b,
-            frame: new_base,
-            ret_slot: None,
-        },
-        ParentLink::Arm(ctx.tid),
-    );
-    m.schedule(ctx.now, child);
+    ctx.pc = s.b;
+    Ok(m.fork(ctx, &f.forks[s.a as usize]))
+}
+
+pub(crate) fn spawn_iter(
+    m: &mut Core,
+    _p: &NativeProgram,
+    f: &NativeFunc,
+    s: &Step,
+    ctx: &mut Ctx,
+) -> StepResult {
+    m.spawn_iter(ctx, s.b, f.n_slots);
     ctx.pc += 1;
     Ok(Flow::Next)
 }
 
 pub(crate) fn join_iters(
-    m: &mut NativeMachine,
-    _p: &NativeProgram,
-    _f: &NativeFunc,
-    s: &Step,
-    ctx: &mut Ctx,
-) -> StepResult {
-    if m.threads[ctx.tid as usize].outstanding_children > 0 {
-        let t = &mut m.threads[ctx.tid as usize];
-        t.waiting_join = true;
-        t.state = ThreadState::Blocked;
-        // The join resumes *after* the op.
-        t.stack.last_mut().unwrap().pc = ctx.pc + 1;
-        m.release(ctx);
-        return Ok(Flow::Release);
-    }
-    ctx.now += s.cost;
-    ctx.pc += 1;
-    Ok(Flow::Next)
-}
-
-pub(crate) fn end_arm(
-    m: &mut NativeMachine,
+    m: &mut Core,
     _p: &NativeProgram,
     _f: &NativeFunc,
     _s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    m.threads[ctx.tid as usize].state = ThreadState::Done;
-    let wd = m.threads[ctx.tid as usize].writes_done_at;
-    if let ParentLink::Arm(parent) = m.threads[ctx.tid as usize].parent {
-        let pt = &mut m.threads[parent as usize];
-        pt.outstanding_children -= 1;
-        pt.writes_done_at = pt.writes_done_at.max(wd);
-        if pt.outstanding_children == 0 && pt.waiting_join {
-            pt.waiting_join = false;
-            m.schedule(ctx.now, parent);
-        }
-    }
-    m.release(ctx);
-    Ok(Flow::Release)
+    // The join resumes *after* the op.
+    ctx.pc += 1;
+    Ok(m.join_iters(ctx))
+}
+
+pub(crate) fn end_arm(
+    m: &mut Core,
+    _p: &NativeProgram,
+    _f: &NativeFunc,
+    _s: &Step,
+    ctx: &mut Ctx,
+) -> StepResult {
+    Ok(m.end_arm(ctx))
 }
 
 // ---- fused pairs --------------------------------------------------------
@@ -1415,7 +959,7 @@ pub(crate) fn end_arm(
 macro_rules! chained {
     ($name:ident, $inner:ident) => {
         pub(crate) fn $name(
-            m: &mut NativeMachine,
+            m: &mut Core,
             p: &NativeProgram,
             f: &NativeFunc,
             s: &Step,
@@ -1429,7 +973,7 @@ macro_rules! chained {
     };
     ($name:ident, $inner:ident, const $g:ident) => {
         pub(crate) fn $name<const $g: bool>(
-            m: &mut NativeMachine,
+            m: &mut Core,
             p: &NativeProgram,
             f: &NativeFunc,
             s: &Step,
@@ -1444,7 +988,7 @@ macro_rules! chained {
 }
 
 pub(crate) fn bin_chain<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,
@@ -1457,7 +1001,7 @@ pub(crate) fn bin_chain<const CHECK: bool, const BOP: u8, const XS: bool, const 
 }
 
 pub(crate) fn atomic_chain<const CHECK: bool, const ADD: bool>(
-    m: &mut NativeMachine,
+    m: &mut Core,
     p: &NativeProgram,
     f: &NativeFunc,
     s: &Step,

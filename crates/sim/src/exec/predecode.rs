@@ -8,8 +8,8 @@
 //! * every op's profile-site index is pre-looked-up (the interpreter
 //!   chases `site_of.get(pc)` per event),
 //! * fixed per-op virtual-time costs are baked in (`CopySlots` even gets
-//!   its `local_op_ns * words` pre-multiplied), eliminating the
-//!   interpreter's per-op `CostModel` clone,
+//!   its `local_op_ns * words` pre-multiplied); the interpreter reads
+//!   them from a `CostModel` it clones per EU span,
 //! * a per-function *pending-slot* analysis proves which slots can never
 //!   hold an in-flight split-phase value; ops reading only never-pending
 //!   slots are compiled to variants that skip the readiness check
@@ -36,13 +36,13 @@ use crate::cost::CostModel;
 use crate::stats::OpKind;
 use earth_ir::{BinOp, Builtin, FuncId};
 
-use super::native::{self, Ctx, NativeMachine, StepResult};
+use super::core::{Callee, Core, Ctx, StepResult};
+use super::native;
 
 /// Signature of a compiled step: the pre-bound operands ride in `Step`,
 /// making each entry a (fn-pointer, environment) closure pair dispatched
 /// with one indirect call — no per-op enum matching.
-pub(crate) type StepFn =
-    fn(&mut NativeMachine, &NativeProgram, &NativeFunc, &Step, &mut Ctx) -> StepResult;
+pub(crate) type StepFn = fn(&mut Core, &NativeProgram, &NativeFunc, &Step, &mut Ctx) -> StepResult;
 
 /// One pre-decoded instruction. Field meaning is per-op (documented at
 /// the decode sites); `x`/`y` carry value operands, `a`–`d` carry slots,
@@ -57,8 +57,9 @@ pub(crate) struct Step {
     pub x: Opnd,
     pub y: Opnd,
     pub bop: BinOp,
-    /// Pre-resolved fixed virtual-time cost (ops with data-dependent cost
-    /// read the program's cost model instead).
+    /// Pre-resolved fixed virtual-time cost (0 for ops with
+    /// data-dependent cost, which read the program's cost model, and for
+    /// the thread-protocol ops, which the core charges).
     pub cost: u64,
     /// Pre-resolved profile-site index ([`NO_SITE`] when unattributed).
     pub site: u32,
@@ -105,6 +106,16 @@ pub(crate) struct NativeFunc {
     pub builtins: Vec<NBuiltin>,
     pub switches: Vec<NSwitch>,
     pub forks: Vec<Box<[Pc]>>,
+}
+
+impl NativeFunc {
+    pub fn callee(&self, func: FuncId) -> Callee<'_> {
+        Callee {
+            func,
+            n_slots: self.n_slots,
+            param_slots: &self.param_slots,
+        }
+    }
 }
 
 /// A program compiled for the native tier: pre-decoded functions plus the
@@ -217,7 +228,8 @@ fn slot_pending(p: &[bool], s: Slot) -> bool {
 }
 
 /// Whether this op's readiness check can be elided (no slot it reads can
-/// ever be pending). Mirrors `Machine::op_ready_at`'s read sets exactly.
+/// ever be pending). Mirrors the read sets of the interpreter's
+/// `op_ready_at` exactly.
 fn needs_check(op: &Op, p: &[bool]) -> bool {
     match op {
         Op::Mov { .. } => false,
@@ -562,7 +574,7 @@ fn decode_op(
                 at: *at,
                 bad_arity: args.len() != callee.param_slots.len(),
             });
-            let mut st = blank(checked!(call, check), cost.call_ns, site, K::Call);
+            let mut st = blank(checked!(call, check), 0, site, K::Call);
             st.a = (nf.calls.len() - 1) as u32;
             st
         }
@@ -580,11 +592,11 @@ fn decode_op(
         // x = value operand (ret_val) or none (ret_void).
         Op::Ret { val } => match val {
             Some(o) => {
-                let mut st = blank(checked!(ret_val, check), cost.call_ns, site, K::Ret);
+                let mut st = blank(checked!(ret_val, check), 0, site, K::Ret);
                 st.x = *o;
                 st
             }
-            None => blank(native::ret_void, cost.call_ns, site, K::Ret),
+            None => blank(native::ret_void, 0, site, K::Ret),
         },
         // b = target pc.
         Op::Jmp(t) => {
@@ -652,11 +664,11 @@ fn decode_op(
         }
         // b = body pc.
         Op::SpawnIter { body } => {
-            let mut st = blank(native::spawn_iter, cost.spawn_ns, site, K::SpawnIter);
+            let mut st = blank(native::spawn_iter, 0, site, K::SpawnIter);
             st.b = *body;
             st
         }
-        Op::JoinIters => blank(native::join_iters, cost.local_op_ns, site, K::JoinIters),
+        Op::JoinIters => blank(native::join_iters, 0, site, K::JoinIters),
         Op::EndArm => blank(native::end_arm, 0, site, K::EndArm),
     }
 }

@@ -14,17 +14,13 @@
 //! The simulation is deterministic: a single virtual clock, a stable event
 //! order, and a seeded LCG for the `rand()` builtin.
 
-use crate::bytecode::{CallAt, CompiledProgram, Op, Opnd, Pc, Slot, NO_SITE};
+use crate::bytecode::{CallAt, CompiledFunction, CompiledProgram, Op, Opnd, Slot, NO_SITE};
 use crate::cost::CostModel;
-use crate::exec::account::{
-    eval_bin, eval_un, ActRec, Cell, FrameStack, NodeState, ParentLink, Thread, ThreadId,
-    ThreadState,
-};
-use crate::stats::{OpStats, SiteCounters, SiteTrace, Stats};
-use crate::value::{Addr, NodeHeap, NodeId, Value};
+use crate::exec::account::{eval_bin, eval_un};
+use crate::exec::core::{at, Callee, Core, Ctx, Flow};
+use crate::stats::{OpStats, SiteTrace, Stats};
+use crate::value::{Addr, NodeId, Value};
 use earth_ir::{Builtin, FuncId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Machine construction parameters.
@@ -133,62 +129,32 @@ impl RunResult {
     }
 }
 
-#[derive(Debug)]
-struct Frame {
-    cells: Vec<Cell>,
-}
-
-/// The machine: global address space plus per-node EUs.
+/// The interpreter: decodes each [`Op`] at run time, checks the
+/// readiness of everything it reads, and evaluates it in its own `match`
+/// arm. It is the semantic reference the pre-decoded tier
+/// ([`NativeMachine`](crate::NativeMachine)) is compared against;
+/// scheduler, frames and thread protocol are the shared core's.
 #[derive(Debug)]
 pub struct Machine {
-    cfg: MachineConfig,
-    heaps: Vec<NodeHeap>,
-    nodes: Vec<NodeState>,
-    threads: Vec<Thread>,
-    frames: Vec<Frame>,
-    events: BinaryHeap<Reverse<(u64, u64, ThreadId)>>,
-    event_seq: u64,
-    stats: Stats,
-    site_trace: SiteTrace,
-    rng: u64,
-    output: Vec<String>,
-    result: Option<Value>,
-    finished_at: u64,
-    op_stats: OpStats,
+    core: Core,
 }
 
 impl Machine {
     /// Creates a machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.n_nodes >= 1, "need at least one node");
         Machine {
-            heaps: (0..cfg.n_nodes).map(|_| NodeHeap::default()).collect(),
-            nodes: vec![NodeState::default(); cfg.n_nodes as usize],
-            threads: Vec::new(),
-            frames: Vec::new(),
-            events: BinaryHeap::new(),
-            event_seq: 0,
-            stats: Stats::default(),
-            site_trace: SiteTrace::default(),
-            rng: cfg
-                .seed
-                .wrapping_mul(2862933555777941757)
-                .wrapping_add(3037000493),
-            output: Vec::new(),
-            result: None,
-            finished_at: 0,
-            op_stats: OpStats::default(),
-            cfg,
+            core: Core::new(cfg),
         }
     }
 
     /// Number of nodes.
     pub fn n_nodes(&self) -> u16 {
-        self.cfg.n_nodes
+        self.core.cfg.n_nodes
     }
 
     /// Runs `func` (by id) with `args` on node 0 and simulates to
-    /// completion.
+    /// completion. A machine may be run any number of times; every run
+    /// starts from a fresh machine state.
     ///
     /// # Errors
     ///
@@ -202,915 +168,534 @@ impl Machine {
         args: &[Value],
     ) -> Result<RunResult, SimError> {
         let cf = &prog.functions[func.index()];
-        if args.len() != cf.param_slots.len() {
-            return Err(SimError {
-                time_ns: 0,
-                message: format!(
-                    "entry `{}` expects {} arguments, got {}",
-                    cf.name,
-                    cf.param_slots.len(),
-                    args.len()
-                ),
-            });
-        }
-        self.site_trace = SiteTrace::sized(prog.site_table.len(), self.cfg.n_nodes as usize);
-        let frame = self.new_frame(cf.n_slots);
-        for (&slot, &v) in cf.param_slots.iter().zip(args) {
-            self.frames[frame].cells[slot as usize] = Cell { val: v, ready: 0 };
-        }
-        let tid = self.new_thread(
-            0,
-            ActRec {
-                func,
-                pc: 0,
-                frame,
-                ret_slot: None,
-            },
-            ParentLink::Root,
-        );
-        self.schedule(0, tid);
+        let n_sites = prog.site_table.len();
+        self.core
+            .run(&cf.name, callee(cf, func), n_sites, args, |m, ctx| {
+                run_thread(m, prog, ctx)
+            })
+    }
+}
 
-        while let Some(Reverse((time, _, tid))) = self.events.pop() {
-            if self.threads[tid as usize].state != ThreadState::Ready {
-                continue;
+fn callee(f: &CompiledFunction, func: FuncId) -> Callee<'_> {
+    Callee {
+        func,
+        n_slots: f.n_slots,
+        param_slots: &f.param_slots,
+    }
+}
+
+/// The earliest time every slot this op *reads* is available.
+fn op_ready_at(m: &Core, ctx: &Ctx, op: &Op) -> u64 {
+    let mut r = 0u64;
+    let slot = |s: Slot| -> u64 { m.slot_ready(ctx.base, s) };
+    let opnd = |o: &Opnd| -> u64 { m.opnd_ready(ctx.base, o) };
+    match op {
+        // Mov propagates pending-ness (a register rename, not a use):
+        // no readiness requirement on the source.
+        Op::Mov { .. } => {}
+        Op::Bin { a, b, .. } => r = opnd(a).max(opnd(b)),
+        Op::Un { a, .. } => r = opnd(a),
+        Op::LoadLocal { ptr, .. } | Op::LoadRemote { ptr, .. } => r = slot(*ptr),
+        Op::StoreLocal { ptr, src, .. } | Op::StoreRemote { ptr, src, .. } => {
+            r = slot(*ptr).max(opnd(src))
+        }
+        Op::BlkRead { ptr, .. } => r = slot(*ptr),
+        Op::BlkWrite {
+            ptr,
+            buf,
+            off,
+            words,
+        } => {
+            r = slot(*ptr);
+            for w in *off..*off + *words {
+                r = r.max(slot(buf + w));
             }
-            self.run_thread(prog, tid, time)?;
-            if self.result.is_some() {
-                break;
+        }
+        Op::CopySlots { src, words, .. } => {
+            for w in 0..*words {
+                r = r.max(slot(src + w));
             }
         }
-        match self.result.take() {
-            Some(ret) => Ok(RunResult {
-                ret,
-                time_ns: self.finished_at,
-                stats: self.stats,
-                output: std::mem::take(&mut self.output),
-                node_busy_ns: self.nodes.iter().map(|n| n.busy_ns).collect(),
-                site_trace: std::mem::take(&mut self.site_trace),
-                op_stats: std::mem::take(&mut self.op_stats),
-            }),
-            None => Err(SimError {
-                time_ns: self.finished_at,
-                message: "deadlock: no runnable threads but the program has not finished".into(),
-            }),
+        Op::Malloc { node, .. } => {
+            if let Some(n) = node {
+                r = opnd(n);
+            }
         }
-    }
-
-    fn new_frame(&mut self, n_slots: u32) -> usize {
-        self.frames.push(Frame {
-            cells: vec![
-                Cell {
-                    val: Value::Uninit,
-                    ready: 0,
-                };
-                n_slots as usize
-            ],
-        });
-        self.frames.len() - 1
-    }
-
-    fn new_thread(&mut self, node: NodeId, root: ActRec, parent: ParentLink) -> ThreadId {
-        let tid = self.threads.len() as ThreadId;
-        self.threads.push(Thread {
-            node,
-            stack: FrameStack::new(root),
-            state: ThreadState::Blocked,
-            parent,
-            outstanding_children: 0,
-            waiting_join: false,
-            writes_done_at: 0,
-        });
-        tid
-    }
-
-    fn schedule(&mut self, time: u64, tid: ThreadId) {
-        self.threads[tid as usize].state = ThreadState::Ready;
-        self.event_seq += 1;
-        self.events.push(Reverse((time, self.event_seq, tid)));
-    }
-
-    fn err<T>(&self, time: u64, message: impl Into<String>) -> Result<T, SimError> {
-        Err(SimError {
-            time_ns: time,
-            message: message.into(),
-        })
-    }
-
-    /// The per-(site, node) counters for the op at `(func, pc)`, when the
-    /// program was compiled with site recording and the op is attributed.
-    fn site_mut(
-        &mut self,
-        prog: &CompiledProgram,
-        func: FuncId,
-        pc: Pc,
-        node: usize,
-    ) -> Option<&mut SiteCounters> {
-        if self.site_trace.per_site.is_empty() {
-            return None;
+        Op::AllocShared { .. } => {}
+        Op::AtomicWrite { cell, src } | Op::AtomicAdd { cell, src } => {
+            r = slot(*cell).max(opnd(src))
         }
-        let s = *prog.functions[func.index()].site_of.get(pc as usize)?;
-        if s == NO_SITE {
-            return None;
+        Op::ValueOf { cell, .. } => r = slot(*cell),
+        Op::Call { args, at, .. } => {
+            for a in args {
+                r = r.max(opnd(a));
+            }
+            match at {
+                CallAt::OwnerOf(s) => r = r.max(slot(*s)),
+                CallAt::Node(o) => r = r.max(opnd(o)),
+                CallAt::Local => {}
+            }
         }
-        Some(&mut self.site_trace.per_site[s as usize][node])
-    }
-
-    // ---- value plumbing -------------------------------------------------
-
-    fn cell(&self, frame: usize, slot: Slot) -> Cell {
-        self.frames[frame].cells[slot as usize]
-    }
-
-    fn set_cell(&mut self, frame: usize, slot: Slot, val: Value, ready: u64) {
-        self.frames[frame].cells[slot as usize] = Cell { val, ready };
-    }
-
-    fn opnd_ready(&self, frame: usize, o: &Opnd) -> u64 {
-        match o {
-            Opnd::Slot(s) => self.cell(frame, *s).ready,
-            Opnd::Imm(_) => 0,
+        Op::Builtin { which, args, .. } => {
+            for a in args {
+                r = r.max(opnd(a));
+            }
+            if matches!(which, Builtin::Fence) {
+                r = r.max(m.writes_done_at(ctx.tid));
+            }
         }
-    }
-
-    fn opnd_val(&self, frame: usize, o: &Opnd) -> Value {
-        match o {
-            Opnd::Slot(s) => self.cell(frame, *s).val,
-            Opnd::Imm(v) => *v,
+        Op::Ret { val } => {
+            if let Some(v) = val {
+                r = opnd(v);
+            }
         }
+        Op::Br { a, b, .. } => r = opnd(a).max(opnd(b)),
+        Op::Switch { scrut, .. } => r = opnd(scrut),
+        Op::Jmp(_) | Op::Fork { .. } | Op::SpawnIter { .. } | Op::JoinIters | Op::EndArm => {}
     }
+    r
+}
 
-    /// The earliest time every slot this op *reads* is available.
-    fn op_ready_at(&self, t: &Thread, frame: usize, op: &Op) -> u64 {
-        let mut r = 0u64;
-        let slot = |s: Slot| -> u64 { self.cell(frame, s).ready };
-        let opnd = |o: &Opnd| -> u64 { self.opnd_ready(frame, o) };
+// ---- the EU ---------------------------------------------------------
+
+/// Runs the thread of the EU span `ctx` until it stalls, blocks, or
+/// finishes. Returns when the EU is released.
+fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), Box<SimError>> {
+    let c = m.cfg.cost.clone();
+    let (tid, node) = (ctx.tid, ctx.node);
+    loop {
+        let f = &prog.functions[ctx.func as usize];
+        let op = f.ops[ctx.pc as usize].clone();
+        m.tick(ctx.now, op.kind())?;
+        let site = f.site_of.get(ctx.pc as usize).copied().unwrap_or(NO_SITE);
+        let frame = ctx.base;
+
+        // Stall if an input is still in flight. The stall is charged to
+        // the *consuming* op's site: the statement whose input was still
+        // in flight.
+        let ready_at = op_ready_at(m, &ctx, &op);
+        if ready_at > ctx.now {
+            m.stall(&ctx, site, ready_at);
+            return Ok(());
+        }
+
+        // Advance pc by default; control ops override.
+        ctx.pc += 1;
+
         match op {
-            // Mov propagates pending-ness (a register rename, not a use):
-            // no readiness requirement on the source.
-            Op::Mov { .. } => {}
-            Op::Bin { a, b, .. } => r = opnd(a).max(opnd(b)),
-            Op::Un { a, .. } => r = opnd(a),
-            Op::LoadLocal { ptr, .. } | Op::LoadRemote { ptr, .. } => r = slot(*ptr),
-            Op::StoreLocal { ptr, src, .. } | Op::StoreRemote { ptr, src, .. } => {
-                r = slot(*ptr).max(opnd(src))
+            Op::Mov { dst, src } => {
+                // Copies propagate the ready time of their source: the
+                // EU does not synchronize on a value just to move it
+                // (the compiler would have renamed the sync slot).
+                let (v, ready) = match &src {
+                    Opnd::Slot(s) => {
+                        let cell = m.cell(frame, *s);
+                        (cell.val, cell.ready)
+                    }
+                    Opnd::Imm(v) => (*v, 0),
+                };
+                m.set_cell(frame, dst, v, ready);
+                ctx.now += c.mov_ns;
             }
-            Op::BlkRead { ptr, .. } => r = slot(*ptr),
+            Op::Bin { dst, op, a, b } => {
+                let av = m.opnd_val(frame, &a);
+                let bv = m.opnd_val(frame, &b);
+                let v = eval_bin(op, av, bv).map_err(at(ctx.now))?;
+                m.set_cell(frame, dst, v, 0);
+                ctx.now += c.local_op_ns;
+            }
+            Op::Un { dst, op, a } => {
+                let av = m.opnd_val(frame, &a);
+                let v = eval_un(op, av).map_err(at(ctx.now))?;
+                m.set_cell(frame, dst, v, 0);
+                ctx.now += c.local_op_ns;
+            }
+            Op::LoadLocal { dst, ptr, field } => {
+                let addr = m.expect_local_addr(&ctx, ptr)?;
+                let v = m.heaps[addr.node as usize]
+                    .load(addr.index, field as usize)
+                    .map_err(at(ctx.now))?;
+                m.set_cell(frame, dst, v, 0);
+                m.stats.local_mem += 1;
+                ctx.now += c.local_mem_ns;
+            }
+            Op::LoadRemote { dst, ptr, field } => {
+                m.stats.read_data += 1;
+                if let Some(sc) = m.site_mut(site, node) {
+                    sc.execs += 1;
+                    sc.bytes += 8;
+                }
+                match m.cell(frame, ptr).val {
+                    Value::Ptr(addr) => {
+                        let v = m.heaps[addr.node as usize]
+                            .load(addr.index, field as usize)
+                            .map_err(at(ctx.now))?;
+                        if addr.node as usize == node {
+                            ctx.now += c.pseudo_remote_ns;
+                            m.set_cell(frame, dst, v, 0);
+                        } else {
+                            let ready = ctx.now + c.read_latency_ns;
+                            ctx.now += c.read_issue_ns;
+                            m.set_cell(frame, dst, v, ready);
+                        }
+                    }
+                    // Speculative read of an invalid address: EARTH
+                    // tolerates it; the result must simply never be used.
+                    Value::Null | Value::Uninit => {
+                        let ready = ctx.now + c.read_latency_ns;
+                        ctx.now += c.read_issue_ns;
+                        m.set_cell(frame, dst, Value::Uninit, ready);
+                    }
+                    other => {
+                        return m.err(
+                            ctx.now,
+                            format!("remote read through non-pointer {other:?}"),
+                        )
+                    }
+                }
+            }
+            Op::StoreLocal { ptr, field, src } => {
+                let addr = m.expect_local_addr(&ctx, ptr)?;
+                let v = m.opnd_val(frame, &src);
+                m.heaps[addr.node as usize]
+                    .store(addr.index, field as usize, v)
+                    .map_err(at(ctx.now))?;
+                m.stats.local_mem += 1;
+                ctx.now += c.local_mem_ns;
+            }
+            Op::StoreRemote { ptr, field, src } => {
+                m.stats.write_data += 1;
+                if let Some(sc) = m.site_mut(site, node) {
+                    sc.execs += 1;
+                    sc.bytes += 8;
+                }
+                let Some(addr) = m.cell(frame, ptr).val.as_ptr().map_err(at(ctx.now))? else {
+                    return m.err(ctx.now, "remote write through NULL pointer");
+                };
+                let v = m.opnd_val(frame, &src);
+                m.heaps[addr.node as usize]
+                    .store(addr.index, field as usize, v)
+                    .map_err(at(ctx.now))?;
+                if addr.node as usize == node {
+                    ctx.now += c.pseudo_remote_ns;
+                } else {
+                    let done = ctx.now + c.write_latency_ns;
+                    m.remote_write_done(tid, done);
+                    ctx.now += c.write_issue_ns;
+                }
+            }
+            Op::BlkRead {
+                ptr,
+                buf,
+                off,
+                words,
+            } => {
+                m.stats.blkmov += 1;
+                m.stats.blkmov_words += words as u64;
+                if let Some(sc) = m.site_mut(site, node) {
+                    sc.execs += 1;
+                    sc.bytes += 8 * words as u64;
+                }
+                match m.cell(frame, ptr).val {
+                    Value::Ptr(addr) => {
+                        let vals: Vec<Value> = m.heaps[addr.node as usize]
+                            .load_range(addr.index, off as usize, words as usize)
+                            .map_err(at(ctx.now))?
+                            .to_vec();
+                        let (issue, ready) = if addr.node as usize == node {
+                            (c.pseudo_remote_ns, ctx.now)
+                        } else {
+                            (
+                                c.blk_issue(words as usize),
+                                ctx.now + c.blk_latency(words as usize),
+                            )
+                        };
+                        for (w, v) in vals.into_iter().enumerate() {
+                            m.set_cell(frame, buf + off + w as u32, v, ready);
+                        }
+                        ctx.now += issue;
+                    }
+                    Value::Null | Value::Uninit => {
+                        let ready = ctx.now + c.blk_latency(words as usize);
+                        for w in off..off + words {
+                            m.set_cell(frame, buf + w, Value::Uninit, ready);
+                        }
+                        ctx.now += c.blk_issue(words as usize);
+                    }
+                    other => {
+                        return m.err(ctx.now, format!("blkmov through non-pointer {other:?}"))
+                    }
+                }
+            }
             Op::BlkWrite {
                 ptr,
                 buf,
                 off,
                 words,
             } => {
-                r = slot(*ptr);
-                for w in *off..*off + *words {
-                    r = r.max(slot(buf + w));
+                m.stats.blkmov += 1;
+                m.stats.blkmov_words += words as u64;
+                if let Some(sc) = m.site_mut(site, node) {
+                    sc.execs += 1;
+                    sc.bytes += 8 * words as u64;
+                }
+                let Some(addr) = m.cell(frame, ptr).val.as_ptr().map_err(at(ctx.now))? else {
+                    return m.err(ctx.now, "blkmov write through NULL pointer");
+                };
+                let vals: Vec<Value> = (off..off + words)
+                    .map(|w| m.cell(frame, buf + w).val)
+                    .collect();
+                m.heaps[addr.node as usize]
+                    .store_range(addr.index, off as usize, &vals)
+                    .map_err(at(ctx.now))?;
+                if addr.node as usize == node {
+                    ctx.now += c.pseudo_remote_ns;
+                } else {
+                    let done = ctx.now + c.blk_latency(words as usize);
+                    m.remote_write_done(tid, done);
+                    ctx.now += c.blk_issue(words as usize);
                 }
             }
-            Op::CopySlots { src, words, .. } => {
-                for w in 0..*words {
-                    r = r.max(slot(src + w));
+            Op::CopySlots { dst, src, words } => {
+                for w in 0..words {
+                    let v = m.cell(frame, src + w);
+                    m.set_cell(frame, dst + w, v.val, v.ready);
+                }
+                ctx.now += c.local_op_ns * words as u64;
+            }
+            Op::Malloc {
+                dst,
+                words,
+                node: on,
+            } => {
+                let target = match on {
+                    None => node as NodeId,
+                    Some(o) => {
+                        let n = m.opnd_val(frame, &o).as_int().map_err(at(ctx.now))?;
+
+                        n.rem_euclid(m.cfg.n_nodes as i64) as NodeId
+                    }
+                };
+                let index = m.heaps[target as usize].alloc(words as usize);
+                m.set_cell(
+                    frame,
+                    dst,
+                    Value::Ptr(Addr {
+                        node: target,
+                        index,
+                    }),
+                    0,
+                );
+                ctx.now += c.malloc_ns;
+                if target as usize != node {
+                    ctx.now += c.write_issue_ns;
                 }
             }
-            Op::Malloc { node, .. } => {
-                if let Some(n) = node {
-                    r = opnd(n);
-                }
+            Op::AllocShared { dst } => {
+                let index = m.heaps[node].alloc(1);
+                m.heaps[node]
+                    .store(index, 0, Value::Int(0))
+                    .expect("fresh cell");
+                m.set_cell(
+                    frame,
+                    dst,
+                    Value::Ptr(Addr {
+                        node: node as NodeId,
+                        index,
+                    }),
+                    0,
+                );
+                ctx.now += c.malloc_ns;
             }
-            Op::AllocShared { .. } => {}
             Op::AtomicWrite { cell, src } | Op::AtomicAdd { cell, src } => {
-                r = slot(*cell).max(opnd(src))
+                let is_add = matches!(op, Op::AtomicAdd { .. });
+                let Some(addr) = m.cell(frame, cell).val.as_ptr().map_err(at(ctx.now))? else {
+                    return m.err(ctx.now, "atomic op on unallocated shared cell");
+                };
+                let v = m.opnd_val(frame, &src);
+                let new = if is_add {
+                    let old = m.heaps[addr.node as usize]
+                        .load(addr.index, 0)
+                        .map_err(at(ctx.now))?;
+                    Value::Int(
+                        old.as_int().map_err(at(ctx.now))? + v.as_int().map_err(at(ctx.now))?,
+                    )
+                } else {
+                    v
+                };
+                m.heaps[addr.node as usize]
+                    .store(addr.index, 0, new)
+                    .map_err(at(ctx.now))?;
+                if addr.node as usize == node {
+                    m.stats.local_mem += 1;
+                    ctx.now += c.local_mem_ns;
+                } else {
+                    m.stats.atomic_remote += 1;
+                    ctx.now += c.atomic_remote_ns;
+                }
             }
-            Op::ValueOf { cell, .. } => r = slot(*cell),
-            Op::Call { args, at, .. } => {
-                for a in args {
-                    r = r.max(opnd(a));
-                }
-                match at {
-                    CallAt::OwnerOf(s) => r = r.max(slot(*s)),
-                    CallAt::Node(o) => r = r.max(opnd(o)),
-                    CallAt::Local => {}
+            Op::ValueOf { dst, cell } => {
+                let Some(addr) = m.cell(frame, cell).val.as_ptr().map_err(at(ctx.now))? else {
+                    return m.err(ctx.now, "valueof on unallocated shared cell");
+                };
+                let v = m.heaps[addr.node as usize]
+                    .load(addr.index, 0)
+                    .map_err(at(ctx.now))?;
+                if addr.node as usize == node {
+                    m.stats.local_mem += 1;
+                    m.set_cell(frame, dst, v, 0);
+                    ctx.now += c.local_mem_ns;
+                } else {
+                    m.stats.atomic_remote += 1;
+                    let ready = ctx.now + c.atomic_latency_ns;
+                    m.set_cell(frame, dst, v, ready);
+                    ctx.now += c.atomic_remote_ns;
                 }
             }
-            Op::Builtin { which, args, .. } => {
-                for a in args {
-                    r = r.max(opnd(a));
+            Op::Call {
+                dst,
+                func,
+                args,
+                at: place,
+            } => {
+                let cf = &prog.functions[func.index()];
+                if args.len() != cf.param_slots.len() {
+                    return m.err(ctx.now, format!("arity mismatch calling `{}`", cf.name));
                 }
-                if matches!(which, Builtin::Fence) {
-                    r = r.max(t.writes_done_at);
+                let target: usize = match place {
+                    CallAt::Local => node,
+                    CallAt::OwnerOf(s) => match m.cell(frame, s).val {
+                        Value::Ptr(a) => a.node as usize,
+                        Value::Null => {
+                            return m.err(ctx.now, "OWNER_OF(NULL)");
+                        }
+                        other => {
+                            return m.err(ctx.now, format!("OWNER_OF of non-pointer {other:?}"))
+                        }
+                    },
+                    CallAt::Node(o) => {
+                        let n = m.opnd_val(frame, &o).as_int().map_err(at(ctx.now))?;
+                        n.rem_euclid(m.cfg.n_nodes as i64) as usize
+                    }
+                };
+                m.scratch.clear();
+                for a in &args {
+                    let v = m.opnd_val(frame, a);
+                    m.scratch.push(v);
                 }
+                if m.call(&mut ctx, callee(cf, func), dst, target) == Flow::Release {
+                    return Ok(());
+                }
+            }
+            Op::Builtin { dst, which, args } => {
+                ctx.now += c.local_op_ns;
+                let v = match which {
+                    Builtin::Sqrt => Value::Double(
+                        m.opnd_val(frame, &args[0])
+                            .as_double()
+                            .map_err(at(ctx.now))?
+                            .sqrt(),
+                    ),
+                    Builtin::Fabs => Value::Double(
+                        m.opnd_val(frame, &args[0])
+                            .as_double()
+                            .map_err(at(ctx.now))?
+                            .abs(),
+                    ),
+                    Builtin::Rand => {
+                        m.rng = m
+                            .rng
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        Value::Int(((m.rng >> 33) & 0x7FFF_FFFF) as i64)
+                    }
+                    Builtin::NumNodes => Value::Int(m.cfg.n_nodes as i64),
+                    Builtin::MyNode => Value::Int(node as i64),
+                    Builtin::OwnerOf => match m.opnd_val(frame, &args[0]) {
+                        Value::Ptr(a) => Value::Int(a.node as i64),
+                        Value::Null => {
+                            return m.err(ctx.now, "owner_of(NULL)");
+                        }
+                        other => {
+                            return m.err(ctx.now, format!("owner_of of non-pointer {other:?}"))
+                        }
+                    },
+                    Builtin::PrintInt => {
+                        let v = m.opnd_val(frame, &args[0]);
+                        m.output.push(format!("{v}"));
+                        v
+                    }
+                    Builtin::PrintDouble => {
+                        let v = m.opnd_val(frame, &args[0]);
+                        m.output.push(format!("{v}"));
+                        v
+                    }
+                    // Readiness was checked against writes_done_at.
+                    Builtin::Fence => Value::Int(0),
+                };
+                m.set_cell(frame, dst, v, 0);
             }
             Op::Ret { val } => {
-                if let Some(v) = val {
-                    r = opnd(v);
+                let v = val.map(|o| m.opnd_val(frame, &o)).unwrap_or(Value::Int(0));
+                if m.ret(&mut ctx, v, f.n_slots)? == Flow::Release {
+                    return Ok(());
                 }
             }
-            Op::Br { a, b, .. } => r = opnd(a).max(opnd(b)),
-            Op::Switch { scrut, .. } => r = opnd(scrut),
-            Op::Jmp(_) | Op::Fork { .. } | Op::SpawnIter { .. } | Op::JoinIters | Op::EndArm => {}
-        }
-        r
-    }
-
-    // ---- the EU ---------------------------------------------------------
-
-    /// Runs thread `tid` from `event_time` until it stalls, blocks, or
-    /// finishes. Returns when the EU is released.
-    fn run_thread(
-        &mut self,
-        prog: &CompiledProgram,
-        tid: ThreadId,
-        event_time: u64,
-    ) -> Result<(), SimError> {
-        let node = self.threads[tid as usize].node as usize;
-        let mut now = event_time.max(self.nodes[node].eu_free_at);
-        if self.nodes[node].last_thread != Some(tid) {
-            now += self.cfg.cost.switch_ns;
-        }
-        self.nodes[node].last_thread = Some(tid);
-        let span_start = now;
-
-        loop {
-            self.stats.ops += 1;
-            if self.stats.ops > self.cfg.max_ops {
-                return self.err(now, "operation budget exceeded (infinite loop?)");
+            Op::Jmp(t) => {
+                ctx.pc = t;
+                ctx.now += c.local_op_ns;
             }
-            let rec = *self.threads[tid as usize]
-                .stack
-                .last()
-                .expect("running thread has a frame");
-            let op = prog.functions[rec.func.index()].ops[rec.pc as usize].clone();
-            if self.cfg.record_op_stats {
-                self.op_stats.bump(op.kind());
-            }
-
-            // Stall if an input is still in flight.
-            let ready_at = self.op_ready_at(&self.threads[tid as usize], rec.frame, &op);
-            if ready_at > now {
-                self.stats.stall_ns += ready_at - now;
-                // The stall is charged to the *consuming* op's site: the
-                // statement whose input was still in flight.
-                if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                    sc.stall_ns += ready_at - now;
+            Op::Br {
+                op,
+                a,
+                b,
+                then_pc,
+                else_pc,
+            } => {
+                let av = m.opnd_val(frame, &a);
+                let bv = m.opnd_val(frame, &b);
+                let v = eval_bin(op, av, bv).map_err(at(ctx.now))?;
+                let taken = v.truthy().map_err(at(ctx.now))?;
+                if let Some(sc) = m.site_mut(site, node) {
+                    sc.execs += 1;
+                    if taken {
+                        sc.taken += 1;
+                    } else {
+                        sc.not_taken += 1;
+                    }
                 }
-                self.nodes[node].eu_free_at = now;
-                self.nodes[node].busy_ns += now - span_start;
-                self.schedule(ready_at, tid);
+                ctx.pc = if taken { then_pc } else { else_pc };
+                ctx.now += c.local_op_ns;
+            }
+            Op::Switch {
+                scrut,
+                table,
+                default_pc,
+            } => {
+                let v = m.opnd_val(frame, &scrut).as_int().map_err(at(ctx.now))?;
+                let target = table
+                    .iter()
+                    .find(|(k, _)| *k == v)
+                    .map(|(_, pc)| *pc)
+                    .unwrap_or(default_pc);
+                ctx.pc = target;
+                ctx.now += c.local_op_ns;
+            }
+            Op::Fork { arms, cont } => {
+                ctx.pc = cont;
+                m.fork(&mut ctx, &arms);
                 return Ok(());
             }
-
-            let c = self.cfg.cost.clone();
-            let frame = rec.frame;
-            // Advance pc by default; control ops override.
-            self.threads[tid as usize].stack.last_mut().unwrap().pc = rec.pc + 1;
-
-            match op {
-                Op::Mov { dst, src } => {
-                    // Copies propagate the ready time of their source: the
-                    // EU does not synchronize on a value just to move it
-                    // (the compiler would have renamed the sync slot).
-                    let (v, ready) = match &src {
-                        Opnd::Slot(s) => {
-                            let cell = self.cell(frame, *s);
-                            (cell.val, cell.ready)
-                        }
-                        Opnd::Imm(v) => (*v, 0),
-                    };
-                    self.set_cell(frame, dst, v, ready);
-                    now += c.mov_ns;
-                }
-                Op::Bin { dst, op, a, b } => {
-                    let av = self.opnd_val(frame, &a);
-                    let bv = self.opnd_val(frame, &b);
-                    let v = eval_bin(op, av, bv).map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?;
-                    self.set_cell(frame, dst, v, 0);
-                    now += c.local_op_ns;
-                }
-                Op::Un { dst, op, a } => {
-                    let av = self.opnd_val(frame, &a);
-                    let v = eval_un(op, av).map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?;
-                    self.set_cell(frame, dst, v, 0);
-                    now += c.local_op_ns;
-                }
-                Op::LoadLocal { dst, ptr, field } => {
-                    let addr = self.expect_local_addr(now, tid, frame, ptr)?;
-                    let v = self.heaps[addr.node as usize]
-                        .load(addr.index, field as usize)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    self.set_cell(frame, dst, v, 0);
-                    self.stats.local_mem += 1;
-                    now += c.local_mem_ns;
-                }
-                Op::LoadRemote { dst, ptr, field } => {
-                    self.stats.read_data += 1;
-                    if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                        sc.execs += 1;
-                        sc.bytes += 8;
-                    }
-                    match self.cell(frame, ptr).val {
-                        Value::Ptr(addr) => {
-                            let v = self.heaps[addr.node as usize]
-                                .load(addr.index, field as usize)
-                                .map_err(|m| SimError {
-                                    time_ns: now,
-                                    message: m,
-                                })?;
-                            if addr.node as usize == node {
-                                now += c.pseudo_remote_ns;
-                                self.set_cell(frame, dst, v, 0);
-                            } else {
-                                let ready = now + c.read_latency_ns;
-                                now += c.read_issue_ns;
-                                self.set_cell(frame, dst, v, ready);
-                            }
-                        }
-                        // Speculative read of an invalid address: EARTH
-                        // tolerates it; the result must simply never be used.
-                        Value::Null | Value::Uninit => {
-                            let ready = now + c.read_latency_ns;
-                            now += c.read_issue_ns;
-                            self.set_cell(frame, dst, Value::Uninit, ready);
-                        }
-                        other => {
-                            return self
-                                .err(now, format!("remote read through non-pointer {other:?}"))
-                        }
-                    }
-                }
-                Op::StoreLocal { ptr, field, src } => {
-                    let addr = self.expect_local_addr(now, tid, frame, ptr)?;
-                    let v = self.opnd_val(frame, &src);
-                    self.heaps[addr.node as usize]
-                        .store(addr.index, field as usize, v)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    self.stats.local_mem += 1;
-                    now += c.local_mem_ns;
-                }
-                Op::StoreRemote { ptr, field, src } => {
-                    self.stats.write_data += 1;
-                    if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                        sc.execs += 1;
-                        sc.bytes += 8;
-                    }
-                    let Some(addr) = self.cell(frame, ptr).val.as_ptr().map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?
-                    else {
-                        return self.err(now, "remote write through NULL pointer");
-                    };
-                    let v = self.opnd_val(frame, &src);
-                    self.heaps[addr.node as usize]
-                        .store(addr.index, field as usize, v)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    if addr.node as usize == node {
-                        now += c.pseudo_remote_ns;
-                    } else {
-                        let done = now + c.write_latency_ns;
-                        let t = &mut self.threads[tid as usize];
-                        t.writes_done_at = t.writes_done_at.max(done);
-                        now += c.write_issue_ns;
-                    }
-                }
-                Op::BlkRead {
-                    ptr,
-                    buf,
-                    off,
-                    words,
-                } => {
-                    self.stats.blkmov += 1;
-                    self.stats.blkmov_words += words as u64;
-                    if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                        sc.execs += 1;
-                        sc.bytes += 8 * words as u64;
-                    }
-                    match self.cell(frame, ptr).val {
-                        Value::Ptr(addr) => {
-                            let vals: Vec<Value> = self.heaps[addr.node as usize]
-                                .load_range(addr.index, off as usize, words as usize)
-                                .map_err(|m| SimError {
-                                    time_ns: now,
-                                    message: m,
-                                })?
-                                .to_vec();
-                            let (issue, ready) = if addr.node as usize == node {
-                                (c.pseudo_remote_ns, now)
-                            } else {
-                                (
-                                    c.blk_issue(words as usize),
-                                    now + c.blk_latency(words as usize),
-                                )
-                            };
-                            for (w, v) in vals.into_iter().enumerate() {
-                                self.set_cell(frame, buf + off + w as u32, v, ready);
-                            }
-                            now += issue;
-                        }
-                        Value::Null | Value::Uninit => {
-                            let ready = now + c.blk_latency(words as usize);
-                            for w in off..off + words {
-                                self.set_cell(frame, buf + w, Value::Uninit, ready);
-                            }
-                            now += c.blk_issue(words as usize);
-                        }
-                        other => {
-                            return self.err(now, format!("blkmov through non-pointer {other:?}"))
-                        }
-                    }
-                }
-                Op::BlkWrite {
-                    ptr,
-                    buf,
-                    off,
-                    words,
-                } => {
-                    self.stats.blkmov += 1;
-                    self.stats.blkmov_words += words as u64;
-                    if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                        sc.execs += 1;
-                        sc.bytes += 8 * words as u64;
-                    }
-                    let Some(addr) = self.cell(frame, ptr).val.as_ptr().map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?
-                    else {
-                        return self.err(now, "blkmov write through NULL pointer");
-                    };
-                    let vals: Vec<Value> = (off..off + words)
-                        .map(|w| self.cell(frame, buf + w).val)
-                        .collect();
-                    self.heaps[addr.node as usize]
-                        .store_range(addr.index, off as usize, &vals)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    if addr.node as usize == node {
-                        now += c.pseudo_remote_ns;
-                    } else {
-                        let done = now + c.blk_latency(words as usize);
-                        let t = &mut self.threads[tid as usize];
-                        t.writes_done_at = t.writes_done_at.max(done);
-                        now += c.blk_issue(words as usize);
-                    }
-                }
-                Op::CopySlots { dst, src, words } => {
-                    for w in 0..words {
-                        let v = self.cell(frame, src + w);
-                        self.set_cell(frame, dst + w, v.val, v.ready);
-                    }
-                    now += c.local_op_ns * words as u64;
-                }
-                Op::Malloc {
-                    dst,
-                    words,
-                    node: on,
-                } => {
-                    let target = match on {
-                        None => node as NodeId,
-                        Some(o) => {
-                            let n = self.opnd_val(frame, &o).as_int().map_err(|m| SimError {
-                                time_ns: now,
-                                message: m,
-                            })?;
-
-                            n.rem_euclid(self.cfg.n_nodes as i64) as NodeId
-                        }
-                    };
-                    let index = self.heaps[target as usize].alloc(words as usize);
-                    self.set_cell(
-                        frame,
-                        dst,
-                        Value::Ptr(Addr {
-                            node: target,
-                            index,
-                        }),
-                        0,
-                    );
-                    now += c.malloc_ns;
-                    if target as usize != node {
-                        now += c.write_issue_ns;
-                    }
-                }
-                Op::AllocShared { dst } => {
-                    let index = self.heaps[node].alloc(1);
-                    self.heaps[node]
-                        .store(index, 0, Value::Int(0))
-                        .expect("fresh cell");
-                    self.set_cell(
-                        frame,
-                        dst,
-                        Value::Ptr(Addr {
-                            node: node as NodeId,
-                            index,
-                        }),
-                        0,
-                    );
-                    now += c.malloc_ns;
-                }
-                Op::AtomicWrite { cell, src } | Op::AtomicAdd { cell, src } => {
-                    let is_add = matches!(op, Op::AtomicAdd { .. });
-                    let Some(addr) = self.cell(frame, cell).val.as_ptr().map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?
-                    else {
-                        return self.err(now, "atomic op on unallocated shared cell");
-                    };
-                    let v = self.opnd_val(frame, &src);
-                    let new = if is_add {
-                        let old =
-                            self.heaps[addr.node as usize]
-                                .load(addr.index, 0)
-                                .map_err(|m| SimError {
-                                    time_ns: now,
-                                    message: m,
-                                })?;
-                        Value::Int(
-                            old.as_int().map_err(|m| SimError {
-                                time_ns: now,
-                                message: m,
-                            })? + v.as_int().map_err(|m| SimError {
-                                time_ns: now,
-                                message: m,
-                            })?,
-                        )
-                    } else {
-                        v
-                    };
-                    self.heaps[addr.node as usize]
-                        .store(addr.index, 0, new)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    if addr.node as usize == node {
-                        self.stats.local_mem += 1;
-                        now += c.local_mem_ns;
-                    } else {
-                        self.stats.atomic_remote += 1;
-                        now += c.atomic_remote_ns;
-                    }
-                }
-                Op::ValueOf { dst, cell } => {
-                    let Some(addr) = self.cell(frame, cell).val.as_ptr().map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?
-                    else {
-                        return self.err(now, "valueof on unallocated shared cell");
-                    };
-                    let v = self.heaps[addr.node as usize]
-                        .load(addr.index, 0)
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    if addr.node as usize == node {
-                        self.stats.local_mem += 1;
-                        self.set_cell(frame, dst, v, 0);
-                        now += c.local_mem_ns;
-                    } else {
-                        self.stats.atomic_remote += 1;
-                        let ready = now + c.atomic_latency_ns;
-                        self.set_cell(frame, dst, v, ready);
-                        now += c.atomic_remote_ns;
-                    }
-                }
-                Op::Call {
-                    dst,
-                    func,
-                    args,
-                    at,
-                } => {
-                    let callee = &prog.functions[func.index()];
-                    if args.len() != callee.param_slots.len() {
-                        return self.err(now, format!("arity mismatch calling `{}`", callee.name));
-                    }
-                    let target: usize = match at {
-                        CallAt::Local => node,
-                        CallAt::OwnerOf(s) => match self.cell(frame, s).val {
-                            Value::Ptr(a) => a.node as usize,
-                            Value::Null => {
-                                return self.err(now, "OWNER_OF(NULL)");
-                            }
-                            other => {
-                                return self.err(now, format!("OWNER_OF of non-pointer {other:?}"))
-                            }
-                        },
-                        CallAt::Node(o) => {
-                            let n = self.opnd_val(frame, &o).as_int().map_err(|m| SimError {
-                                time_ns: now,
-                                message: m,
-                            })?;
-                            n.rem_euclid(self.cfg.n_nodes as i64) as usize
-                        }
-                    };
-                    let arg_vals: Vec<Value> =
-                        args.iter().map(|a| self.opnd_val(frame, a)).collect();
-                    let new_frame = self.new_frame(callee.n_slots);
-                    let param_slots = callee.param_slots.clone();
-                    for (&slot, v) in param_slots.iter().zip(arg_vals) {
-                        self.set_cell(new_frame, slot, v, 0);
-                    }
-                    now += c.call_ns;
-                    if target == node {
-                        // Synchronous local call: push a frame.
-                        self.threads[tid as usize].stack.push(ActRec {
-                            func,
-                            pc: 0,
-                            frame: new_frame,
-                            ret_slot: dst,
-                        });
-                    } else {
-                        // Remote invocation: suspend and spawn over there.
-                        self.stats.remote_calls += 1;
-                        let child = self.new_thread(
-                            target as NodeId,
-                            ActRec {
-                                func,
-                                pc: 0,
-                                frame: new_frame,
-                                ret_slot: None,
-                            },
-                            ParentLink::Reply(tid, dst),
-                        );
-                        self.schedule(now + c.remote_call_ns, child);
-                        self.threads[tid as usize].state = ThreadState::Blocked;
-                        self.nodes[node].eu_free_at = now;
-                        self.nodes[node].busy_ns += now - span_start;
-                        return Ok(());
-                    }
-                }
-                Op::Builtin { dst, which, args } => {
-                    now += c.local_op_ns;
-                    let v = match which {
-                        Builtin::Sqrt => Value::Double(
-                            self.opnd_val(frame, &args[0])
-                                .as_double()
-                                .map_err(|m| SimError {
-                                    time_ns: now,
-                                    message: m,
-                                })?
-                                .sqrt(),
-                        ),
-                        Builtin::Fabs => Value::Double(
-                            self.opnd_val(frame, &args[0])
-                                .as_double()
-                                .map_err(|m| SimError {
-                                    time_ns: now,
-                                    message: m,
-                                })?
-                                .abs(),
-                        ),
-                        Builtin::Rand => {
-                            self.rng = self
-                                .rng
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            Value::Int(((self.rng >> 33) & 0x7FFF_FFFF) as i64)
-                        }
-                        Builtin::NumNodes => Value::Int(self.cfg.n_nodes as i64),
-                        Builtin::MyNode => Value::Int(node as i64),
-                        Builtin::OwnerOf => match self.opnd_val(frame, &args[0]) {
-                            Value::Ptr(a) => Value::Int(a.node as i64),
-                            Value::Null => {
-                                return self.err(now, "owner_of(NULL)");
-                            }
-                            other => {
-                                return self.err(now, format!("owner_of of non-pointer {other:?}"))
-                            }
-                        },
-                        Builtin::PrintInt => {
-                            let v = self.opnd_val(frame, &args[0]);
-                            self.output.push(format!("{v}"));
-                            v
-                        }
-                        Builtin::PrintDouble => {
-                            let v = self.opnd_val(frame, &args[0]);
-                            self.output.push(format!("{v}"));
-                            v
-                        }
-                        // Readiness was checked against writes_done_at.
-                        Builtin::Fence => Value::Int(0),
-                    };
-                    self.set_cell(frame, dst, v, 0);
-                }
-                Op::Ret { val } => {
-                    let v = val
-                        .map(|o| self.opnd_val(frame, &o))
-                        .unwrap_or(Value::Int(0));
-                    now += c.call_ns;
-                    let popped = self.threads[tid as usize].stack.pop().expect("frame");
-                    if let Some(caller) = self.threads[tid as usize].stack.last() {
-                        let caller_frame = caller.frame;
-                        if let Some(slot) = popped.ret_slot {
-                            self.set_cell(caller_frame, slot, v, 0);
-                        }
-                        continue;
-                    }
-                    // Root frame of this thread.
-                    match self.threads[tid as usize].parent {
-                        ParentLink::Root => {
-                            self.threads[tid as usize].state = ThreadState::Done;
-                            self.nodes[node].eu_free_at = now;
-                            self.nodes[node].busy_ns += now - span_start;
-                            // Completion waits for outstanding writes.
-                            self.finished_at = now.max(self.threads[tid as usize].writes_done_at);
-                            self.result = Some(v);
-                            return Ok(());
-                        }
-                        ParentLink::Reply(caller, dst) => {
-                            self.threads[tid as usize].state = ThreadState::Done;
-                            let arrive = now + c.remote_call_ns;
-                            let caller_t = &self.threads[caller as usize];
-                            let caller_frame = caller_t.stack.last().expect("caller stack").frame;
-                            if let Some(slot) = dst {
-                                self.set_cell(caller_frame, slot, v, arrive);
-                            }
-                            // Completion of the callee's remote writes is
-                            // covered by the reply ordering on EARTH; fold
-                            // it into the caller's fence state.
-                            let wd = self.threads[tid as usize].writes_done_at;
-                            let ct = &mut self.threads[caller as usize];
-                            ct.writes_done_at = ct.writes_done_at.max(wd);
-                            self.schedule(arrive, caller);
-                            self.nodes[node].eu_free_at = now;
-                            self.nodes[node].busy_ns += now - span_start;
-                            return Ok(());
-                        }
-                        ParentLink::Arm(_) => {
-                            return self.err(now, "return from a parallel arm");
-                        }
-                    }
-                }
-                Op::Jmp(t) => {
-                    self.threads[tid as usize].stack.last_mut().unwrap().pc = t;
-                    now += c.local_op_ns;
-                }
-                Op::Br {
-                    op,
-                    a,
-                    b,
-                    then_pc,
-                    else_pc,
-                } => {
-                    let av = self.opnd_val(frame, &a);
-                    let bv = self.opnd_val(frame, &b);
-                    let v = eval_bin(op, av, bv).map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?;
-                    let taken = v.truthy().map_err(|m| SimError {
-                        time_ns: now,
-                        message: m,
-                    })?;
-                    if let Some(sc) = self.site_mut(prog, rec.func, rec.pc, node) {
-                        sc.execs += 1;
-                        if taken {
-                            sc.taken += 1;
-                        } else {
-                            sc.not_taken += 1;
-                        }
-                    }
-                    self.threads[tid as usize].stack.last_mut().unwrap().pc =
-                        if taken { then_pc } else { else_pc };
-                    now += c.local_op_ns;
-                }
-                Op::Switch {
-                    scrut,
-                    table,
-                    default_pc,
-                } => {
-                    let v = self
-                        .opnd_val(frame, &scrut)
-                        .as_int()
-                        .map_err(|m| SimError {
-                            time_ns: now,
-                            message: m,
-                        })?;
-                    let target = table
-                        .iter()
-                        .find(|(k, _)| *k == v)
-                        .map(|(_, pc)| *pc)
-                        .unwrap_or(default_pc);
-                    self.threads[tid as usize].stack.last_mut().unwrap().pc = target;
-                    now += c.local_op_ns;
-                }
-                Op::Fork { arms, cont } => {
-                    let func = rec.func;
-                    self.threads[tid as usize].stack.last_mut().unwrap().pc = cont;
-                    self.threads[tid as usize].outstanding_children = arms.len() as u32;
-                    self.threads[tid as usize].waiting_join = true;
-                    self.threads[tid as usize].state = ThreadState::Blocked;
-                    for arm_pc in arms {
-                        now += c.spawn_ns;
-                        self.stats.spawns += 1;
-                        let child = self.new_thread(
-                            node as NodeId,
-                            ActRec {
-                                func,
-                                pc: arm_pc,
-                                frame,
-                                ret_slot: None,
-                            },
-                            ParentLink::Arm(tid),
-                        );
-                        self.schedule(now, child);
-                    }
-                    self.nodes[node].eu_free_at = now;
-                    self.nodes[node].busy_ns += now - span_start;
-                    return Ok(());
-                }
-                Op::SpawnIter { body } => {
-                    let func = rec.func;
-                    now += c.spawn_ns;
-                    self.stats.spawns += 1;
-                    // The iteration gets a copy of the frame: forall bodies
-                    // must not carry dependences on ordinary variables.
-                    let cloned = self.frames[frame].cells.clone();
-                    self.frames.push(Frame { cells: cloned });
-                    let new_frame = self.frames.len() - 1;
-                    self.threads[tid as usize].outstanding_children += 1;
-                    let child = self.new_thread(
-                        node as NodeId,
-                        ActRec {
-                            func,
-                            pc: body,
-                            frame: new_frame,
-                            ret_slot: None,
-                        },
-                        ParentLink::Arm(tid),
-                    );
-                    self.schedule(now, child);
-                }
-                Op::JoinIters => {
-                    if self.threads[tid as usize].outstanding_children > 0 {
-                        self.threads[tid as usize].waiting_join = true;
-                        self.threads[tid as usize].state = ThreadState::Blocked;
-                        self.nodes[node].eu_free_at = now;
-                        self.nodes[node].busy_ns += now - span_start;
-                        return Ok(());
-                    }
-                    now += c.local_op_ns;
-                }
-                Op::EndArm => {
-                    self.threads[tid as usize].state = ThreadState::Done;
-                    let wd = self.threads[tid as usize].writes_done_at;
-                    if let ParentLink::Arm(parent) = self.threads[tid as usize].parent {
-                        let pt = &mut self.threads[parent as usize];
-                        pt.outstanding_children -= 1;
-                        pt.writes_done_at = pt.writes_done_at.max(wd);
-                        if pt.outstanding_children == 0 && pt.waiting_join {
-                            pt.waiting_join = false;
-                            self.schedule(now, parent);
-                        }
-                    }
-                    self.nodes[node].eu_free_at = now;
-                    self.nodes[node].busy_ns += now - span_start;
+            Op::SpawnIter { body } => m.spawn_iter(&mut ctx, body, f.n_slots),
+            Op::JoinIters => {
+                if m.join_iters(&mut ctx) == Flow::Release {
                     return Ok(());
                 }
             }
-        }
-    }
-
-    fn expect_local_addr(
-        &self,
-        now: u64,
-        tid: ThreadId,
-        frame: usize,
-        ptr: Slot,
-    ) -> Result<Addr, SimError> {
-        match self.cell(frame, ptr).val {
-            Value::Ptr(a) => {
-                if a.node != self.threads[tid as usize].node {
-                    return self.err(
-                        now,
-                        format!(
-                            "locality violation: local access to {a} from node {}",
-                            self.threads[tid as usize].node
-                        ),
-                    );
-                }
-                Ok(a)
+            Op::EndArm => {
+                m.end_arm(&ctx);
+                return Ok(());
             }
-            Value::Null => self.err(now, "local dereference of NULL"),
-            other => self.err(now, format!("local dereference of non-pointer {other:?}")),
         }
     }
 }

@@ -1,8 +1,12 @@
 //! Edge-case integration tests for the EARTH-MANNA machine.
 
 use earth_ir::builder::FunctionBuilder;
-use earth_ir::{BinOp, BlkDir, Operand, Program, StructDef, Ty, VarDecl};
-use earth_sim::{run_program, Value};
+use earth_ir::{BinOp, BlkDir, FuncId, Operand, Program, StructDef, Ty, VarDecl};
+use earth_sim::bytecode::{Op, Opnd};
+use earth_sim::{
+    compile, run_compiled, run_program, CodegenOptions, CompiledFunction, CompiledProgram,
+    CostModel, ExecBackend, Machine, MachineConfig, NativeMachine, NativeProgram, Value,
+};
 
 fn run_src(src: &str, nodes: u16) -> earth_sim::RunResult {
     let prog = earth_frontend::compile(src).unwrap();
@@ -180,12 +184,7 @@ fn out_of_range_partial_blkmov_rejected_by_validator() {
 }
 
 #[test]
-fn deadlock_detection() {
-    // A thread waiting on a value that never arrives cannot be built from
-    // the safe frontend; instead exercise the guard with an entry
-    // function that spawns nothing and... the simplest deadlock-free
-    // program simply ends, so check that the machine reports *completion*
-    // and that an empty forall joins immediately.
+fn empty_forall_joins_immediately() {
     let r = run_src(
         r#"
         struct N { N* next; int v; };
@@ -203,6 +202,99 @@ fn deadlock_detection() {
     );
     assert_eq!(r.ret, Value::Int(5));
     assert_eq!(r.stats.spawns, 0);
+}
+
+/// Hand-assembled bytecode, which the frontend cannot produce: a `Fork`
+/// with no arms blocks its thread with nobody left to wake it.
+#[test]
+fn deadlock_detection() {
+    let main = CompiledFunction {
+        name: "main".into(),
+        ops: vec![
+            Op::Mov {
+                dst: 0,
+                src: Opnd::Imm(Value::Int(1)),
+            },
+            Op::Fork {
+                arms: vec![],
+                cont: 2,
+            },
+            Op::Ret {
+                val: Some(Opnd::Slot(0)),
+            },
+        ],
+        n_slots: 1,
+        param_slots: vec![],
+        site_of: vec![],
+    };
+    let prog = CompiledProgram {
+        functions: vec![main],
+        struct_words: vec![],
+        site_table: vec![],
+    };
+    let cfg = MachineConfig::with_nodes(2);
+    // The machine went idle after the switch to the root thread and the Mov.
+    let idle_at = cfg.cost.switch_ns + cfg.cost.mov_ns;
+    for backend in [ExecBackend::Interp, ExecBackend::Native] {
+        let e = run_compiled(backend, cfg.clone(), &prog, FuncId(0), &[]).unwrap_err();
+        assert!(e.message.starts_with("deadlock: "), "{backend}: {e}");
+        assert_eq!(e.time_ns, idle_at, "{backend}");
+    }
+}
+
+/// A run on a used machine returns exactly what a fresh machine returns.
+#[test]
+fn a_machine_can_be_run_again() {
+    let src = r#"
+        int fib(int n) {
+            int a;
+            int b;
+            if (n < 2) { return n; }
+            {^
+                a = fib(n - 1) @ (n % num_nodes());
+                b = fib(n - 2);
+            ^}
+            return a + b;
+        }
+        int main(int n) {
+            print_int(rand() % 100);
+            return fib(n);
+        }
+    "#;
+    let prog = earth_frontend::compile(src).unwrap();
+    let compiled = compile(&prog, CodegenOptions::default()).unwrap();
+    let entry = compiled.function_by_name("main").unwrap();
+    let native = NativeProgram::compile(&compiled, &CostModel::default());
+    let cfg = MachineConfig {
+        record_op_stats: true,
+        ..MachineConfig::with_nodes(2)
+    };
+    let args = [Value::Int(10)];
+    let mut interp = Machine::new(cfg.clone());
+    let mut tier = NativeMachine::new(cfg);
+    let first = interp.run(&compiled, entry, &args).unwrap();
+    assert_eq!(first.ret, Value::Int(55));
+    let again = [
+        interp.run(&compiled, entry, &args).unwrap(),
+        tier.run(&native, entry, &args).unwrap(),
+        tier.run(&native, entry, &args).unwrap(),
+    ];
+    for r in &again {
+        assert_eq!(r.ret, first.ret);
+        assert_eq!(r.time_ns, first.time_ns);
+        assert_eq!(r.stats, first.stats);
+        assert_eq!(r.output, first.output);
+        assert_eq!(r.node_busy_ns, first.node_busy_ns);
+        assert_eq!(r.op_stats, first.op_stats);
+    }
+    // A failed run leaves nothing behind either.
+    assert!(interp.run(&compiled, entry, &[]).is_err());
+    assert!(tier.run(&native, entry, &[Value::Null]).is_err());
+    assert_eq!(
+        interp.run(&compiled, entry, &args).unwrap().stats,
+        first.stats
+    );
+    assert_eq!(tier.run(&native, entry, &args).unwrap().stats, first.stats);
 }
 
 #[test]

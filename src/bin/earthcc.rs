@@ -1,8 +1,8 @@
 //! `earthcc` — command-line driver for the EARTH-C pipeline.
 //!
 //! ```text
-//! earthcc run  prog.ec [--nodes N] [--no-opt] [--no-locality] [--verify-placement]
-//!                      [--alias binary|prob] [--escape on|off] [--workers N]
+//! earthcc run  prog.ec [--nodes N] [--backend interp|native] [--no-opt] [--no-locality]
+//!                      [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N]
 //!                      [--timings] [--report-json]
 //!                      [--arg V]... [--profile-out FILE | --profile-in FILE]
 //! earthcc pgo  prog.ec [--nodes N] [--workers N] [--arg V]...   # instrument, run, recompile
@@ -15,6 +15,11 @@
 //!
 //! `--lint` and `--verify-placement` are accepted as aliases for the `lint`
 //! and `verify` subcommands.
+//!
+//! `--backend` picks the simulator's execution engine and defaults to
+//! `native` (the pre-decoded tier) here, in `earthcc serve` and in
+//! `earthd`; `interp` is the reference interpreter, with byte-identical
+//! output.
 //!
 //! `--alias prob` turns on the probabilistic alias mode: branch/loop
 //! likelihood heuristics (measured frequencies under PGO) weight the
@@ -55,7 +60,7 @@ use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  earthcc run    <file.ec> [--nodes N] [--backend interp|native] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--backend interp|native] [--alias binary|prob] [--escape on|off] [--workers N] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--alias binary|prob] [--escape on|off] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)"
+        "usage:\n  earthcc run    <file.ec> [--nodes N] [--backend interp|native] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--backend interp|native] [--alias binary|prob] [--escape on|off] [--workers N] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--alias binary|prob] [--escape on|off] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)\n--backend defaults to `native` wherever it is accepted (run, pgo, serve, earthd); `interp` is the reference interpreter and prints the same output"
     );
     ExitCode::from(2)
 }

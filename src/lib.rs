@@ -281,10 +281,10 @@ impl Pipeline {
         self
     }
 
-    /// Selects the execution backend (default
-    /// [`ExecBackend::Interp`]). Both backends produce byte-identical
-    /// [`RunResult`]s; [`ExecBackend::Native`] pre-decodes the bytecode
-    /// into fused closures for much higher run throughput.
+    /// Selects the execution backend (default [`ExecBackend::Native`],
+    /// which pre-decodes the bytecode into fused closures). Both backends
+    /// produce byte-identical [`RunResult`]s; [`ExecBackend::Interp`] is
+    /// the reference interpreter they are checked against.
     pub fn backend(mut self, b: ExecBackend) -> Self {
         self.backend = b;
         self

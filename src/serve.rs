@@ -145,7 +145,7 @@ impl PipelineBackend {
             }),
             snapshots: Mutex::new(HashMap::new()),
             snap_dir: None,
-            backend: ExecBackend::Native,
+            backend: ExecBackend::default(),
         }
     }
 
@@ -177,7 +177,7 @@ impl PipelineBackend {
             }),
             snapshots: Mutex::new(HashMap::new()),
             snap_dir: Some(snap_dir.clone()),
-            backend: ExecBackend::Native,
+            backend: ExecBackend::default(),
         };
         backend.restore_snapshots(&snap_dir);
         backend
@@ -443,9 +443,9 @@ impl Backend for PipelineBackend {
 /// [--idle-ms N] [--cluster] [--listen HOST:PORT] [--peers A,B,C]
 /// [--vnodes N]`.
 ///
-/// The daemon serves `run` requests on the native execution tier by
-/// default; `--backend interp` selects the reference interpreter
-/// (results are byte-identical either way).
+/// The daemon serves `run` requests on [`ExecBackend::default`] (the
+/// native tier, as everywhere else); `--backend interp` selects the
+/// reference interpreter (results are byte-identical either way).
 ///
 /// Cluster mode (`--cluster`) needs `--listen` (the fixed address this
 /// daemon binds *and* advertises on the hash ring — port 0 would
@@ -458,7 +458,7 @@ impl Backend for PipelineBackend {
 pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig, ExecBackend), String> {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServerConfig::default();
-    let mut backend = ExecBackend::Native;
+    let mut backend = ExecBackend::default();
     let mut cluster = false;
     let mut listen: Option<String> = None;
     let mut peers: Vec<String> = Vec::new();

@@ -60,6 +60,7 @@ fn main() {
             .register(OptimizePass::new(
                 CommOptConfig::default(),
                 default_workers(),
+                None,
             ));
         let mut p = prog.clone();
         let mut cache = earth_analysis::AnalysisCache::new();

@@ -1,4 +1,11 @@
-//! Function-granular incremental recompilation.
+//! The whole-program optimization driver, and function-granular
+//! incremental recompilation — which are one thing:
+//! [`optimize_program_seeded`] is the only body that walks a program's
+//! functions, and scratch compilation is that body run from the empty
+//! [`Seed`] (every function dirty, summaries taken from the caller's
+//! whole-program analysis). [`optimize_program_with`](crate::optimize_program_with),
+//! [`optimize_program_snapshot`] and [`optimize_program_incremental`] are
+//! entry points of it with no logic of their own.
 //!
 //! A [`PipelineSnapshot`] captures everything a later compile of an
 //! edited translation unit needs to re-run placement + selection for
@@ -51,6 +58,7 @@ use earth_analysis::{
 };
 use earth_ir::fnv::Fnv1a;
 use earth_ir::{program_fingerprints, structs_fingerprint, Fingerprint, FuncId, Function, Program};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -200,9 +208,45 @@ pub fn all_off(cfg: &CommOptConfig) -> bool {
         && cfg.escape == EscapeMode::Off
 }
 
+/// What one run of the driver may reuse. Holds only checked values: a
+/// snapshot gets in through [`Seed::snapshot`], which runs
+/// [`applicability`] — so the driver may index its entries by position.
+#[derive(Debug, Clone, Copy)]
+pub struct Seed<'a>(Reuse<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Reuse<'a> {
+    Nothing(&'a ProgramAnalysis),
+    Snapshot(&'a PipelineSnapshot),
+}
+
+impl<'a> Seed<'a> {
+    /// Scratch compilation — the empty seed: every function is dirty, and
+    /// summaries and per-function analyses are the caller's whole-program
+    /// `analysis` (which must have been computed for the program as it is
+    /// handed to the driver).
+    pub fn scratch(analysis: &'a ProgramAnalysis) -> Self {
+        Seed(Reuse::Nothing(analysis))
+    }
+
+    /// Reuse whatever of `prev` an edit cannot have affected.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FallbackReason`] when `prev` does not describe this
+    /// (program, configuration) pair; the caller must compile from
+    /// [`scratch`](Self::scratch) and discard `prev`.
+    pub fn snapshot(
+        prog: &Program,
+        cfg: &CommOptConfig,
+        prev: &'a PipelineSnapshot,
+    ) -> Result<Self, FallbackReason> {
+        applicability(prog, cfg, prev).map(|()| Seed(Reuse::Snapshot(prev)))
+    }
+}
+
 /// Placement + selection fanned out over `todo` only, results in
-/// [`FuncId`] order. The same scoped-thread idiom as
-/// [`optimize_program_with`](crate::optimize_program_with): functions are
+/// [`FuncId`] order — the one fan-out of the crate. Functions are
 /// optimized against the pre-optimization `prog`, so the result is
 /// byte-identical for any worker count.
 fn optimize_set(
@@ -237,108 +281,222 @@ fn optimize_set(
         });
         collected.into_inner().unwrap()
     };
+    // Deterministic merge: arrival order depends on scheduling, FuncId
+    // order does not.
     results.sort_by_key(|(fid, _, _)| *fid);
     results
 }
 
+/// The whole-program optimization step, written once: re-runs placement +
+/// selection for exactly the functions `seed` cannot vouch for (see the
+/// module docs; all of them from [`Seed::scratch`]) and splices the seed's
+/// optimized IR and motion logs for everything else. The resulting
+/// program, [`OptReport`] and motion logs are byte-identical for every
+/// seed and any `workers`; the [`IncrementalStats`] say how much was
+/// reused.
+///
+/// With `keep`, also returns the [`PipelineSnapshot`] that seeds the next
+/// compile of this translation unit. Keeping is not free — a fingerprint
+/// per function and per configuration, a clone of every optimized body,
+/// report and summary — so only callers that will use the snapshot ask
+/// for it.
+pub fn optimize_program_seeded(
+    prog: &mut Program,
+    cfg: &CommOptConfig,
+    workers: usize,
+    seed: Seed<'_>,
+    keep: bool,
+) -> (OptReport, Option<PipelineSnapshot>, IncrementalStats) {
+    let n = prog.functions().len();
+    let prev = match seed.0 {
+        Reuse::Nothing(_) => None,
+        Reuse::Snapshot(prev) => Some(prev),
+    };
+    // Fingerprints are what a seed is diffed against and what a kept
+    // snapshot is stamped with; a run with neither never hashes.
+    let fingerprinted = keep || prev.is_some();
+    let fps = if fingerprinted {
+        program_fingerprints(prog)
+    } else {
+        Vec::new()
+    };
+    let stamp = keep.then(|| match prev {
+        Some(prev) => (prev.config_fp, prev.structs_fp),
+        None => (config_fingerprint(cfg), structs_fingerprint(prog)),
+    });
+    if all_off(cfg) {
+        // The identity transformation has no dirty set and nothing to
+        // report; a kept snapshot records the bodies as they stand.
+        let snapshot = stamp.map(|(config_fp, structs_fp)| PipelineSnapshot {
+            config_fp,
+            structs_fp,
+            summaries: vec![Summary::default(); n],
+            functions: prog
+                .iter_functions()
+                .map(|(fid, f)| FnSnapshot {
+                    name: f.name.clone(),
+                    fingerprint: fps[fid.index()],
+                    escape_fp: 0,
+                    reused: false,
+                    optimized: f.clone(),
+                    report: FnReport {
+                        func: fid,
+                        stats: SelectionStats::default(),
+                        motion: crate::MotionLog::default(),
+                    },
+                })
+                .collect(),
+        });
+        return (OptReport::default(), snapshot, IncrementalStats::default());
+    }
+
+    // 1. The summary table: the caller's whole-program fixpoint, or the
+    // seed's, refixpointed exactly from the semantically-dirty set. Any
+    // summary change — growth *or* shrinkage — escalates its dependents,
+    // with the failing delta recorded as the cause.
+    let mut stats = IncrementalStats::default();
+    let mut changed_sums: BTreeSet<FuncId> = BTreeSet::new();
+    let summaries: Cow<'_, [Summary]> = match seed.0 {
+        Reuse::Nothing(analysis) => Cow::Borrowed(&analysis.summaries),
+        Reuse::Snapshot(prev) => {
+            let dirty_sem: BTreeSet<FuncId> = prog
+                .iter_functions()
+                .map(|(id, _)| id)
+                .filter(|id| {
+                    fps[id.index()].semantic != prev.functions[id.index()].fingerprint.semantic
+                })
+                .collect();
+            let (summaries, _recomputed) =
+                analyze_effects_incremental(prog, &prev.summaries, &dirty_sem);
+            for (fid, f) in prog.iter_functions() {
+                let (old, new) = (&prev.summaries[fid.index()], &summaries[fid.index()]);
+                if old != new {
+                    changed_sums.insert(fid);
+                    stats.escalations += 1;
+                    stats.escalation_causes.push(EscalationCause {
+                        func: fid,
+                        name: f.name.clone(),
+                        delta: old.delta(new),
+                    });
+                }
+            }
+            Cow::Owned(summaries)
+        }
+    };
+
+    // 2. The whole-program escape verdicts, computed once against the
+    // pre-optimization program — every worker reads the same ones, which
+    // keeps the fan-out deterministic — and hashed per function as the
+    // precondition a purely local fingerprint cannot see.
+    let escape = match cfg.escape {
+        EscapeMode::Off => None,
+        EscapeMode::On => Some(EscapeAnalysis::compute(prog, &summaries)),
+    };
+    let escape_fps = if fingerprinted {
+        escape_fingerprints(prog, escape.as_ref())
+    } else {
+        Vec::new()
+    };
+
+    // 3. What the seed can vouch for: a function keeps its cached
+    // artifact unless its own artifact fingerprint, its escape
+    // precondition or a callee's summary moved. The empty seed vouches
+    // for nothing, so every function is dirty.
+    let cached: Vec<Option<&FnSnapshot>> = match prev {
+        None => vec![None; n],
+        Some(prev) => prog
+            .iter_functions()
+            .map(|(id, f)| {
+                let (i, old) = (id.index(), &prev.functions[id.index()]);
+                let dirty = fps[i].artifact != old.fingerprint.artifact
+                    || escape_fps[i] != old.escape_fp
+                    || callees(f).iter().any(|c| changed_sums.contains(c));
+                (!dirty).then_some(old)
+            })
+            .collect(),
+    };
+    let todo: Vec<FuncId> = prog
+        .iter_functions()
+        .map(|(id, _)| id)
+        .filter(|id| cached[id.index()].is_none())
+        .collect();
+
+    // 4. Per-function analysis (regions + read/write sets) depends only on
+    // the function's own body and the summary table: the caller's covers
+    // every function; from a snapshot it is computed for the dirty set
+    // only — the spliced functions never consult it.
+    let sparse;
+    let analysis = match seed.0 {
+        Reuse::Nothing(analysis) => analysis,
+        Reuse::Snapshot(_) => {
+            sparse = analyze_with_summaries_for(prog, summaries.into_owned(), &todo);
+            &sparse
+        }
+    };
+
+    // 5. Placement + selection for the dirty set only, then the splice in
+    // FuncId order: fresh results where dirty, the seed's artifacts
+    // verbatim everywhere else.
+    let mut fresh = optimize_set(prog, analysis, cfg, escape.as_ref(), &todo, workers).into_iter();
+    let mut report = OptReport::default();
+    let mut functions: Vec<FnSnapshot> = Vec::with_capacity(if keep { n } else { 0 });
+    for (i, cached) in cached.into_iter().enumerate() {
+        let fid = FuncId(i as u32);
+        let (func, fr) = match cached {
+            Some(cached) => {
+                stats.functions_reused += 1;
+                (cached.optimized.clone(), cached.report.clone())
+            }
+            None => {
+                let (rfid, func, fr) = fresh.next().expect("one result per dirty function");
+                debug_assert_eq!(rfid, fid);
+                stats.functions_reoptimized += 1;
+                (func, fr)
+            }
+        };
+        if keep {
+            functions.push(FnSnapshot {
+                name: func.name.clone(),
+                fingerprint: fps[i],
+                escape_fp: escape_fps[i],
+                reused: cached.is_some(),
+                optimized: func.clone(),
+                report: fr.clone(),
+            });
+        }
+        prog.replace_function(fid, func);
+        report.functions.push(fr);
+    }
+    let snapshot = stamp.map(|(config_fp, structs_fp)| PipelineSnapshot {
+        config_fp,
+        structs_fp,
+        summaries: analysis.summaries.clone(),
+        functions,
+    });
+    (report, snapshot, stats)
+}
+
 /// From-scratch optimization that also captures a [`PipelineSnapshot`]:
-/// the cold path of the incremental pipeline. Byte-identical to
+/// [`optimize_program_seeded`] from [`Seed::scratch`], keeping the
+/// snapshot. Byte-identical to
 /// [`optimize_program_with`](crate::optimize_program_with) with the same
-/// arguments (same per-function driver, same deterministic merge).
+/// arguments — the same body, with nothing to reuse.
 pub fn optimize_program_snapshot(
     prog: &mut Program,
     cfg: &CommOptConfig,
     workers: usize,
     analysis: &ProgramAnalysis,
 ) -> (OptReport, PipelineSnapshot) {
-    let n = prog.functions().len();
-    let fps = program_fingerprints(prog);
-    let structs_fp = structs_fingerprint(prog);
-    if all_off(cfg) {
-        let snapshot = capture(
-            cfg,
-            prog,
-            &fps,
-            structs_fp,
-            vec![Summary::default(); n],
-            vec![0; n],
-            &OptReport::default(),
-        );
-        return (OptReport::default(), snapshot);
-    }
-    let escape = match cfg.escape {
-        EscapeMode::Off => None,
-        EscapeMode::On => Some(EscapeAnalysis::compute(prog, &analysis.summaries)),
-    };
-    let escape_fps = escape_fingerprints(prog, escape.as_ref());
-    let todo: Vec<FuncId> = prog.iter_functions().map(|(id, _)| id).collect();
-    let results = optimize_set(prog, analysis, cfg, escape.as_ref(), &todo, workers);
-    let mut report = OptReport::default();
-    for (fid, func, fr) in results {
-        prog.replace_function(fid, func);
-        report.functions.push(fr);
-    }
-    let snapshot = capture(
-        cfg,
-        prog,
-        &fps,
-        structs_fp,
-        analysis.summaries.clone(),
-        escape_fps,
-        &report,
-    );
-    (report, snapshot)
+    let (report, snapshot, _) =
+        optimize_program_seeded(prog, cfg, workers, Seed::scratch(analysis), true);
+    (report, snapshot.expect("a kept run returns its snapshot"))
 }
 
-/// Builds a snapshot from an already-optimized program plus the
-/// pre-optimization fingerprints and analysis inputs of the run that
-/// produced it.
-fn capture(
-    cfg: &CommOptConfig,
-    optimized: &Program,
-    fps: &[Fingerprint],
-    structs_fp: u64,
-    summaries: Vec<Summary>,
-    escape_fps: Vec<u64>,
-    opt: &OptReport,
-) -> PipelineSnapshot {
-    let functions = optimized
-        .iter_functions()
-        .map(|(fid, f)| {
-            let report = opt
-                .functions
-                .iter()
-                .find(|r| r.func == fid)
-                .cloned()
-                .unwrap_or_else(|| FnReport {
-                    func: fid,
-                    stats: SelectionStats::default(),
-                    motion: crate::MotionLog::default(),
-                });
-            FnSnapshot {
-                name: f.name.clone(),
-                fingerprint: fps[fid.index()],
-                escape_fp: escape_fps[fid.index()],
-                reused: false,
-                optimized: f.clone(),
-                report,
-            }
-        })
-        .collect();
-    PipelineSnapshot {
-        config_fp: config_fingerprint(cfg),
-        structs_fp,
-        summaries,
-        functions,
-    }
-}
-
-/// Incremental placement + selection: re-optimizes exactly the dirty set
-/// (see the module docs) and splices the snapshot's optimized IR and
-/// motion logs for everything else. The resulting program, [`OptReport`],
-/// and motion logs are byte-identical to a from-scratch
-/// [`optimize_program_with`](crate::optimize_program_with) over the same
-/// program, for any `workers`.
+/// Incremental placement + selection: [`optimize_program_seeded`] from
+/// [`Seed::snapshot`]`(prev)`, keeping the next snapshot. The resulting
+/// program, [`OptReport`], and motion logs are byte-identical to a
+/// from-scratch [`optimize_program_with`](crate::optimize_program_with)
+/// over the same program, for any `workers`.
 ///
 /// # Errors
 ///
@@ -351,121 +509,13 @@ pub fn optimize_program_incremental(
     workers: usize,
     prev: &PipelineSnapshot,
 ) -> Result<(OptReport, PipelineSnapshot, IncrementalStats), FallbackReason> {
-    applicability(prog, cfg, prev)?;
-    let n = prog.functions().len();
-    let fps = program_fingerprints(prog);
-    if all_off(cfg) {
-        // The identity transformation has no dirty set.
-        let snapshot = capture(
-            cfg,
-            prog,
-            &fps,
-            prev.structs_fp,
-            vec![Summary::default(); n],
-            vec![0; n],
-            &OptReport::default(),
-        );
-        return Ok((OptReport::default(), snapshot, IncrementalStats::default()));
-    }
-
-    // 1. Exact summary refixpoint seeded by the semantically-dirty set.
-    let dirty_sem: BTreeSet<FuncId> = prog
-        .iter_functions()
-        .filter(|(id, _)| {
-            fps[id.index()].semantic != prev.functions[id.index()].fingerprint.semantic
-        })
-        .map(|(id, _)| id)
-        .collect();
-    let (summaries, _recomputed) = analyze_effects_incremental(prog, &prev.summaries, &dirty_sem);
-
-    // 2. Any summary change — growth *or* shrinkage — escalates its
-    // dependents, with the failing delta recorded as the cause.
-    let mut stats = IncrementalStats::default();
-    let mut changed_sums: BTreeSet<FuncId> = BTreeSet::new();
-    for (fid, f) in prog.iter_functions() {
-        if summaries[fid.index()] != prev.summaries[fid.index()] {
-            changed_sums.insert(fid);
-            stats.escalations += 1;
-            stats.escalation_causes.push(EscalationCause {
-                func: fid,
-                name: f.name.clone(),
-                delta: prev.summaries[fid.index()].delta(&summaries[fid.index()]),
-            });
-        }
-    }
-
-    // 3. Whole-program escape preconditions, recomputed and diffed.
-    let escape = match cfg.escape {
-        EscapeMode::Off => None,
-        EscapeMode::On => Some(EscapeAnalysis::compute(prog, &summaries)),
-    };
-    let escape_fps = escape_fingerprints(prog, escape.as_ref());
-
-    // 4. The dirty-for-optimize set.
-    let mut reopt = vec![false; n];
-    for (id, f) in prog.iter_functions() {
-        let i = id.index();
-        reopt[i] = fps[i].artifact != prev.functions[i].fingerprint.artifact
-            || escape_fps[i] != prev.functions[i].escape_fp
-            || callees(f).iter().any(|c| changed_sums.contains(c));
-    }
-    let todo: Vec<FuncId> = prog
-        .iter_functions()
-        .map(|(id, _)| id)
-        .filter(|id| reopt[id.index()])
-        .collect();
-
-    // Per-function analysis (regions + read/write sets) depends only on
-    // the function's own body and the summary table, so it is computed
-    // for the dirty set only — the spliced functions never consult it.
-    let analysis = analyze_with_summaries_for(prog, summaries, &todo);
-
-    // 5. Re-run placement + selection for the dirty set only.
-    let results = optimize_set(prog, &analysis, cfg, escape.as_ref(), &todo, workers);
-
-    // 6. Splice, in FuncId order: fresh results where dirty, snapshot
-    // artifacts verbatim everywhere else.
-    let mut report = OptReport::default();
-    let mut functions: Vec<FnSnapshot> = Vec::with_capacity(n);
-    let mut fresh = results.into_iter();
-    for i in 0..n {
-        let fid = FuncId(i as u32);
-        if reopt[i] {
-            let (rfid, func, fr) = fresh.next().expect("one result per dirty function");
-            debug_assert_eq!(rfid, fid);
-            functions.push(FnSnapshot {
-                name: func.name.clone(),
-                fingerprint: fps[i],
-                escape_fp: escape_fps[i],
-                reused: false,
-                optimized: func.clone(),
-                report: fr.clone(),
-            });
-            prog.replace_function(fid, func);
-            report.functions.push(fr);
-            stats.functions_reoptimized += 1;
-        } else {
-            let cached = &prev.functions[i];
-            functions.push(FnSnapshot {
-                name: cached.name.clone(),
-                fingerprint: fps[i],
-                escape_fp: escape_fps[i],
-                reused: true,
-                optimized: cached.optimized.clone(),
-                report: cached.report.clone(),
-            });
-            prog.replace_function(fid, cached.optimized.clone());
-            report.functions.push(cached.report.clone());
-            stats.functions_reused += 1;
-        }
-    }
-    let snapshot = PipelineSnapshot {
-        config_fp: prev.config_fp,
-        structs_fp: prev.structs_fp,
-        summaries: analysis.summaries.clone(),
-        functions,
-    };
-    Ok((report, snapshot, stats))
+    let seed = Seed::snapshot(prog, cfg, prev)?;
+    let (report, snapshot, stats) = optimize_program_seeded(prog, cfg, workers, seed, true);
+    Ok((
+        report,
+        snapshot.expect("a kept run returns its snapshot"),
+        stats,
+    ))
 }
 
 #[cfg(test)]

@@ -53,22 +53,19 @@ pub use earth_analysis::{EscapeAnalysis, EscapeJustification, EscapeVerdict};
 pub use earth_profile::{FuncProfile, Profile, ProfileDb};
 pub use incremental::{
     all_off, applicability, config_fingerprint, escape_fingerprints, optimize_program_incremental,
-    optimize_program_snapshot, FallbackReason, FnSnapshot, IncrementalStats, PipelineSnapshot,
+    optimize_program_seeded, optimize_program_snapshot, FallbackReason, FnSnapshot,
+    IncrementalStats, PipelineSnapshot, Seed,
 };
 pub use inline::{inline_functions, InlineConfig, InlineReport};
 pub use layout::{reorder_fields, LayoutReport};
 pub use motion::{Motion, MotionKind, MotionLog, ProbJustification};
-pub use placement::{
-    analyze_placement, analyze_placement_profiled, analyze_placement_with, Placement,
-};
+pub use placement::{analyze_placement, analyze_placement_with, Placement};
 pub use rce::{CommSet, Rce};
-pub use selection::{select, select_profiled, select_with, Plan, Replace, SelectionStats};
+pub use selection::{select, select_with, Plan, Replace, SelectionStats};
 pub use transform::apply_plan;
 
 use earth_analysis::{MeasuredFreqs, ProbFacts, ProgramAnalysis};
 use earth_ir::{FuncId, Function, Program, Stmt, StmtKind};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Per-function optimization outcome.
 #[derive(Debug, Clone)]
@@ -150,17 +147,25 @@ pub fn measured_freqs(func: &Function, view: Option<&FuncProfile>) -> Option<Mea
     Some(m)
 }
 
-/// Placement analysis + selection + transformation for one function,
-/// against the whole-program `analysis`. Pure with respect to `prog` (only
-/// struct layouts and the function body are read), which is what makes the
-/// per-function fan-out of [`optimize_program_with`] deterministic.
-fn optimize_function(
+/// The planning prefix of the per-function phase — everything before the
+/// transformation: escape upgrades → profile view → probability facts
+/// (measured frequencies included) → possible-placement analysis →
+/// communication selection. Returns the working copy of the function
+/// (upgraded, with selection's temporaries added; the body and every
+/// original label untouched) and the plan, whose motion log already
+/// carries the escape justifications.
+///
+/// This is the one place a plan is chosen: the optimizer applies what it
+/// returns and `earth-lint` validates what it returns, so the weights a
+/// plan was chosen under (`cfg.profile` included) can never differ
+/// between the two.
+pub fn plan_function(
     prog: &Program,
     analysis: &ProgramAnalysis,
     cfg: &CommOptConfig,
     escape: Option<&EscapeAnalysis>,
     fid: FuncId,
-) -> (FuncId, Function, FnReport) {
+) -> (Function, Plan) {
     let fa = analysis.function(fid);
     let mut func = prog.function(fid).clone();
     // Escape/affinity upgrades go in *before* placement: a pointer proven
@@ -195,6 +200,21 @@ fn optimize_function(
         facts.as_ref(),
     );
     plan.motion.escapes = escapes;
+    (func, plan)
+}
+
+/// Placement analysis + selection + transformation for one function,
+/// against the whole-program `analysis`. Pure with respect to `prog` (only
+/// struct layouts and the function body are read), which is what makes the
+/// per-function fan-out of the driver deterministic.
+fn optimize_function(
+    prog: &Program,
+    analysis: &ProgramAnalysis,
+    cfg: &CommOptConfig,
+    escape: Option<&EscapeAnalysis>,
+    fid: FuncId,
+) -> (FuncId, Function, FnReport) {
+    let (mut func, plan) = plan_function(prog, analysis, cfg, escape, fid);
     apply_plan(&mut func, &plan);
     let report = FnReport {
         func: fid,
@@ -206,7 +226,8 @@ fn optimize_function(
 
 /// Runs communication optimization over every function of `prog` using a
 /// precomputed (cached) `analysis`, fanning the per-function
-/// placement + selection work out across up to `workers` scoped threads.
+/// placement + selection work out across up to `workers` scoped threads:
+/// [`optimize_program_seeded`] with nothing to reuse and no snapshot kept.
 ///
 /// Functions are optimized independently against the *pre-optimization*
 /// program and analysis, and the results are merged in [`FuncId`] order —
@@ -222,56 +243,7 @@ pub fn optimize_program_with(
     analysis: &ProgramAnalysis,
     workers: usize,
 ) -> OptReport {
-    let mut report = OptReport::default();
-    if !cfg.enable_motion
-        && !cfg.enable_blocking
-        && !cfg.enable_redundancy_elim
-        && cfg.escape == EscapeMode::Off
-    {
-        return report;
-    }
-    // The whole-program escape analysis is computed once, up front, against
-    // the pre-optimization program — every worker reads the same verdicts,
-    // which keeps the fan-out deterministic.
-    let escape = match cfg.escape {
-        EscapeMode::Off => None,
-        EscapeMode::On => Some(EscapeAnalysis::compute(prog, &analysis.summaries)),
-    };
-    let escape = escape.as_ref();
-    let fids: Vec<FuncId> = prog.iter_functions().map(|(id, _)| id).collect();
-    let workers = workers.clamp(1, fids.len().max(1));
-    let mut results: Vec<(FuncId, Function, FnReport)> = if workers <= 1 {
-        fids.iter()
-            .map(|&fid| optimize_function(prog, analysis, cfg, escape, fid))
-            .collect()
-    } else {
-        let shared: &Program = prog;
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(FuncId, Function, FnReport)>> =
-            Mutex::new(Vec::with_capacity(fids.len()));
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&fid) = fids.get(i) else { break };
-                        local.push(optimize_function(shared, analysis, cfg, escape, fid));
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
-            }
-        });
-        collected.into_inner().unwrap()
-    };
-    // Deterministic merge: arrival order depends on scheduling, FuncId
-    // order does not.
-    results.sort_by_key(|(fid, _, _)| *fid);
-    for (fid, func, fr) in results {
-        prog.replace_function(fid, func);
-        report.functions.push(fr);
-    }
-    report
+    optimize_program_seeded(prog, cfg, workers, Seed::scratch(analysis), false).0
 }
 
 /// Runs the full communication optimization (placement analysis, selection,
@@ -287,13 +259,6 @@ pub fn optimize_program_with(
 /// Panics if the optimizer produces invalid IR — a bug, guarded by the
 /// validator.
 pub fn optimize_program(prog: &mut Program, cfg: &CommOptConfig) -> OptReport {
-    if !cfg.enable_motion
-        && !cfg.enable_blocking
-        && !cfg.enable_redundancy_elim
-        && cfg.escape == EscapeMode::Off
-    {
-        return OptReport::default();
-    }
     let analysis = earth_analysis::analyze(prog);
     let report = optimize_program_with(prog, cfg, &analysis, default_workers());
     earth_ir::validate_program(prog).expect("optimizer produced invalid IR");

@@ -83,26 +83,16 @@ impl Placement {
 /// assert_eq!(placement.reads_before[&first].len(), 2);
 /// ```
 pub fn analyze_placement(f: &Function, fa: &FunctionAnalysis, freq: &FreqModel) -> Placement {
-    analyze_placement_profiled(f, fa, freq, None)
+    analyze_placement_with(f, fa, freq, None, None)
 }
 
-/// [`analyze_placement`] with an optional measured profile. When a
-/// statement has profile data, its *measured* branch probability replaces
-/// the static halving on conditionals and its *measured* mean trip count
-/// replaces [`FreqModel::loop_factor`] on loops; statements without data
-/// (never executed, or inserted after the profiling compile) keep the
-/// static adjustments.
-pub fn analyze_placement_profiled(
-    f: &Function,
-    fa: &FunctionAnalysis,
-    freq: &FreqModel,
-    profile: Option<&FuncProfile>,
-) -> Placement {
-    analyze_placement_with(f, fa, freq, profile, None)
-}
-
-/// [`analyze_placement_profiled`] with optional probability annotations
-/// (`--alias prob`). Facts refine the *frequency* adjustments only — a
+/// [`analyze_placement`] with an optional measured profile and optional
+/// probability annotations (`--alias prob`). When a statement has profile
+/// data, its *measured* branch probability replaces the static halving on
+/// conditionals and its *measured* mean trip count replaces
+/// [`FreqModel::loop_factor`] on loops; statements without data (never
+/// executed, or inserted after the profiling compile) keep the static
+/// adjustments. Facts refine the *frequency* adjustments only — a
 /// heuristic branch probability replaces the static halving where no
 /// measurement exists — while the kill rules keep consulting the binary
 /// alias queries unchanged (probabilities weight cost, never safety; the

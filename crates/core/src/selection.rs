@@ -94,27 +94,16 @@ pub fn select(
     placement: &Placement,
     cfg: &CommOptConfig,
 ) -> Plan {
-    select_profiled(prog, func, fa, placement, cfg, None)
+    select_with(prog, func, fa, placement, cfg, None, None)
 }
 
-/// [`select`] with an optional measured profile. When the profiled run
-/// covered this function, blocking uses
+/// [`select`] with an optional measured profile and optional probability
+/// annotations (`--alias prob`). When the profiled run covered this
+/// function, blocking uses
 /// [`should_block_profiled`](CommOptConfig::should_block_profiled) over the
 /// span's measured execution count instead of the static threshold gate,
 /// and [`SelectionStats::pgo_flips`] counts the decisions that changed.
-pub fn select_profiled(
-    prog: &Program,
-    func: &mut Function,
-    fa: &FunctionAnalysis,
-    placement: &Placement,
-    cfg: &CommOptConfig,
-    profile: Option<&FuncProfile>,
-) -> Plan {
-    select_with(prog, func, fa, placement, cfg, profile, None)
-}
-
-/// [`select_profiled`] with optional probability annotations
-/// (`--alias prob`). The facts change exactly one decision class: a span
+/// The facts change exactly one decision class: a span
 /// whose pointer is a recognized loop induction (`p = p->f` once per
 /// iteration) is decided by
 /// [`should_block_induction`](CommOptConfig::should_block_induction) —

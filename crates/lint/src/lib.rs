@@ -6,7 +6,7 @@
 //! * [`verify`] — the **placement translation validator**: replays
 //!   communication selection for every function and independently
 //!   re-derives, from the pre-optimization IR and the
-//!   [`MotionLog`](earth_commopt::MotionLog), that no statement between a
+//!   [`MotionLog`], that no statement between a
 //!   moved operation's new and original placement invalidates it
 //!   (diagnostic codes `PLC001`–`PLC005`), and that every
 //!   probability-justified motion of prob-alias mode rests on a
@@ -60,11 +60,8 @@ pub use races::{
 };
 pub use verify::{verify_escapes, verify_motions};
 
-use earth_analysis::{EscapeAnalysis, ProbFacts, ProgramAnalysis};
-use earth_commopt::{
-    analyze_placement, analyze_placement_with, select, select_with, AliasMode, CommOptConfig,
-    EscapeMode, FuncProfile,
-};
+use earth_analysis::{EscapeAnalysis, ProgramAnalysis};
+use earth_commopt::{plan_function, CommOptConfig, EscapeMode, MotionLog};
 use earth_ir::{Diagnostic, Program};
 
 /// Every diagnostic code a checker in this crate can emit. Cross-checked
@@ -76,19 +73,28 @@ pub const EMITTED_CODES: &[&str] = &[
     "PLC003", "PLC004", "PLC005",
 ];
 
+/// What [`replay_program`] found: the motion logs it validated and the
+/// violations in them.
+#[derive(Debug, Clone, Default)]
+pub struct Replay {
+    /// The replayed motion log of every function, in
+    /// [`FuncId`](earth_ir::FuncId) order.
+    pub logs: Vec<MotionLog>,
+    /// Every violation found; empty certifies that all the motions the
+    /// optimizer would perform are translation-safe.
+    pub violations: Vec<Diagnostic>,
+}
+
 /// Replays communication selection for every function of the
 /// **unoptimized** `prog` against a precomputed (cached) `analysis` and
 /// validates the resulting motion logs.
 ///
-/// Returns every violation found; an empty vector certifies that all the
-/// motions the optimizer would perform under `cfg` are translation-safe.
+/// The replay is [`earth_commopt::plan_function`] — the planning prefix
+/// the optimizer itself runs — under the same `cfg`, measured profile
+/// included, so the plan being certified is the plan that gets applied.
 /// `analysis` must have been computed for `prog` as it is passed here.
-pub fn verify_program_with(
-    prog: &Program,
-    cfg: &CommOptConfig,
-    analysis: &ProgramAnalysis,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
+pub fn replay_program(prog: &Program, cfg: &CommOptConfig, analysis: &ProgramAnalysis) -> Replay {
+    let mut out = Replay::default();
     // Independent re-derivation for `--escape on`: a fresh whole-program
     // escape/affinity run on the pre-optimization IR, never the
     // optimizer's own instance.
@@ -97,49 +103,35 @@ pub fn verify_program_with(
         EscapeMode::On => Some(EscapeAnalysis::compute(prog, &analysis.summaries)),
     };
     for (fid, f) in prog.iter_functions() {
-        let fa = analysis.function(fid);
-        // `select` adds temporaries to its function; the body (and thus
-        // every original label) is untouched until `apply_plan`.
-        let mut func = f.clone();
-        let escapes = match &escape {
-            Some(esc) => esc.apply(fid, &mut func),
-            None => Vec::new(),
-        };
-        let plan = match cfg.alias {
-            AliasMode::Binary => {
-                let placement = analyze_placement(&func, fa, &cfg.freq);
-                select(prog, &mut func, fa, &placement, cfg)
-            }
-            AliasMode::Prob => {
-                // Replay with the same heuristic facts the optimizer used
-                // (the replay is profile-less, matching `verify_program`'s
-                // existing contract), so the motion log being validated is
-                // the one prob-alias mode actually produces.
-                let facts = ProbFacts::compute(&func, fa, None);
-                let placement = analyze_placement_with(
-                    &func,
-                    fa,
-                    &cfg.freq,
-                    None::<&FuncProfile>,
-                    Some(&facts),
-                );
-                select_with(prog, &mut func, fa, &placement, cfg, None, Some(&facts))
-            }
-        };
-        out.extend(
-            verify::verify_motions(&func, fa, &plan.motion)
+        // Planning adds temporaries to its copy of the function; the body
+        // (and thus every original label) is untouched until `apply_plan`.
+        let (func, plan) = plan_function(prog, analysis, cfg, escape.as_ref(), fid);
+        out.violations.extend(
+            verify::verify_motions(&func, analysis.function(fid), &plan.motion)
                 .into_iter()
                 .map(|d| d.in_func(&f.name)),
         );
         if let Some(esc) = &escape {
-            out.extend(
-                verify::verify_escapes(prog, fid, &escapes, esc)
+            out.violations.extend(
+                verify::verify_escapes(prog, fid, &plan.motion.escapes, esc)
                     .into_iter()
                     .map(|d| d.in_func(&f.name)),
             );
         }
+        out.logs.push(plan.motion);
     }
     out
+}
+
+/// The violations of [`replay_program`]: an empty vector certifies that
+/// all the motions the optimizer would perform under `cfg` are
+/// translation-safe.
+pub fn verify_program_with(
+    prog: &Program,
+    cfg: &CommOptConfig,
+    analysis: &ProgramAnalysis,
+) -> Vec<Diagnostic> {
+    replay_program(prog, cfg, analysis).violations
 }
 
 /// Convenience wrapper around [`verify_program_with`] that computes the

@@ -40,7 +40,7 @@
 //! let mut pm = PassManager::new();
 //! pm.register(passes::VerifyPlacementPass::new(cfg.clone()));
 //! pm.register(passes::RaceLintPass::new());
-//! pm.register(passes::OptimizePass::new(cfg, 1));
+//! pm.register(passes::OptimizePass::new(cfg, 1, None));
 //! pm.register(passes::ValidateIrPass);
 //! let report = pm.run(&mut prog, &mut cache).unwrap();
 //! // Three analysis consumers, one whole-program analysis:
@@ -54,8 +54,8 @@
 pub mod passes;
 
 pub use passes::{
-    EscapePass, FieldReorderPass, IncrementalOptimizePass, InlinePass, LocalityPass, OptimizePass,
-    PgoPass, ProbAliasPass, RaceLintPass, SnapshotSlot, ValidateIrPass, VerifyPlacementPass,
+    EscapePass, FieldReorderPass, InlinePass, LocalityPass, OptimizePass, ProbAliasPass,
+    RaceLintPass, SnapshotSlot, ValidateIrPass, VerifyPlacementPass,
 };
 
 use earth_analysis::{AnalysisCache, CacheStats};
@@ -333,7 +333,7 @@ mod tests {
         let mut pm = PassManager::new();
         pm.register(VerifyPlacementPass::new(cfg.clone()));
         pm.register(RaceLintPass::new());
-        pm.register(OptimizePass::new(cfg, 2));
+        pm.register(OptimizePass::new(cfg, 2, None));
         pm.register(ValidateIrPass);
         let report = pm.run(&mut prog, &mut cache).unwrap();
         assert_eq!(report.cache.misses, 1, "{}", report.render());
@@ -353,7 +353,7 @@ mod tests {
         let cfg = earth_commopt::CommOptConfig::default();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg, 1));
+        pm.register(OptimizePass::new(cfg, 1, None));
         pm.register(RaceLintPass::new());
         let report = pm.run(&mut prog, &mut cache).unwrap();
         // The lint pass after optimize pays at most a per-function refresh
@@ -361,63 +361,53 @@ mod tests {
         assert!(report.cache.misses <= 2, "{}", report.render());
     }
 
-    /// The incremental pass is byte-identical to the plain optimize pass:
-    /// cold it captures a snapshot, warm it splices from it — and the
-    /// incremental counters say so.
+    /// One pass, three ways to hand it work, one output: without a slot it
+    /// analyzes once, fingerprints nothing and leaves no snapshot; with an
+    /// empty slot it does the same work and captures a snapshot; seeded
+    /// from that snapshot it splices — and the reuse counters say so.
     #[test]
-    fn incremental_pass_matches_optimize_pass() {
+    fn slot_decides_capture_and_reuse_not_the_output() {
         use std::sync::{Arc, Mutex};
         let cfg = earth_commopt::CommOptConfig::default();
-        // Reference: the plain pass.
-        let mut reference = compile(SRC).unwrap();
-        let mut cache = AnalysisCache::new();
-        let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg.clone(), 1));
-        pm.run(&mut reference, &mut cache).unwrap();
-        // Cold incremental run.
+        let run = |slot: Option<Arc<Mutex<SnapshotSlot>>>| {
+            let mut prog = compile(SRC).unwrap();
+            let mut cache = AnalysisCache::new();
+            let mut pm = PassManager::new();
+            pm.register(OptimizePass::new(cfg.clone(), 1, slot));
+            let report = pm.run(&mut prog, &mut cache).unwrap();
+            (earth_ir::pretty::print_program(&prog), report)
+        };
+        // No slot: the reference output, one analysis, no reuse accounting.
+        let (reference, plain_report) = run(None);
+        assert_eq!(plain_report.cache.misses, 1, "scratch pays one analysis");
+        let opt = plain_report.pass("optimize").unwrap();
+        for counter in ["functions_reused", "functions_reoptimized", "full_rebuild"] {
+            assert_eq!(opt.get_counter(counter), None, "{counter} without a slot");
+        }
+        // Empty slot: same output, same single analysis, plus a snapshot.
         let slot = Arc::new(Mutex::new(SnapshotSlot::default()));
-        let mut cold = compile(SRC).unwrap();
-        let mut cache = AnalysisCache::new();
-        let mut pm = PassManager::new();
-        pm.register(IncrementalOptimizePass::new(
-            cfg.clone(),
-            1,
-            None,
-            slot.clone(),
-        ));
-        let cold_report = pm.run(&mut cold, &mut cache).unwrap();
-        assert_eq!(
-            earth_ir::pretty::print_program(&cold),
-            earth_ir::pretty::print_program(&reference)
-        );
+        let (cold, cold_report) = run(Some(slot.clone()));
+        assert_eq!(cold, reference);
         assert_eq!(cold_report.cache.misses, 1, "cold pays one analysis");
-        let opt = cold_report.pass("optimize-incremental").unwrap();
+        let opt = cold_report.pass("optimize").unwrap();
         assert_eq!(opt.get_counter("full_rebuild"), Some(1));
         assert_eq!(opt.get_counter("functions_reused"), Some(0));
-        let snapshot = slot.lock().unwrap().snapshot.clone().unwrap();
-        // Warm run over the unchanged program: everything splices, no
-        // whole-program analysis at all.
-        let slot2 = Arc::new(Mutex::new(SnapshotSlot::default()));
-        let mut warm = compile(SRC).unwrap();
-        let mut cache = AnalysisCache::new();
-        let mut pm = PassManager::new();
-        pm.register(IncrementalOptimizePass::new(
-            cfg,
-            1,
-            Some(snapshot),
-            slot2.clone(),
-        ));
-        let warm_report = pm.run(&mut warm, &mut cache).unwrap();
-        assert_eq!(
-            earth_ir::pretty::print_program(&warm),
-            earth_ir::pretty::print_program(&reference)
-        );
+        assert_eq!(slot.lock().unwrap().fallback, Some("cold"));
+        assert!(slot.lock().unwrap().snapshot.is_some());
+        // The same slot again, now holding the seed, over the unchanged
+        // program: everything splices, no whole-program analysis at all.
+        let (warm, warm_report) = run(Some(slot.clone()));
+        assert_eq!(warm, reference);
         assert_eq!(warm_report.cache.misses, 0, "warm analyzes nothing");
-        let opt = warm_report.pass("optimize-incremental").unwrap();
+        let opt = warm_report.pass("optimize").unwrap();
         assert_eq!(opt.get_counter("full_rebuild"), Some(0));
         assert_eq!(opt.get_counter("functions_reoptimized"), Some(0));
         assert_eq!(opt.get_counter("functions_reused"), Some(1));
         assert_eq!(opt.get_counter("escalations"), Some(0));
+        assert!(
+            slot.lock().unwrap().snapshot.is_some(),
+            "re-seeded for next time"
+        );
     }
 
     /// Satellite of the incremental work: the report JSON carries the
@@ -431,7 +421,7 @@ mod tests {
         let mut prog = compile(SRC).unwrap();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(IncrementalOptimizePass::new(cfg, 2, None, slot));
+        pm.register(OptimizePass::new(cfg, 2, Some(slot)));
         let report = pm.run(&mut prog, &mut cache).unwrap();
         let json = report.to_json();
         let v = earth_ir::json::parse(&json).unwrap();
@@ -473,7 +463,7 @@ mod tests {
         let cfg = earth_commopt::CommOptConfig::default();
         let mut cache = AnalysisCache::new();
         let mut pm = PassManager::new();
-        pm.register(OptimizePass::new(cfg, 1));
+        pm.register(OptimizePass::new(cfg, 1, None));
         pm.register(ValidateIrPass);
         let report = pm.run(&mut prog, &mut cache).unwrap();
         let text = report.render();

@@ -11,21 +11,17 @@
 //! | [`RaceLintPass`] | analysis consumer | reads the cache; records verdicts |
 //! | [`ProbAliasPass`] | analysis consumer | reads the cache; surveys probabilistic facts |
 //! | [`EscapePass`] | analysis consumer | reads the cache; surveys escape/affinity verdicts |
-//! | [`OptimizePass`] | transform | reads the cache, then invalidates per changed [`FuncId`](earth_ir::FuncId) |
-//! | [`IncrementalOptimizePass`] | transform | warm: no cache read at all (snapshot-seeded); cold: [`OptimizePass`] discipline |
-//! | [`PgoPass`] | transform | [`OptimizePass`] under a measured [`ProfileDb`]; same discipline |
+//! | [`OptimizePass`] | transform | reads the cache unless its [`SnapshotSlot`] held an applicable seed (then no cache read at all), then invalidates per changed [`FuncId`](earth_ir::FuncId) |
 //! | [`ValidateIrPass`] | check | pure; aborts on IR errors |
 
 use crate::{Pass, PassReport};
 use earth_analysis::{AnalysisCache, EscapeAnalysis, ProbFacts};
 use earth_commopt::{
-    inline_functions, optimize_program_incremental, optimize_program_snapshot,
-    optimize_program_with, reorder_fields, CommOptConfig, IncrementalStats, InlineConfig,
-    OptReport, PipelineSnapshot, SelectionStats,
+    inline_functions, optimize_program_seeded, reorder_fields, CommOptConfig, IncrementalStats,
+    InlineConfig, OptReport, PipelineSnapshot, Seed, SelectionStats,
 };
 use earth_ir::{assign_program_sites, Diagnostic, Program, Severity};
 use earth_lint::LintReport;
-use earth_profile::ProfileDb;
 use std::sync::{Arc, Mutex};
 
 /// Local function inlining (the paper's Phase-I pass).
@@ -113,12 +109,14 @@ impl Pass for LocalityPass {
     }
 }
 
-/// The placement translation validator ([`earth_lint::verify_program_with`])
+/// The placement translation validator ([`earth_lint::replay_program`])
 /// run over the motions the optimizer is about to perform. Any violation
 /// aborts the pipeline.
 #[derive(Debug, Clone)]
 pub struct VerifyPlacementPass {
-    /// The optimizer configuration whose selection is replayed.
+    /// The optimizer configuration whose selection is replayed — the one
+    /// [`OptimizePass`] runs under, measured profile included, or the
+    /// pass certifies a plan the optimizer does not apply.
     pub cfg: CommOptConfig,
 }
 
@@ -141,12 +139,14 @@ impl Pass for VerifyPlacementPass {
         report: &mut PassReport,
     ) -> Result<(), Vec<Diagnostic>> {
         let analysis = cache.get(prog);
-        let violations = earth_lint::verify_program_with(prog, &self.cfg, analysis);
-        report.counter("violations", violations.len() as u64);
-        if violations.is_empty() {
+        let replay = earth_lint::replay_program(prog, &self.cfg, analysis);
+        let motions: usize = replay.logs.iter().map(|log| log.len()).sum();
+        report.counter("motions_checked", motions as u64);
+        report.counter("violations", replay.violations.len() as u64);
+        if replay.violations.is_empty() {
             Ok(())
         } else {
-            Err(violations)
+            Err(replay.violations)
         }
     }
 }
@@ -282,27 +282,74 @@ impl Pass for EscapePass {
     }
 }
 
+/// Where [`OptimizePass`] finds its seed and leaves its snapshot: shared,
+/// because the pass manager owns the pass itself.
+#[derive(Debug, Default)]
+pub struct SnapshotSlot {
+    /// Going in: the snapshot of the previous compile of this translation
+    /// unit, if there was one (the pass takes it). Coming out: the
+    /// snapshot this run produced, seed for the next compile.
+    pub snapshot: Option<Arc<PipelineSnapshot>>,
+    /// Reuse/re-optimization/escalation counters of the run.
+    pub stats: IncrementalStats,
+    /// Why the run could not use its seed snapshot: `"cold"` when none
+    /// was supplied, a [`FallbackReason`](earth_commopt::FallbackReason)
+    /// rendering when one was supplied but did not apply, `None` when the
+    /// incremental path ran.
+    pub fallback: Option<&'static str>,
+}
+
 /// The paper's communication optimization (possible-placement analysis +
 /// selection + transformation), fanned out per function across scoped
 /// worker threads with a deterministic [`FuncId`](earth_ir::FuncId)-ordered
-/// merge.
-#[derive(Debug, Clone)]
+/// merge — the one pass over the one driver,
+/// [`optimize_program_seeded`]. Scratch compilation is the incremental
+/// path with nothing to reuse, so the modes are properties of what the
+/// pass was handed, not passes of their own:
+///
+/// * **A [`SnapshotSlot`]** makes the run function-granular. With an
+///   applicable seed in the slot, placement + selection re-run for
+///   exactly the functions the edit can affect (see
+///   [`earth_commopt::incremental`]) and the seed's optimized IR and
+///   motion logs are spliced for the rest — byte-identical to a scratch
+///   run, **without** consulting the whole-program analysis cache. With
+///   no seed, or an inapplicable one, the run is a scratch run over the
+///   cached analysis. Either way the run's snapshot is left in the slot
+///   and the report gains `functions_reused`, `functions_reoptimized`,
+///   `escalations` and `full_rebuild`. Without a slot nothing is
+///   fingerprinted and nothing is captured.
+/// * **A measured profile** ([`CommOptConfig::profile`]) makes the run
+///   profile-guided. The pass runs on the pre-selection tree — the same
+///   tree the instrumented build assigned [`SiteId`](earth_ir::SiteId)s
+///   over, since both compiles share the deterministic pre-passes — so
+///   the profile's sites resolve by construction wherever the code is
+///   unchanged, and the report gains the PGO accounting the driver
+///   surfaces as one line: `sites_instrumented` (sites assigned over the
+///   program about to be optimized — what an instrumented build of it
+///   would record), `sites_matched` (how many of those the profile has
+///   counters for; zero means the profile is stale or from a different
+///   program) and `decisions_flipped` (selection decisions where the
+///   measured cost-model choice differed from the static heuristic).
+#[derive(Debug)]
 pub struct OptimizePass {
     /// Optimizer configuration.
     pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#functions`).
+    /// Fan-out width (clamped to `1..=#dirty-functions`).
     pub workers: usize,
     /// The per-function reports of the last run.
     pub last: Option<OptReport>,
+    slot: Option<Arc<Mutex<SnapshotSlot>>>,
 }
 
 impl OptimizePass {
-    /// A pass optimizing under `cfg` with the given fan-out width.
-    pub fn new(cfg: CommOptConfig, workers: usize) -> Self {
+    /// A pass optimizing under `cfg` with the given fan-out width, seeded
+    /// from and publishing into `slot` when there is one.
+    pub fn new(cfg: CommOptConfig, workers: usize, slot: Option<Arc<Mutex<SnapshotSlot>>>) -> Self {
         OptimizePass {
             cfg,
             workers,
             last: None,
+            slot,
         }
     }
 }
@@ -318,221 +365,29 @@ impl Pass for OptimizePass {
         cache: &mut AnalysisCache,
         report: &mut PassReport,
     ) -> Result<(), Vec<Diagnostic>> {
-        let analysis = cache.get(prog);
-        let opt = optimize_program_with(prog, &self.cfg, analysis, self.workers);
-        // Only the functions selection actually rewrote are stale.
-        let mut changed = 0u64;
-        for f in &opt.functions {
-            if f.stats != SelectionStats::default() || !f.motion.is_empty() {
-                cache.invalidate_function(f.func);
-                changed += 1;
-            }
-        }
-        let t = opt.total();
-        report.counter("workers", self.workers as u64);
-        report.counter("functions_changed", changed);
-        report.counter("pipelined_reads", t.pipelined_reads as u64);
-        report.counter("blocked_spans", t.blocked_spans as u64);
-        report.counter("blocked_writebacks", t.blocked_writebacks as u64);
-        report.counter("induction_blocks", t.induction_blocks as u64);
-        report.counter("reads_rewritten", t.reads_rewritten as u64);
-        report.counter("writes_rewritten", t.writes_rewritten as u64);
-        self.last = Some(opt);
-        Ok(())
-    }
-}
-
-/// The result surface of one [`IncrementalOptimizePass`] run, published
-/// through a shared slot because the pass manager owns the pass itself.
-#[derive(Debug, Default)]
-pub struct SnapshotSlot {
-    /// The snapshot the run produced (seed for the next compile of this
-    /// translation unit). `None` until the pass has run.
-    pub snapshot: Option<Arc<PipelineSnapshot>>,
-    /// Reuse/re-optimization/escalation counters of the run.
-    pub stats: IncrementalStats,
-    /// Why the run could not use its seed snapshot: `"cold"` when none
-    /// was supplied, a [`FallbackReason`](earth_commopt::FallbackReason)
-    /// rendering when one was supplied but did not apply, `None` when the
-    /// incremental path ran.
-    pub fallback: Option<&'static str>,
-}
-
-/// Function-granular incremental communication optimization.
-///
-/// With an applicable seed [`PipelineSnapshot`], re-runs placement +
-/// selection for exactly the functions the edit can affect (see
-/// [`earth_commopt::incremental`]) and splices the snapshot's optimized
-/// IR and motion logs for the rest — byte-identical to [`OptimizePass`]
-/// over the same program, **without** consulting the whole-program
-/// analysis cache. Cold (no snapshot, or an inapplicable one), it behaves
-/// exactly like [`OptimizePass`] — one cached whole-program analysis —
-/// and additionally captures a snapshot for the next run.
-#[derive(Debug)]
-pub struct IncrementalOptimizePass {
-    /// Optimizer configuration.
-    pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#dirty-functions`).
-    pub workers: usize,
-    /// The per-function reports of the last run.
-    pub last: Option<OptReport>,
-    prev: Option<Arc<PipelineSnapshot>>,
-    out: Arc<Mutex<SnapshotSlot>>,
-}
-
-impl IncrementalOptimizePass {
-    /// A pass seeded with `prev` (None = cold) that publishes its
-    /// snapshot and counters into `out`.
-    pub fn new(
-        cfg: CommOptConfig,
-        workers: usize,
-        prev: Option<Arc<PipelineSnapshot>>,
-        out: Arc<Mutex<SnapshotSlot>>,
-    ) -> Self {
-        IncrementalOptimizePass {
-            cfg,
-            workers,
-            last: None,
-            prev,
-            out,
-        }
-    }
-}
-
-impl Pass for IncrementalOptimizePass {
-    fn name(&self) -> &'static str {
-        "optimize-incremental"
-    }
-
-    fn run(
-        &mut self,
-        prog: &mut Program,
-        cache: &mut AnalysisCache,
-        report: &mut PassReport,
-    ) -> Result<(), Vec<Diagnostic>> {
-        let seed = match &self.prev {
-            None => Err("cold"),
-            Some(p) => earth_commopt::applicability(prog, &self.cfg, p)
-                .map(|()| Arc::clone(p))
-                .map_err(|r| r.as_str()),
-        };
-        let (opt, snapshot, inc, fallback) = match seed {
-            Ok(p) => {
-                let (opt, snap, inc) =
-                    optimize_program_incremental(prog, &self.cfg, self.workers, &p)
-                        .expect("applicability was checked");
-                (opt, snap, inc, None)
-            }
-            Err(reason) => {
-                let analysis = cache.get(prog);
-                let (opt, snap) =
-                    optimize_program_snapshot(prog, &self.cfg, self.workers, analysis);
-                let inc = IncrementalStats {
-                    functions_reoptimized: opt.functions.len() as u64,
-                    ..IncrementalStats::default()
-                };
-                (opt, snap, inc, Some(reason))
-            }
-        };
-        // Same cache discipline as OptimizePass: only rewritten functions
-        // are stale (a no-op when the warm path never filled the cache).
-        let mut changed = 0u64;
-        for f in &opt.functions {
-            if f.stats != SelectionStats::default() || !f.motion.is_empty() {
-                cache.invalidate_function(f.func);
-                changed += 1;
-            }
-        }
-        let t = opt.total();
-        report.counter("workers", self.workers as u64);
-        report.counter("functions_changed", changed);
-        report.counter("functions_reused", inc.functions_reused);
-        report.counter("functions_reoptimized", inc.functions_reoptimized);
-        report.counter("escalations", inc.escalations);
-        report.counter("full_rebuild", fallback.is_some() as u64);
-        report.counter("pipelined_reads", t.pipelined_reads as u64);
-        report.counter("blocked_spans", t.blocked_spans as u64);
-        report.counter("blocked_writebacks", t.blocked_writebacks as u64);
-        report.counter("induction_blocks", t.induction_blocks as u64);
-        report.counter("reads_rewritten", t.reads_rewritten as u64);
-        report.counter("writes_rewritten", t.writes_rewritten as u64);
-        *self.out.lock().expect("snapshot slot") = SnapshotSlot {
-            snapshot: Some(Arc::new(snapshot)),
-            stats: inc,
-            fallback,
-        };
-        self.last = Some(opt);
-        Ok(())
-    }
-}
-
-/// Profile-guided communication optimization: [`OptimizePass`] driven by a
-/// measured [`ProfileDb`].
-///
-/// The pass runs on the pre-selection tree — the same tree the
-/// instrumented build assigned [`SiteId`](earth_ir::SiteId)s over, since
-/// both compiles share the deterministic pre-passes — so the profile's
-/// sites resolve by construction wherever the code is unchanged. Beyond
-/// [`OptimizePass`]'s counters it reports the PGO accounting the driver
-/// surfaces as one line:
-///
-/// * `sites_instrumented` — sites assigned over the program about to be
-///   optimized (what an instrumented build of it would record);
-/// * `sites_matched` — how many of those sites the profile has counters
-///   for (zero means the profile is stale or from a different program);
-/// * `decisions_flipped` — selection decisions where the measured
-///   cost-model choice differed from the static heuristic.
-#[derive(Debug, Clone)]
-pub struct PgoPass {
-    /// Optimizer configuration; [`CommOptConfig::profile`] holds the
-    /// database the pass was built with.
-    pub cfg: CommOptConfig,
-    /// Fan-out width (clamped to `1..=#functions`).
-    pub workers: usize,
-    /// The per-function reports of the last run.
-    pub last: Option<OptReport>,
-}
-
-impl PgoPass {
-    /// A profile-guided optimization pass: `cfg` with its
-    /// [`profile`](CommOptConfig::profile) replaced by `db`.
-    pub fn new(cfg: CommOptConfig, db: Arc<ProfileDb>, workers: usize) -> Self {
-        let mut cfg = cfg;
-        cfg.profile = Some(db);
-        PgoPass {
-            cfg,
-            workers,
-            last: None,
-        }
-    }
-}
-
-impl Pass for PgoPass {
-    fn name(&self) -> &'static str {
-        "pgo-optimize"
-    }
-
-    fn run(
-        &mut self,
-        prog: &mut Program,
-        cache: &mut AnalysisCache,
-        report: &mut PassReport,
-    ) -> Result<(), Vec<Diagnostic>> {
-        let db = self
-            .cfg
-            .profile
-            .clone()
-            .expect("PgoPass is always constructed with a profile");
         // Site accounting must happen before selection rewrites the tree:
         // afterwards optimizer-inserted statements carry fresh labels that
         // no instrumented build ever saw.
-        let sites = assign_program_sites(prog);
-        let mut matched = 0u64;
-        for (fid, f) in prog.iter_functions() {
-            matched += db.function_view(fid, f).matched() as u64;
-        }
-        let analysis = cache.get(prog);
-        let opt = optimize_program_with(prog, &self.cfg, analysis, self.workers);
+        let pgo = self.cfg.profile.as_ref().map(|db| {
+            let matched: usize = prog
+                .iter_functions()
+                .map(|(fid, f)| db.function_view(fid, f).matched())
+                .sum();
+            (assign_program_sites(prog).len(), matched)
+        });
+        let prev = self
+            .slot
+            .as_ref()
+            .and_then(|slot| slot.lock().expect("snapshot slot").snapshot.take());
+        let (seed, fallback) = match prev.as_deref().map(|p| Seed::snapshot(prog, &self.cfg, p)) {
+            Some(Ok(seed)) => (seed, None),
+            Some(Err(reason)) => (Seed::scratch(cache.get(prog)), Some(reason.as_str())),
+            None => (Seed::scratch(cache.get(prog)), Some("cold")),
+        };
+        let (opt, snapshot, inc) =
+            optimize_program_seeded(prog, &self.cfg, self.workers, seed, self.slot.is_some());
+        // Only the functions selection actually rewrote are stale (a no-op
+        // when a seeded run never filled the cache).
         let mut changed = 0u64;
         for f in &opt.functions {
             if f.stats != SelectionStats::default() || !f.motion.is_empty() {
@@ -541,11 +396,24 @@ impl Pass for PgoPass {
             }
         }
         let t = opt.total();
-        report.counter("sites_instrumented", sites.len() as u64);
-        report.counter("sites_matched", matched);
-        report.counter("decisions_flipped", t.pgo_flips as u64);
+        if let Some((sites, matched)) = pgo {
+            report.counter("sites_instrumented", sites as u64);
+            report.counter("sites_matched", matched as u64);
+            report.counter("decisions_flipped", t.pgo_flips as u64);
+        }
         report.counter("workers", self.workers as u64);
         report.counter("functions_changed", changed);
+        if let Some(slot) = &self.slot {
+            report.counter("functions_reused", inc.functions_reused);
+            report.counter("functions_reoptimized", inc.functions_reoptimized);
+            report.counter("escalations", inc.escalations);
+            report.counter("full_rebuild", fallback.is_some() as u64);
+            *slot.lock().expect("snapshot slot") = SnapshotSlot {
+                snapshot: snapshot.map(Arc::new),
+                stats: inc,
+                fallback,
+            };
+        }
         report.counter("pipelined_reads", t.pipelined_reads as u64);
         report.counter("blocked_spans", t.blocked_spans as u64);
         report.counter("blocked_writebacks", t.blocked_writebacks as u64);

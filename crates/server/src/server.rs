@@ -7,7 +7,7 @@
 //!
 //! 1. The event loop drains every complete request line a connection
 //!    has pipelined (one wakeup, many requests) and calls
-//!    [`Inner::dispatch`].
+//!    `Inner::dispatch`.
 //! 2. `stats`/`ping`/`shutdown` are answered inline (they must work
 //!    even when the pool is saturated — that is when you need `stats`
 //!    most), as are parse errors and backpressure rejections.
@@ -26,10 +26,10 @@
 //!    and sends the response back to the event loop, the only writer
 //!    on every socket.
 //!
-//! All counters live in one [`MetricsState`] mutex, and a `stats`
+//! All counters live in one `MetricsState` mutex, and a `stats`
 //! reply reads the cache and queue while holding it — so one snapshot
 //! is mutually consistent (an endpoint count is never behind the cache
-//! activity it caused; see [`Inner::stats`]).
+//! activity it caused; see `Inner::stats`).
 
 use crate::cache::{ArtifactCache, Lookup, Spill};
 use crate::cluster::{ClusterConfig, ClusterState, PROBE_INTERVAL};

@@ -49,7 +49,10 @@
 //! back into the optimizer and prints the `pgo:` accounting line;
 //! `earthcc pgo` does both in one shot and compares static vs profiled.
 
-use earthc::earth_commopt::{optimize_program, AliasMode, CommOptConfig, EscapeMode};
+use earthc::earth_commopt::{
+    default_workers, optimize_program, optimize_program_snapshot, AliasMode, CommOptConfig,
+    EscapeMode,
+};
 use earthc::earth_ir::{diag, pretty, Severity};
 use earthc::earth_serve::client::{Client, ClientError};
 use earthc::earth_serve::cluster::ClusterClient;
@@ -65,14 +68,15 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// The one-line PGO accounting summary from the `pgo-optimize` pass.
+/// The one-line PGO accounting summary from the `optimize` pass; `None`
+/// unless it ran under a measured profile (the counters are then absent).
 fn pgo_line(report: &PipelineReport) -> Option<String> {
-    let p = report.pass("pgo-optimize")?;
+    let p = report.pass("optimize")?;
     Some(format!(
         "pgo: sites_instrumented={} sites_matched={} decisions_flipped={}",
-        p.get_counter("sites_instrumented").unwrap_or(0),
-        p.get_counter("sites_matched").unwrap_or(0),
-        p.get_counter("decisions_flipped").unwrap_or(0)
+        p.get_counter("sites_instrumented")?,
+        p.get_counter("sites_matched")?,
+        p.get_counter("decisions_flipped")?
     ))
 }
 
@@ -741,29 +745,22 @@ fn main() -> ExitCode {
             if opts.locality {
                 earthc::earth_analysis::infer_locality(&mut prog);
             }
-            let mut violations = earth_lint::verify_program(&prog, &opts.commopt_cfg());
-            // Post-optimization dead-communication check: optimize a copy
-            // under the same configuration and flag fetches whose results
-            // are never consumed (DCM001/DCM002).
-            let mut optimized = prog.clone();
-            optimize_program(&mut optimized, &opts.commopt_cfg());
-            violations.extend(earth_lint::dead_comm::check_program(&optimized));
-            // Incremental self-check: derive the snapshot an incremental
-            // compile of this unit would cache, then re-derive its claims
-            // from fresh whole-program analysis (INC001–INC003). Identity
-            // configurations cache no analysis worth validating.
+            // One analysis and one scratch run of the optimizer feed all
+            // three checks: the replay of every planned motion; the
+            // dead-communication check over the optimized copy (fetches
+            // whose results are never consumed, DCM001/DCM002); and the
+            // incremental self-check, which takes the snapshot an
+            // incremental compile of this unit would cache and re-derives
+            // its claims from a fresh analysis of its own (INC001–INC003).
             let cfg = opts.commopt_cfg();
-            if !earthc::earth_commopt::all_off(&cfg) {
-                let analysis = earthc::earth_analysis::analyze(&prog);
-                let mut snap_prog = prog.clone();
-                let (_, snapshot) = earthc::earth_commopt::optimize_program_snapshot(
-                    &mut snap_prog,
-                    &cfg,
-                    1,
-                    &analysis,
-                );
-                violations.extend(earth_lint::verify_incremental(&prog, &cfg, &snapshot));
-            }
+            let analysis = earthc::earth_analysis::analyze(&prog);
+            let mut violations = earth_lint::verify_program_with(&prog, &cfg, &analysis);
+            let mut optimized = prog.clone();
+            let (_, snapshot) =
+                optimize_program_snapshot(&mut optimized, &cfg, default_workers(), &analysis);
+            earthc::earth_ir::validate_program(&optimized).expect("optimizer produced invalid IR");
+            violations.extend(earth_lint::dead_comm::check_program(&optimized));
+            violations.extend(earth_lint::verify_incremental(&prog, &cfg, &snapshot));
             if opts.json {
                 println!("{}", diag::to_json_array(&violations));
             } else if violations.is_empty() {

@@ -59,12 +59,12 @@ pub use earth_analysis::{AnalysisCache, CacheStats};
 pub use earth_commopt::{CommOptConfig, IncrementalStats, OptReport, PipelineSnapshot};
 pub use earth_frontend::FrontendError;
 pub use earth_ir::Program;
-pub use earth_pass::{PassManager, PipelineReport};
+pub use earth_pass::{PassManager, PipelineReport, SnapshotSlot};
 pub use earth_profile::{Profile, ProfileDb};
 pub use earth_sim::{CostModel, ExecBackend, RunResult, SimError, Value};
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Any failure in the end-to-end pipeline.
 #[derive(Debug)]
@@ -242,10 +242,11 @@ impl Pipeline {
         self
     }
 
-    /// Feeds a measured execution profile into the optimizer: the
-    /// communication optimization runs as a [`earth_pass::PgoPass`] with
-    /// measured branch probabilities, trip counts, and execution counts
-    /// replacing the static heuristics. Collect the profile with
+    /// Feeds a measured execution profile into the optimizer (and into the
+    /// placement validator's replay, when [`verify`](Self::verify) is
+    /// on): measured branch probabilities, trip counts, and execution
+    /// counts replace the static heuristics, and the `optimize` pass
+    /// reports the PGO accounting. Collect the profile with
     /// [`instrument_source`](Self::instrument_source) on the same
     /// pipeline configuration. `None` (the default) keeps the paper's
     /// static frequency model.
@@ -303,31 +304,12 @@ impl Pipeline {
     /// verify-placement → race-lint → optimize → validate-ir (transform
     /// passes only when enabled; `prob-alias` only under
     /// [`AliasMode::Prob`](earth_commopt::AliasMode); `escape` only under
-    /// [`EscapeMode::On`](earth_commopt::EscapeMode); with a
-    /// [`profile`](Self::profile) set, optimize runs as `pgo-optimize`).
-    pub fn pass_manager(&self) -> PassManager {
-        self.pass_manager_with(|pm, cfg, workers, profile| match profile {
-            Some(db) => {
-                pm.register(earth_pass::PgoPass::new(cfg.clone(), db.clone(), workers));
-            }
-            None => {
-                pm.register(earth_pass::OptimizePass::new(cfg.clone(), workers));
-            }
-        })
-    }
-
-    /// [`pass_manager`](Self::pass_manager) with the optimizer slot filled
-    /// by `register_optimizer` (handed the config, the clamped worker
-    /// count, and the profile when one is set).
-    fn pass_manager_with(
-        &self,
-        register_optimizer: impl FnOnce(
-            &mut PassManager,
-            &CommOptConfig,
-            usize,
-            Option<&Arc<ProfileDb>>,
-        ),
-    ) -> PassManager {
+    /// [`EscapeMode::On`](earth_commopt::EscapeMode)). The validator and
+    /// the optimizer are built with the same configuration,
+    /// [`profile`](Self::profile) included; `slot`, when there is one,
+    /// seeds the optimizer and receives its snapshot (see
+    /// [`earth_pass::OptimizePass`]).
+    pub fn pass_manager(&self, slot: Option<Arc<Mutex<SnapshotSlot>>>) -> PassManager {
         let mut pm = PassManager::new();
         if let Some(icfg) = &self.inline {
             pm.register(earth_pass::InlinePass::new(icfg.clone()));
@@ -339,6 +321,10 @@ impl Pipeline {
             pm.register(earth_pass::LocalityPass);
         }
         if let Some(cfg) = &self.optimize {
+            let mut cfg = cfg.clone();
+            if let Some(db) = &self.profile {
+                cfg.profile = Some(db.clone());
+            }
             if cfg.alias == earth_commopt::AliasMode::Prob {
                 // Survey pass: surfaces annotation/induction counts from the
                 // shared cached analysis before selection consumes the facts.
@@ -359,7 +345,7 @@ impl Pipeline {
             let workers = earth_commopt::clamp_workers(
                 self.workers.unwrap_or_else(earth_commopt::default_workers),
             );
-            register_optimizer(&mut pm, cfg, workers, self.profile.as_ref());
+            pm.register(earth_pass::OptimizePass::new(cfg, workers, slot));
         } else if self.lint {
             pm.register(earth_pass::RaceLintPass::new());
         }
@@ -376,20 +362,34 @@ impl Pipeline {
     /// [`PipelineError::InvalidIr`] when the corresponding pass rejects
     /// the program.
     pub fn apply_passes(&self, prog: &mut Program) -> Result<PipelineReport, PipelineError> {
+        self.run_passes(prog, None)
+    }
+
+    /// The one body of [`apply_passes`](Self::apply_passes) and
+    /// [`apply_passes_incremental`](Self::apply_passes_incremental): one
+    /// fresh [`AnalysisCache`] under one [`pass_manager`](Self::pass_manager).
+    fn run_passes(
+        &self,
+        prog: &mut Program,
+        slot: Option<Arc<Mutex<SnapshotSlot>>>,
+    ) -> Result<PipelineReport, PipelineError> {
         let mut cache = AnalysisCache::new();
-        let mut pm = self.pass_manager();
-        pm.run(prog, &mut cache).map_err(pass_error)
+        self.pass_manager(slot)
+            .run(prog, &mut cache)
+            .map_err(pass_error)
     }
 
     /// [`apply_passes`](Self::apply_passes) with function-granular
-    /// incremental recompilation: the optimizer runs as
-    /// [`earth_pass::IncrementalOptimizePass`] seeded with `prev`, and the
-    /// result carries the snapshot to seed the *next* compile of this
-    /// translation unit plus the reuse counters
-    /// ([`IncrementalStats`]). The optimized program and the report are
-    /// byte-identical to [`apply_passes`](Self::apply_passes) — only the
-    /// work performed differs. Without an optimizer configured this *is*
-    /// [`apply_passes`](Self::apply_passes) (no snapshot is produced).
+    /// incremental recompilation: the same passes, with the optimizer
+    /// seeded from `prev` (`None` = nothing to reuse), and the result
+    /// carries the snapshot to seed the *next* compile of this
+    /// translation unit plus the reuse counters ([`IncrementalStats`]).
+    /// The optimized program is byte-identical to
+    /// [`apply_passes`](Self::apply_passes) and the report differs only
+    /// in the reuse counters — but the snapshot is not free (fingerprints
+    /// and a clone of every optimized body), so callers that will not
+    /// keep it call [`apply_passes`](Self::apply_passes). Without an
+    /// optimizer configured no snapshot is produced.
     ///
     /// # Errors
     ///
@@ -406,25 +406,12 @@ impl Pipeline {
         ),
         PipelineError,
     > {
-        if self.optimize.is_none() {
-            let report = self.apply_passes(prog)?;
-            return Ok((report, None, IncrementalStats::default()));
-        }
-        let slot = Arc::new(std::sync::Mutex::new(earth_pass::SnapshotSlot::default()));
-        let mut pm = self.pass_manager_with(|pm, cfg, workers, profile| {
-            let mut cfg = cfg.clone();
-            if let Some(db) = profile {
-                cfg.profile = Some(db.clone());
-            }
-            pm.register(earth_pass::IncrementalOptimizePass::new(
-                cfg,
-                workers,
-                prev,
-                slot.clone(),
-            ));
-        });
-        let mut cache = AnalysisCache::new();
-        let report = pm.run(prog, &mut cache).map_err(pass_error)?;
+        let slot = Arc::new(Mutex::new(SnapshotSlot {
+            // Without an optimizer no pass would take the seed out again.
+            snapshot: prev.filter(|_| self.optimize.is_some()),
+            ..SnapshotSlot::default()
+        }));
+        let report = self.run_passes(prog, Some(slot.clone()))?;
         let mut out = slot.lock().expect("snapshot slot");
         Ok((report, out.snapshot.take(), std::mem::take(&mut out.stats)))
     }

@@ -9,6 +9,7 @@
 //!   receive artifacts byte-identical to a single-threaded compile,
 //!   with a popular key compiled exactly once (no cache stampede).
 
+use earthc::earth_ir::json::{self, ObjectExt as _};
 use earthc::earth_serve::client::Client;
 use earthc::earth_serve::proto::{Arg, CompileOptions, Response};
 use earthc::earth_serve::server::{Server, ServerConfig, ServerHandle};
@@ -313,11 +314,45 @@ fn run_and_pgo_flow_through_the_daemon() {
         other => panic!("{other:?}"),
     }
     // The profile changed, so a profile-guided compile re-keys (miss),
-    // while the profile-independent artifact still hits.
-    match client.compile(&source, profiled).unwrap() {
-        Response::Compile { cached, .. } => assert!(!cached),
+    // while the profile-independent artifact still hits. Its report
+    // carries the PGO accounting of the one `optimize` pass, exactly as a
+    // direct profile-guided compile (`earthcc run --profile-in`) reports
+    // it.
+    let report = match client.compile(&source, profiled).unwrap() {
+        Response::Compile { cached, report, .. } => {
+            assert!(!cached);
+            report
+        }
         other => panic!("{other:?}"),
+    };
+    let (_, measured) = earthc::Pipeline::new()
+        .nodes(2)
+        .instrument_source(&source, &[earthc::Value::Int(5)])
+        .unwrap();
+    let direct = earthc::Pipeline::new()
+        .profile(Some(std::sync::Arc::new(earthc::ProfileDb::new(measured))))
+        .apply_passes(&mut earthc::compile_earth_c(&source).unwrap())
+        .unwrap();
+    let direct = direct.pass("optimize").expect("optimize ran");
+    let served = json::parse(&report).unwrap();
+    let served = served.as_object("report").unwrap();
+    let served = served
+        .get_array("passes")
+        .unwrap()
+        .iter()
+        .map(|p| p.as_object("pass").unwrap())
+        .find(|p| p.get_str("name").unwrap() == "optimize")
+        .expect("the daemon ran the same `optimize` pass");
+    let served = served.field("counters").unwrap();
+    let served = served.as_object("counters").unwrap();
+    for counter in ["sites_instrumented", "sites_matched", "decisions_flipped"] {
+        assert_eq!(
+            served.get_u64(counter).ok(),
+            direct.get_counter(counter),
+            "{counter} in {report}"
+        );
     }
+    assert!(served.get_u64("sites_matched").unwrap() > 0, "{report}");
     match client.compile(&source, CompileOptions::default()).unwrap() {
         Response::Compile { cached, .. } => assert!(cached),
         other => panic!("{other:?}"),

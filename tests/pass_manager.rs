@@ -1,8 +1,9 @@
 //! Pass-manager integration tests: one shared analysis per pipeline run,
 //! pass ordering, instrumentation, and failure routing.
 
-use earthc::earth_commopt::InlineConfig;
-use earthc::{Pipeline, PipelineError, Value};
+use earthc::earth_commopt::{CommOptConfig, InlineConfig, MotionKind};
+use earthc::{Pipeline, PipelineError, PipelineReport, ProfileDb, Value};
+use std::sync::Arc;
 
 const SRC: &str = r#"
     struct Point { double x; double y; };
@@ -58,7 +59,7 @@ fn pass_order_matches_configuration() {
         .verify(true)
         .lint(true);
     assert_eq!(
-        pipeline.pass_manager().pass_names(),
+        pipeline.pass_manager(None).pass_names(),
         [
             "inline",
             "field-reorder",
@@ -92,7 +93,7 @@ fn pass_order_matches_configuration() {
 fn unoptimized_pipeline_skips_optimizer_passes() {
     let pipeline = Pipeline::new().optimizer(None).verify(true);
     assert_eq!(
-        pipeline.pass_manager().pass_names(),
+        pipeline.pass_manager(None).pass_names(),
         ["locality", "validate-ir"]
     );
     let (_, report) = pipeline.run_source_report(SRC, &[]).unwrap();
@@ -219,4 +220,184 @@ fn frontend_errors_propagate_through_report_path() {
         .run_source_report("int main() { return y; }", &[])
         .unwrap_err();
     assert!(matches!(err, PipelineError::Frontend(_)), "{err}");
+}
+
+/// `main(n)` calls `hot` n times and `cold` never: under a measured
+/// profile `hot`'s two-word span flips from two pipelined reads to one
+/// blocked read, so the static and the profiled plan differ in their
+/// number of motions (the source of
+/// `profile_feedback_flips_blocking_decisions` in `earth-commopt`, with
+/// the pair initialized so that it also runs, and a statement above the
+/// span so that both static reads move).
+const HOT_COLD: &str = r#"
+    struct Pair { double x; double y; };
+    struct Triple { double a; double b; double c; };
+    double hot(Pair *p, double k) {
+        double s;
+        double t;
+        double u;
+        u = k * 2.0;
+        s = p->x;
+        t = p->y;
+        return s + t + u;
+    }
+    double cold(Triple *q) {
+        double s;
+        s = q->a + q->b + q->c;
+        return s;
+    }
+    int main(int n) {
+        double acc;
+        Pair *pr;
+        Triple *tr;
+        int i;
+        pr = malloc(sizeof(Pair));
+        pr->x = 1.0;
+        pr->y = 2.0;
+        acc = 0.0;
+        i = 0;
+        while (i < n) {
+            acc = acc + hot(pr, acc);
+            i = i + 1;
+        }
+        if (n < 0) {
+            tr = malloc(sizeof(Triple));
+            acc = acc + cold(tr);
+        }
+        return i;
+    }
+"#;
+
+fn hot_cold_profile() -> Arc<ProfileDb> {
+    let (_, profile) = Pipeline::new()
+        .instrument_source(HOT_COLD, &[Value::Int(50)])
+        .unwrap();
+    Arc::new(ProfileDb::new(profile))
+}
+
+/// The validator certifies the plan the optimizer applies: under a
+/// profile, `verify-placement` replays the *profiled* plan — the flipped
+/// `BlockRead` included — and checks exactly as many motions as
+/// `optimize` then records.
+#[test]
+fn verify_pass_replays_the_profiled_plan() {
+    let db = hot_cold_profile();
+    let (_, report) = Pipeline::new()
+        .profile(Some(db.clone()))
+        .verify(true)
+        .run_source_report(HOT_COLD, &[Value::Int(50)])
+        .unwrap();
+    let opt = report.pass("optimize").expect("optimize ran");
+    assert_eq!(opt.get_counter("decisions_flipped"), Some(1));
+
+    // What `optimize` records, and what the validator replays, over the
+    // program as both passes see it (after locality inference).
+    let mut prog = earthc::compile_earth_c(HOT_COLD).unwrap();
+    earthc::earth_analysis::infer_locality(&mut prog);
+    let analysis = earthc::earth_analysis::analyze(&prog);
+    let cfg = CommOptConfig {
+        profile: Some(db),
+        ..CommOptConfig::default()
+    };
+    let replay = earthc::earth_lint::replay_program(&prog, &cfg, &analysis);
+    assert!(replay.violations.is_empty(), "{:?}", replay.violations);
+    let hot = prog.function_by_name("hot").unwrap().index();
+    assert!(
+        replay.logs[hot]
+            .iter()
+            .any(|m| m.kind == MotionKind::BlockRead),
+        "the replay must contain the flipped block read:\n{}",
+        replay.logs[hot].render()
+    );
+    let recorded =
+        earthc::earth_commopt::optimize_program_with(&mut prog, &cfg, &analysis, 1).functions;
+    let recorded: usize = recorded.iter().map(|f| f.motion.len()).sum();
+    let verify = report.pass("verify-placement").expect("verify ran");
+    assert_eq!(
+        verify.get_counter("motions_checked"),
+        Some(recorded as u64),
+        "{}",
+        report.render()
+    );
+}
+
+/// The counters that say how much a seed saved — the only thing that may
+/// differ between a scratch run and a seeded one.
+const REUSE_COUNTERS: [&str; 4] = [
+    "functions_reused",
+    "functions_reoptimized",
+    "escalations",
+    "full_rebuild",
+];
+
+/// A report with what legitimately varies removed: wall times, cache
+/// traffic (a seeded run never fills the cache) and the reuse counters.
+/// One line per pass: name, remaining counters, diagnostic count.
+fn comparable(report: &PipelineReport) -> Vec<String> {
+    report
+        .passes
+        .iter()
+        .map(|p| {
+            let counters: Vec<String> = p
+                .counters
+                .iter()
+                .filter(|(name, _)| !REUSE_COUNTERS.contains(name))
+                .map(|(name, value)| format!("{name}={value}"))
+                .collect();
+            format!(
+                "{} [{}] {}",
+                p.name,
+                counters.join(" "),
+                p.diagnostics.len()
+            )
+        })
+        .collect()
+}
+
+/// One pass under one pipeline entry: a scratch `apply_passes`, a run
+/// handed an empty seed and a run seeded from the previous compile
+/// execute the same pass list (`optimize` in all three, with and without
+/// a profile), produce the same program and report the same counters —
+/// except the four that account for reuse.
+#[test]
+fn scratch_and_seeded_runs_share_one_pass_list() {
+    for profile in [None, Some(hot_cold_profile())] {
+        let pipeline = Pipeline::new().profile(profile.clone()).lint(true);
+        let print = |p: &earthc::Program| earthc::earth_ir::pretty::print_program(p);
+
+        let mut scratch = earthc::compile_earth_c(HOT_COLD).unwrap();
+        let scratch_report = pipeline.apply_passes(&mut scratch).unwrap();
+        let opt = scratch_report.pass("optimize").expect("optimize ran");
+        for counter in REUSE_COUNTERS {
+            assert_eq!(opt.get_counter(counter), None, "{counter} without a seed");
+        }
+        assert_eq!(
+            opt.get_counter("sites_matched").is_some(),
+            profile.is_some(),
+            "PGO accounting exactly when a profile is set"
+        );
+
+        let mut cold = earthc::compile_earth_c(HOT_COLD).unwrap();
+        let (cold_report, snapshot, cold_stats) =
+            pipeline.apply_passes_incremental(&mut cold, None).unwrap();
+        let mut warm = earthc::compile_earth_c(HOT_COLD).unwrap();
+        let (warm_report, _, warm_stats) = pipeline
+            .apply_passes_incremental(&mut warm, snapshot)
+            .unwrap();
+        assert_eq!(cold_stats.functions_reused, 0);
+        assert_eq!(warm_stats.functions_reoptimized, 0);
+        assert_eq!(
+            warm_stats.functions_reused,
+            cold_stats.functions_reoptimized
+        );
+
+        for (program, report) in [(&cold, &cold_report), (&warm, &warm_report)] {
+            assert_eq!(print(program), print(&scratch));
+            assert_eq!(comparable(report), comparable(&scratch_report));
+            let opt = report.pass("optimize").expect("optimize ran");
+            for counter in REUSE_COUNTERS {
+                assert!(opt.get_counter(counter).is_some(), "{counter} with a seed");
+            }
+        }
+    }
 }

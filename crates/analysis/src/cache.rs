@@ -69,6 +69,18 @@ impl CacheStats {
     }
 }
 
+/// How many of the facts memoized beside an analysis — the whole-program
+/// [`EscapeAnalysis`](crate::EscapeAnalysis) and the per-function
+/// structural [`ProbFacts`](crate::ProbFacts) — it has computed. However
+/// many passes read a fact, one analysis computes it once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FactStats {
+    /// Whole-program escape analyses computed (0 or 1).
+    pub escape_computes: u64,
+    /// Functions whose probability facts were computed.
+    pub prob_computes: u64,
+}
+
 /// Why a per-function refresh escalated to a whole-program re-analysis:
 /// which function's fresh summary broke coverage, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,6 +147,15 @@ impl AnalysisCache {
         self.dirty.clear();
     }
 
+    /// The facts the cached analysis has computed so far (see
+    /// [`FactStats`]); all zero when nothing is cached.
+    pub fn fact_stats(&self) -> FactStats {
+        self.analysis
+            .as_ref()
+            .map(ProgramAnalysis::fact_stats)
+            .unwrap_or_default()
+    }
+
     /// Marks one function's cached results stale: the next
     /// [`get`](Self::get) re-analyzes it in isolation (escalating to a
     /// whole-program re-analysis only if its effect summary grew).
@@ -192,7 +213,7 @@ impl AnalysisCache {
                 break;
             }
             let rw = RwSets::compute(prog, f, &a.summaries);
-            a.set_function(fid, FunctionAnalysis { regions, rw });
+            a.set_function(fid, FunctionAnalysis::new(regions, rw));
             self.stats.function_recomputes += 1;
         }
         if escalate {

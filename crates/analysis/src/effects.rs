@@ -215,12 +215,18 @@ pub fn analyze_effects(prog: &Program) -> (Vec<Summary>, Vec<Regions>) {
     let callee_sets: Vec<BTreeSet<earth_ir::FuncId>> =
         prog.functions().iter().map(callees).collect();
     let mut summaries = vec![Summary::default(); n];
+    // The sweep that confirms a component's fixpoint runs against final
+    // summaries, so the regions it builds are the final regions.
+    let mut regions: Vec<Option<Regions>> = vec![None; n];
     for scc in sccs_bottom_up(&callee_sets) {
-        fixpoint_scc(prog, &scc, &mut summaries);
+        let built = fixpoint_scc(prog, &scc, &callee_sets, &mut summaries);
+        for (&i, r) in scc.iter().zip(built) {
+            regions[i] = Some(r);
+        }
     }
-    let regions = prog
-        .iter_functions()
-        .map(|(_, f)| analyze_function(prog, f, &summaries).1)
+    let regions = regions
+        .into_iter()
+        .map(|r| r.expect("every function is in one component"))
         .collect();
     (summaries, regions)
 }
@@ -315,20 +321,40 @@ fn sccs_bottom_up(callee_sets: &[BTreeSet<earth_ir::FuncId>]) -> Vec<Vec<usize>>
 }
 
 /// Accumulates one component's summaries to their fixpoint, members in
-/// id order, against the (final) summaries of everything below it.
-fn fixpoint_scc(prog: &Program, members: &[usize], summaries: &mut [Summary]) {
+/// id order, against the (final) summaries of everything below it, and
+/// returns each member's regions under the final summaries.
+///
+/// A function that is a component of its own and does not call itself
+/// sees only final summaries, so one pass is its fixpoint; any other
+/// component is swept until a sweep changes nothing, and that last sweep
+/// ran against the final summaries from start to end.
+fn fixpoint_scc(
+    prog: &Program,
+    members: &[usize],
+    callee_sets: &[BTreeSet<earth_ir::FuncId>],
+    summaries: &mut [Summary],
+) -> Vec<Regions> {
+    if let &[i] = members {
+        if !callee_sets[i].contains(&earth_ir::FuncId(i as u32)) {
+            let (summary, regions) = analyze_function(prog, &prog.functions()[i], summaries);
+            summaries[i] = merge_summaries(&summaries[i], &summary);
+            return vec![regions];
+        }
+    }
     loop {
         let mut changed = false;
+        let mut built = Vec::with_capacity(members.len());
         for &i in members {
             let f = &prog.functions()[i];
-            let (summary, _regions) = analyze_function(prog, f, summaries);
+            let (summary, regions) = analyze_function(prog, f, summaries);
             if !summaries[i].is_superset_of(&summary) {
                 summaries[i] = merge_summaries(&summaries[i], &summary);
                 changed = true;
             }
+            built.push(regions);
         }
         if !changed {
-            break;
+            return built;
         }
     }
 }
@@ -395,7 +421,7 @@ pub fn analyze_effects_incremental(
                 scc.iter().all(|&i| in_u[i]),
                 "the upward closure is a union of whole SCCs"
             );
-            fixpoint_scc(prog, &scc, &mut summaries);
+            fixpoint_scc(prog, &scc, &callee_sets, &mut summaries);
         }
     }
     let recomputed = (0..n)
@@ -449,12 +475,14 @@ fn analyze_function(prog: &Program, f: &Function, summaries: &[Summary]) -> (Sum
             class_params[c].push(i);
         }
     }
-    let roots_of = |uf: &mut UnionFind, v: VarId| -> Vec<Root> {
+    // The roots of `v`'s region: the parameters in its class, or a fresh
+    // allocation when there are none.
+    let for_each_root = |uf: &mut UnionFind, v: VarId, visit: &mut dyn FnMut(Root)| {
         let c = uf.find(v.index());
         if class_params[c].is_empty() {
-            vec![Root::Fresh]
+            visit(Root::Fresh);
         } else {
-            class_params[c].iter().map(|&i| Root::Param(i)).collect()
+            class_params[c].iter().for_each(|&i| visit(Root::Param(i)));
         }
     };
 
@@ -472,13 +500,14 @@ fn analyze_function(prog: &Program, f: &Function, summaries: &[Summary]) -> (Sum
 
     let record =
         |summary: &mut Summary, uf: &mut UnionFind, base: VarId, field: FieldKey, write: bool| {
-            for root in roots_of(uf, base) {
-                if write {
-                    summary.writes.insert((root, field));
-                } else {
-                    summary.reads.insert((root, field));
-                }
-            }
+            let set = if write {
+                &mut summary.writes
+            } else {
+                &mut summary.reads
+            };
+            for_each_root(uf, base, &mut |root| {
+                set.insert((root, field));
+            });
         };
 
     f.body.walk(&mut |s| {
@@ -518,9 +547,9 @@ fn analyze_function(prog: &Program, f: &Function, summaries: &[Summary]) -> (Sum
                 }
             }
             Basic::Return(Some(Operand::Var(v))) if f.var(*v).ty.is_ptr() => {
-                for root in roots_of(&mut uf, *v) {
+                for_each_root(&mut uf, *v, &mut |root| {
                     summary.ret_roots.insert(root);
-                }
+                });
             }
             _ => {}
         };

@@ -112,7 +112,7 @@ fn recognize_loop(
         if !matches!(st.kind, StmtKind::Basic(_)) {
             return;
         }
-        for &v in &fa.rw.get(st.label).vars_written {
+        for &v in fa.rw.get(st.label).vars_written {
             if f.var(v).ty.is_ptr() {
                 writes.entry(v).or_default().push(st.label);
             }

@@ -60,7 +60,7 @@ pub mod rw_sets;
 mod uf;
 
 pub use affinity::AffinityLocals;
-pub use cache::{AnalysisCache, CacheStats, EscalationCause};
+pub use cache::{AnalysisCache, CacheStats, EscalationCause, FactStats};
 pub use effects::{
     analyze_effects, analyze_effects_incremental, callees, reanalyze_function, Regions, Root,
     Summary, SummaryDelta,
@@ -71,7 +71,8 @@ pub use locality::{infer_locality, LocalityReport};
 pub use ptprob::{MeasuredFreqs, ProbFacts};
 pub use rw_sets::{HeapAccess, RwSet, RwSets};
 
-use earth_ir::{FieldId, FuncId, Label, Program, VarId};
+use earth_ir::{FieldId, FuncId, Function, Label, Program, VarId};
+use std::sync::OnceLock;
 
 /// Which kind of heap access to test for in
 /// [`FunctionAnalysis::heap_conflict`].
@@ -92,9 +93,29 @@ pub struct FunctionAnalysis {
     pub regions: Regions,
     /// Per-statement read/write sets.
     pub rw: RwSets,
+    /// The structural probability facts, filled by their first consumer.
+    prob: OnceLock<ProbFacts>,
 }
 
 impl FunctionAnalysis {
+    pub(crate) fn new(regions: Regions, rw: RwSets) -> Self {
+        FunctionAnalysis {
+            regions,
+            rw,
+            prob: OnceLock::new(),
+        }
+    }
+
+    /// The structural [`ProbFacts`] (no measured input) of `f`, which must
+    /// be the function this analysis was computed for. Computed by the
+    /// first caller and read by every later one: the `prob-alias` survey
+    /// pass, the optimizer and the validator's replay share one instance.
+    /// The facts read only the body and the variables' types, so a copy of
+    /// the function with upgraded localities yields the same ones.
+    pub fn prob_facts(&self, f: &Function) -> &ProbFacts {
+        self.prob.get_or_init(|| ProbFacts::compute(f, self, None))
+    }
+
     /// The paper's `varWritten(p, stmt)`: does statement `l` (or any of its
     /// children) write variable `v` directly?
     pub fn var_written(&self, v: VarId, l: Label) -> bool {
@@ -120,7 +141,7 @@ impl FunctionAnalysis {
         kind: AccessKind,
     ) -> bool {
         let rw = self.rw.get(l);
-        let check = |accs: &std::collections::BTreeSet<HeapAccess>| {
+        let check = |accs: &[HeapAccess]| {
             accs.iter().any(|h| {
                 let field_match = match (h.field, field) {
                     (None, _) | (_, None) => true,
@@ -130,9 +151,9 @@ impl FunctionAnalysis {
             })
         };
         match kind {
-            AccessKind::Read => check(&rw.heap_reads),
-            AccessKind::Write => check(&rw.heap_writes),
-            AccessKind::ReadOrWrite => check(&rw.heap_reads) || check(&rw.heap_writes),
+            AccessKind::Read => check(rw.heap_reads),
+            AccessKind::Write => check(rw.heap_writes),
+            AccessKind::ReadOrWrite => check(rw.heap_reads) || check(rw.heap_writes),
         }
     }
 }
@@ -147,9 +168,42 @@ pub struct ProgramAnalysis {
     /// Per-function heap effect summaries, indexed by [`FuncId`].
     pub summaries: Vec<Summary>,
     functions: Vec<Option<FunctionAnalysis>>,
+    /// The whole-program escape verdicts, filled by their first consumer.
+    escape: OnceLock<EscapeAnalysis>,
 }
 
 impl ProgramAnalysis {
+    fn new(summaries: Vec<Summary>, functions: Vec<Option<FunctionAnalysis>>) -> Self {
+        ProgramAnalysis {
+            summaries,
+            functions,
+            escape: OnceLock::new(),
+        }
+    }
+
+    /// The [`EscapeAnalysis`] of `prog`, which must be the program this
+    /// analysis was computed for. Computed by the first caller and read by
+    /// every later one: the `escape` survey pass and the optimizer share
+    /// one instance.
+    pub fn escape(&self, prog: &Program) -> &EscapeAnalysis {
+        self.escape
+            .get_or_init(|| EscapeAnalysis::compute(prog, &self.summaries))
+    }
+
+    /// Which of the memoized facts ([`escape`](Self::escape),
+    /// [`FunctionAnalysis::prob_facts`]) have been computed so far.
+    pub fn fact_stats(&self) -> FactStats {
+        FactStats {
+            escape_computes: self.escape.get().is_some() as u64,
+            prob_computes: self
+                .functions
+                .iter()
+                .flatten()
+                .filter(|fa| fa.prob.get().is_some())
+                .count() as u64,
+        }
+    }
+
     /// The analysis results for function `id`.
     ///
     /// # Panics
@@ -170,8 +224,11 @@ impl ProgramAnalysis {
 
     /// Replaces one function's cached results (the analysis cache's
     /// per-function refresh).
+    /// The body changed, so the whole-program escape verdicts are
+    /// dropped with the function's old results.
     pub(crate) fn set_function(&mut self, id: FuncId, fa: FunctionAnalysis) {
         self.functions[id.index()] = Some(fa);
+        self.escape = OnceLock::new();
     }
 }
 
@@ -183,16 +240,13 @@ pub fn analyze(prog: &Program) -> ProgramAnalysis {
         .iter_functions()
         .zip(regions)
         .map(|((_, f), regions)| {
-            Some(FunctionAnalysis {
-                rw: RwSets::compute(prog, f, &summaries),
+            Some(FunctionAnalysis::new(
                 regions,
-            })
+                RwSets::compute(prog, f, &summaries),
+            ))
         })
         .collect();
-    ProgramAnalysis {
-        summaries,
-        functions,
-    }
+    ProgramAnalysis::new(summaries, functions)
 }
 
 /// Assembles a [`ProgramAnalysis`] from an already-exact summary table,
@@ -230,15 +284,12 @@ pub fn analyze_with_summaries_for(
     for &fid in todo {
         let f = prog.function(fid);
         let (_, regions) = reanalyze_function(prog, f, &summaries);
-        functions[fid.index()] = Some(FunctionAnalysis {
-            rw: RwSets::compute(prog, f, &summaries),
+        functions[fid.index()] = Some(FunctionAnalysis::new(
             regions,
-        });
+            RwSets::compute(prog, f, &summaries),
+        ));
     }
-    ProgramAnalysis {
-        summaries,
-        functions,
-    }
+    ProgramAnalysis::new(summaries, functions)
 }
 
 #[cfg(test)]

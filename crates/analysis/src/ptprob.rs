@@ -90,14 +90,26 @@ impl ProbFacts {
         };
         annotate(&f.body, f, &mut facts);
         if let Some(m) = measured {
-            for (&l, &p) in &m.branch_prob {
-                facts.branch_prob.insert(l, p.clamp(0.0, 1.0));
-            }
-            for (&l, &t) in &m.loop_trips {
-                facts.loop_trips.insert(l, t.max(0.0));
-            }
+            facts.overlay(m);
         }
         facts
+    }
+
+    /// A copy of these facts with the `measured` frequencies laid over the
+    /// structural heuristics (measurements always win).
+    pub fn with_measured(&self, measured: &MeasuredFreqs) -> Self {
+        let mut facts = self.clone();
+        facts.overlay(measured);
+        facts
+    }
+
+    fn overlay(&mut self, measured: &MeasuredFreqs) {
+        for (&l, &p) in &measured.branch_prob {
+            self.branch_prob.insert(l, p.clamp(0.0, 1.0));
+        }
+        for (&l, &t) in &measured.loop_trips {
+            self.loop_trips.insert(l, t.max(0.0));
+        }
     }
 
     /// The empty annotation: no likelihood facts, no inductions. Running
@@ -178,7 +190,7 @@ impl ProbFacts {
             return 0.0;
         }
         let rw = fa.rw.get(l);
-        let direct = |accs: &std::collections::BTreeSet<crate::HeapAccess>| {
+        let direct = |accs: &[crate::HeapAccess]| {
             accs.iter().any(|h| {
                 let field_match = match (h.field, field) {
                     (None, _) | (_, None) => true,
@@ -188,9 +200,9 @@ impl ProbFacts {
             })
         };
         let is_direct = match kind {
-            AccessKind::Read => direct(&rw.heap_reads),
-            AccessKind::Write => direct(&rw.heap_writes),
-            AccessKind::ReadOrWrite => direct(&rw.heap_reads) || direct(&rw.heap_writes),
+            AccessKind::Read => direct(rw.heap_reads),
+            AccessKind::Write => direct(rw.heap_writes),
+            AccessKind::ReadOrWrite => direct(rw.heap_reads) || direct(rw.heap_writes),
         };
         if is_direct {
             1.0

@@ -31,54 +31,72 @@ pub struct HeapAccess {
 }
 
 /// Read/write set of one statement (aggregated over its children for
-/// compound statements).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RwSet {
+/// compound statements): a view into the function's [`RwSets`]. Every
+/// slice is sorted and free of duplicates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RwSet<'a> {
     /// Stack variables written (including call result destinations and
     /// atomic-write targets).
-    pub vars_written: BTreeSet<VarId>,
+    pub vars_written: &'a [VarId],
     /// Stack variables read.
-    pub vars_read: BTreeSet<VarId>,
+    pub vars_read: &'a [VarId],
     /// Heap locations possibly read.
-    pub heap_reads: BTreeSet<HeapAccess>,
+    pub heap_reads: &'a [HeapAccess],
     /// Heap locations possibly written.
-    pub heap_writes: BTreeSet<HeapAccess>,
+    pub heap_writes: &'a [HeapAccess],
 }
 
-impl RwSet {
-    fn absorb(&mut self, other: &RwSet) {
-        self.vars_written.extend(other.vars_written.iter().copied());
-        self.vars_read.extend(other.vars_read.iter().copied());
-        self.heap_reads.extend(other.heap_reads.iter().copied());
-        self.heap_writes.extend(other.heap_writes.iter().copied());
-    }
+/// Where one statement's four sets lie in the pools of [`RwSets`].
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    vars_written: Span,
+    vars_read: Span,
+    heap_reads: Span,
+    heap_writes: Span,
+}
 
-    fn read_var(&mut self, o: Operand) {
-        if let Operand::Var(v) = o {
-            self.vars_read.insert(v);
-        }
-    }
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
 
-    fn read_cond(&mut self, c: &Cond) {
-        for v in c.vars() {
-            self.vars_read.insert(v);
-        }
+impl Span {
+    fn of<T>(self, pool: &[T]) -> &[T] {
+        &pool[self.start as usize..][..self.len as usize]
     }
 }
 
-/// Per-function table of read/write sets, dense-indexed by [`Label`].
+/// Per-function table of read/write sets, dense-indexed by [`Label`]. The
+/// sets of all statements live end to end in two pools, so the table costs
+/// a handful of allocations however many statements the function has.
 #[derive(Debug, Clone)]
 pub struct RwSets {
-    sets: Vec<Option<RwSet>>,
+    entries: Vec<Option<Entry>>,
+    vars: Vec<VarId>,
+    heap: Vec<HeapAccess>,
 }
 
 impl RwSets {
     /// Computes read/write sets for every statement of `f`, using the
     /// callee `summaries` to expand call effects.
     pub fn compute(prog: &Program, f: &Function, summaries: &[Summary]) -> Self {
-        let mut sets = vec![None; f.label_bound()];
-        compute_stmt(prog, f, summaries, &f.body, &mut sets);
-        RwSets { sets }
+        let mut b = Builder {
+            prog,
+            f,
+            summaries,
+            sets: RwSets {
+                entries: vec![None; f.label_bound()],
+                vars: Vec::new(),
+                heap: Vec::new(),
+            },
+            vars_written: Vec::new(),
+            vars_read: Vec::new(),
+            heap_reads: Vec::new(),
+            heap_writes: Vec::new(),
+        };
+        b.stmt(&f.body);
+        b.sets
     }
 
     /// The read/write set of the statement labelled `l`.
@@ -86,188 +104,232 @@ impl RwSets {
     /// # Panics
     ///
     /// Panics if `l` does not belong to the analyzed function.
-    pub fn get(&self, l: Label) -> &RwSet {
-        self.sets[l.0 as usize]
-            .as_ref()
-            .expect("label belongs to the analyzed function")
+    pub fn get(&self, l: Label) -> RwSet<'_> {
+        let e = self.entries[l.0 as usize].expect("label belongs to the analyzed function");
+        RwSet {
+            vars_written: e.vars_written.of(&self.vars),
+            vars_read: e.vars_read.of(&self.vars),
+            heap_reads: e.heap_reads.of(&self.heap),
+            heap_writes: e.heap_writes.of(&self.heap),
+        }
     }
 
     /// Whether statement `l` writes variable `v` (directly).
     pub fn var_written(&self, v: VarId, l: Label) -> bool {
-        self.get(l).vars_written.contains(&v)
+        self.get(l).vars_written.binary_search(&v).is_ok()
     }
 }
 
-fn compute_stmt(
-    prog: &Program,
-    f: &Function,
-    summaries: &[Summary],
-    s: &Stmt,
-    sets: &mut Vec<Option<RwSet>>,
-) -> RwSet {
-    let mut rw = RwSet::default();
-    match &s.kind {
-        StmtKind::Seq(ss) | StmtKind::ParSeq(ss) => {
-            for c in ss {
-                let child = compute_stmt(prog, f, summaries, c, sets);
-                rw.absorb(&child);
-            }
-        }
-        StmtKind::Basic(b) => {
-            basic_rw(prog, f, summaries, b, &mut rw);
-        }
-        StmtKind::If {
-            cond,
-            then_s,
-            else_s,
-        } => {
-            rw.read_cond(cond);
-            let t = compute_stmt(prog, f, summaries, then_s, sets);
-            let e = compute_stmt(prog, f, summaries, else_s, sets);
-            rw.absorb(&t);
-            rw.absorb(&e);
-        }
-        StmtKind::Switch {
-            scrut,
-            cases,
-            default,
-        } => {
-            rw.read_var(*scrut);
-            for (_, cs) in cases {
-                let c = compute_stmt(prog, f, summaries, cs, sets);
-                rw.absorb(&c);
-            }
-            let d = compute_stmt(prog, f, summaries, default, sets);
-            rw.absorb(&d);
-        }
-        StmtKind::While { cond, body } => {
-            rw.read_cond(cond);
-            let b = compute_stmt(prog, f, summaries, body, sets);
-            rw.absorb(&b);
-        }
-        StmtKind::DoWhile { body, cond } => {
-            rw.read_cond(cond);
-            let b = compute_stmt(prog, f, summaries, body, sets);
-            rw.absorb(&b);
-        }
-        StmtKind::Forall {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            rw.read_cond(cond);
-            for part in [init, step] {
-                let p = compute_stmt(prog, f, summaries, part, sets);
-                rw.absorb(&p);
-            }
-            let b = compute_stmt(prog, f, summaries, body, sets);
-            rw.absorb(&b);
-        }
-    }
-    sets[s.label.0 as usize] = Some(rw.clone());
-    rw
+/// Builds the table bottom-up. The four scratch vectors work as stacks: a
+/// statement's accesses (its own, then those of each finished child) are
+/// pushed above its parent's, then sorted, moved into the pools without
+/// duplicates, and popped.
+struct Builder<'a> {
+    prog: &'a Program,
+    f: &'a Function,
+    summaries: &'a [Summary],
+    sets: RwSets,
+    vars_written: Vec<VarId>,
+    vars_read: Vec<VarId>,
+    heap_reads: Vec<HeapAccess>,
+    heap_writes: Vec<HeapAccess>,
 }
 
-fn basic_rw(prog: &Program, f: &Function, summaries: &[Summary], b: &Basic, rw: &mut RwSet) {
-    for o in b.operands() {
-        rw.read_var(o);
+/// Moves `scratch[base..]` into `pool` as one sorted, duplicate-free run.
+fn seal<T: Ord + Copy>(scratch: &mut Vec<T>, base: usize, pool: &mut Vec<T>) -> Span {
+    scratch[base..].sort_unstable();
+    let start = pool.len();
+    for &x in &scratch[base..] {
+        if pool.len() == start || pool[pool.len() - 1] != x {
+            pool.push(x);
+        }
     }
-    match b {
-        Basic::Assign { dst, src } => {
-            match dst {
-                Place::Var(v) => {
-                    rw.vars_written.insert(*v);
-                }
-                Place::Mem(m) => {
-                    rw.vars_read.insert(m.base());
-                    if m.is_deref() {
-                        rw.heap_writes.insert(HeapAccess {
-                            base: m.base(),
-                            field: Some(m.field()),
-                            direct: true,
-                        });
-                    } else {
-                        // Local struct-variable field write: model as a
-                        // write to the struct variable itself.
-                        rw.vars_written.insert(m.base());
-                    }
+    scratch.truncate(base);
+    Span {
+        start: start as u32,
+        len: (pool.len() - start) as u32,
+    }
+}
+
+impl Builder<'_> {
+    fn read_var(&mut self, o: Operand) {
+        if let Operand::Var(v) = o {
+            self.vars_read.push(v);
+        }
+    }
+
+    fn read_cond(&mut self, c: &Cond) {
+        self.vars_read.extend(c.vars());
+    }
+
+    /// Computes the subtree of `child`, then counts its accesses among
+    /// those of the statement being built.
+    fn absorb(&mut self, child: &Stmt) {
+        let e = self.stmt(child);
+        self.vars_written
+            .extend_from_slice(e.vars_written.of(&self.sets.vars));
+        self.vars_read
+            .extend_from_slice(e.vars_read.of(&self.sets.vars));
+        self.heap_reads
+            .extend_from_slice(e.heap_reads.of(&self.sets.heap));
+        self.heap_writes
+            .extend_from_slice(e.heap_writes.of(&self.sets.heap));
+    }
+
+    fn stmt(&mut self, s: &Stmt) -> Entry {
+        let base = (
+            self.vars_written.len(),
+            self.vars_read.len(),
+            self.heap_reads.len(),
+            self.heap_writes.len(),
+        );
+        match &s.kind {
+            StmtKind::Seq(ss) | StmtKind::ParSeq(ss) => {
+                for c in ss {
+                    self.absorb(c);
                 }
             }
-            match src {
-                Rvalue::Load(m) => {
-                    rw.vars_read.insert(m.base());
-                    if m.is_deref() {
-                        rw.heap_reads.insert(HeapAccess {
-                            base: m.base(),
-                            field: Some(m.field()),
-                            direct: true,
-                        });
-                    }
+            StmtKind::Basic(b) => self.basic(b),
+            StmtKind::If {
+                cond,
+                then_s,
+                else_s,
+            } => {
+                self.read_cond(cond);
+                self.absorb(then_s);
+                self.absorb(else_s);
+            }
+            StmtKind::Switch {
+                scrut,
+                cases,
+                default,
+            } => {
+                self.read_var(*scrut);
+                for (_, cs) in cases {
+                    self.absorb(cs);
                 }
-                Rvalue::ValueOf(v) => {
-                    rw.vars_read.insert(*v);
-                }
-                _ => {}
+                self.absorb(default);
+            }
+            StmtKind::While { cond, body } | StmtKind::DoWhile { body, cond } => {
+                self.read_cond(cond);
+                self.absorb(body);
+            }
+            StmtKind::Forall {
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                self.read_cond(cond);
+                self.absorb(init);
+                self.absorb(step);
+                self.absorb(body);
             }
         }
-        Basic::Call {
-            dst,
-            func,
-            args,
-            at,
-        } => {
-            if let Some(d) = dst {
-                rw.vars_written.insert(*d);
-            }
-            if let Some(earth_ir::AtTarget::OwnerOf(p)) = at {
-                rw.vars_read.insert(*p);
-            }
-            let callee = prog.function(*func);
-            let sum = &summaries[func.index()];
-            let map_effects = |effects: &BTreeSet<(Root, Option<FieldId>)>,
-                               out: &mut BTreeSet<HeapAccess>| {
-                for &(root, field) in effects {
-                    if let Root::Param(i) = root {
-                        if let Some(Operand::Var(a)) = args.get(i).copied() {
-                            if callee.var(callee.params[i]).ty.is_ptr() && f.var(a).ty.is_ptr() {
-                                out.insert(HeapAccess {
-                                    base: a,
-                                    field,
-                                    direct: false,
-                                });
-                            }
+        let entry = Entry {
+            vars_written: seal(&mut self.vars_written, base.0, &mut self.sets.vars),
+            vars_read: seal(&mut self.vars_read, base.1, &mut self.sets.vars),
+            heap_reads: seal(&mut self.heap_reads, base.2, &mut self.sets.heap),
+            heap_writes: seal(&mut self.heap_writes, base.3, &mut self.sets.heap),
+        };
+        self.sets.entries[s.label.0 as usize] = Some(entry);
+        entry
+    }
+
+    fn basic(&mut self, b: &Basic) {
+        for o in b.operands() {
+            self.read_var(o);
+        }
+        match b {
+            Basic::Assign { dst, src } => {
+                match dst {
+                    Place::Var(v) => self.vars_written.push(*v),
+                    Place::Mem(m) => {
+                        self.vars_read.push(m.base());
+                        if m.is_deref() {
+                            self.heap_writes.push(HeapAccess {
+                                base: m.base(),
+                                field: Some(m.field()),
+                                direct: true,
+                            });
+                        } else {
+                            // Local struct-variable field write: model as a
+                            // write to the struct variable itself.
+                            self.vars_written.push(m.base());
                         }
                     }
                 }
-            };
-            map_effects(&sum.reads, &mut rw.heap_reads);
-            map_effects(&sum.writes, &mut rw.heap_writes);
-        }
-        Basic::Return(_) => {}
-        Basic::BlkMov { dir, ptr, buf, .. } => {
-            rw.vars_read.insert(*ptr);
-            match dir {
-                earth_ir::BlkDir::RemoteToLocal => {
-                    rw.vars_written.insert(*buf);
-                    rw.heap_reads.insert(HeapAccess {
-                        base: *ptr,
-                        field: None,
-                        direct: true,
-                    });
-                }
-                earth_ir::BlkDir::LocalToRemote => {
-                    rw.vars_read.insert(*buf);
-                    rw.heap_writes.insert(HeapAccess {
-                        base: *ptr,
-                        field: None,
-                        direct: true,
-                    });
+                match src {
+                    Rvalue::Load(m) => {
+                        self.vars_read.push(m.base());
+                        if m.is_deref() {
+                            self.heap_reads.push(HeapAccess {
+                                base: m.base(),
+                                field: Some(m.field()),
+                                direct: true,
+                            });
+                        }
+                    }
+                    Rvalue::ValueOf(v) => self.vars_read.push(*v),
+                    _ => {}
                 }
             }
-        }
-        Basic::AtomicWrite { var, .. } | Basic::AtomicAdd { var, .. } => {
-            rw.vars_written.insert(*var);
+            Basic::Call {
+                dst,
+                func,
+                args,
+                at,
+            } => {
+                if let Some(d) = dst {
+                    self.vars_written.push(*d);
+                }
+                if let Some(earth_ir::AtTarget::OwnerOf(p)) = at {
+                    self.vars_read.push(*p);
+                }
+                let (f, callee) = (self.f, self.prog.function(*func));
+                let sum = &self.summaries[func.index()];
+                let map_effects = |effects: &BTreeSet<(Root, Option<FieldId>)>,
+                                   out: &mut Vec<HeapAccess>| {
+                    for &(root, field) in effects {
+                        if let Root::Param(i) = root {
+                            if let Some(Operand::Var(a)) = args.get(i).copied() {
+                                if callee.var(callee.params[i]).ty.is_ptr() && f.var(a).ty.is_ptr()
+                                {
+                                    out.push(HeapAccess {
+                                        base: a,
+                                        field,
+                                        direct: false,
+                                    });
+                                }
+                            }
+                        }
+                    }
+                };
+                map_effects(&sum.reads, &mut self.heap_reads);
+                map_effects(&sum.writes, &mut self.heap_writes);
+            }
+            Basic::Return(_) => {}
+            Basic::BlkMov { dir, ptr, buf, .. } => {
+                self.vars_read.push(*ptr);
+                let whole = HeapAccess {
+                    base: *ptr,
+                    field: None,
+                    direct: true,
+                };
+                match dir {
+                    earth_ir::BlkDir::RemoteToLocal => {
+                        self.vars_written.push(*buf);
+                        self.heap_reads.push(whole);
+                    }
+                    earth_ir::BlkDir::LocalToRemote => {
+                        self.vars_read.push(*buf);
+                        self.heap_writes.push(whole);
+                    }
+                }
+            }
+            Basic::AtomicWrite { var, .. } | Basic::AtomicAdd { var, .. } => {
+                self.vars_written.push(*var);
+            }
         }
     }
 }

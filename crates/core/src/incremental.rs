@@ -388,12 +388,19 @@ pub fn optimize_program_seeded(
     // pre-optimization program — every worker reads the same ones, which
     // keeps the fan-out deterministic — and hashed per function as the
     // precondition a purely local fingerprint cannot see.
-    let escape = match cfg.escape {
-        EscapeMode::Off => None,
-        EscapeMode::On => Some(EscapeAnalysis::compute(prog, &summaries)),
+    // A scratch run reads the instance memoized beside the caller's
+    // analysis (the `escape` survey pass may have filled it already).
+    let seeded_escape;
+    let escape = match (cfg.escape, seed.0) {
+        (EscapeMode::Off, _) => None,
+        (EscapeMode::On, Reuse::Nothing(analysis)) => Some(analysis.escape(prog)),
+        (EscapeMode::On, Reuse::Snapshot(_)) => {
+            seeded_escape = EscapeAnalysis::compute(prog, &summaries);
+            Some(&seeded_escape)
+        }
     };
     let escape_fps = if fingerprinted {
-        escape_fingerprints(prog, escape.as_ref())
+        escape_fingerprints(prog, escape)
     } else {
         Vec::new()
     };
@@ -437,7 +444,7 @@ pub fn optimize_program_seeded(
     // 5. Placement + selection for the dirty set only, then the splice in
     // FuncId order: fresh results where dirty, the seed's artifacts
     // verbatim everywhere else.
-    let mut fresh = optimize_set(prog, analysis, cfg, escape.as_ref(), &todo, workers).into_iter();
+    let mut fresh = optimize_set(prog, analysis, cfg, escape, &todo, workers).into_iter();
     let mut report = OptReport::default();
     let mut functions: Vec<FnSnapshot> = Vec::with_capacity(if keep { n } else { 0 });
     for (i, cached) in cached.into_iter().enumerate() {

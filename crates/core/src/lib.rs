@@ -64,8 +64,10 @@ pub use rce::{CommSet, Rce};
 pub use selection::{select, select_with, Plan, Replace, SelectionStats};
 pub use transform::apply_plan;
 
-use earth_analysis::{MeasuredFreqs, ProbFacts, ProgramAnalysis};
+use earth_analysis::{MeasuredFreqs, ProgramAnalysis};
 use earth_ir::{FuncId, Function, Program, Stmt, StmtKind};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Per-function optimization outcome.
 #[derive(Debug, Clone)]
@@ -105,10 +107,16 @@ impl OptReport {
 
 /// The default fan-out width for [`optimize_program`]: one worker per
 /// available hardware thread (1 when parallelism cannot be queried).
+///
+/// Resolved once per process: the query re-reads the cgroup files on every
+/// call, and every compile asks.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Clamps a requested worker count to a sane pool: at least 1, at most
@@ -120,7 +128,7 @@ pub fn clamp_workers(requested: usize) -> usize {
 }
 
 /// Converts a resolved profile view into the crate-neutral
-/// [`MeasuredFreqs`] form consumed by [`ProbFacts::compute`] (the analysis
+/// [`MeasuredFreqs`] form consumed by [`earth_analysis::ProbFacts`] (the analysis
 /// crate cannot depend on the profile crate): the measured branch
 /// probability of every `if` and the continue probability / mean trip
 /// count of every loop, keyed by statement label. Returns `None` when no
@@ -181,15 +189,19 @@ pub fn plan_function(
     // selection rewrites the tree — the same pipeline point at which the
     // instrumented compile recorded them (see `earth_ir::site`).
     let view = cfg.profile.as_ref().map(|db| db.function_view(fid, &func));
+    // The structural facts are the analysis's own (shared with the
+    // `prob-alias` survey pass); only a measured profile makes a copy.
     let facts = match cfg.alias {
         AliasMode::Binary => None,
-        AliasMode::Prob => Some(ProbFacts::compute(
-            &func,
-            fa,
-            measured_freqs(&func, view.as_ref()).as_ref(),
-        )),
+        AliasMode::Prob => {
+            let structural = fa.prob_facts(&func);
+            Some(match measured_freqs(&func, view.as_ref()) {
+                None => Cow::Borrowed(structural),
+                Some(m) => Cow::Owned(structural.with_measured(&m)),
+            })
+        }
     };
-    let placement = analyze_placement_with(&func, fa, &cfg.freq, view.as_ref(), facts.as_ref());
+    let placement = analyze_placement_with(&func, fa, &cfg.freq, view.as_ref(), facts.as_deref());
     let mut plan = select_with(
         prog,
         &mut func,
@@ -197,7 +209,7 @@ pub fn plan_function(
         &placement,
         cfg,
         view.as_ref(),
-        facts.as_ref(),
+        facts.as_deref(),
     );
     plan.motion.escapes = escapes;
     (func, plan)

@@ -30,33 +30,82 @@ use crate::rce::{CommSet, Rce};
 use earth_analysis::{AccessKind, FunctionAnalysis, ProbFacts};
 use earth_ir::{Basic, Function, Label, MemRef, Operand, Place, Rvalue, Stmt, StmtKind};
 use earth_profile::FuncProfile;
-use std::collections::{HashMap, HashSet};
+use std::ops::Index;
+
+/// A table over one function's statements, indexed by their dense
+/// [`Label`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LabelMap<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> LabelMap<T> {
+    /// An empty table for labels below `bound`
+    /// ([`Function::label_bound`]).
+    fn with_bound(bound: usize) -> Self {
+        LabelMap {
+            slots: std::iter::repeat_with(|| None).take(bound).collect(),
+        }
+    }
+
+    fn insert(&mut self, l: Label, value: T) {
+        self.slots[l.0 as usize] = Some(value);
+    }
+
+    /// The entry of the statement labelled `l`, if it has one.
+    pub fn get(&self, l: &Label) -> Option<&T> {
+        self.slots.get(l.0 as usize)?.as_ref()
+    }
+
+    /// Every entry, in label order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+}
+
+impl<T> Index<&Label> for LabelMap<T> {
+    type Output = T;
+
+    fn index(&self, l: &Label) -> &T {
+        self.get(l).expect("the statement has an entry")
+    }
+}
+
+/// A set of the function's variables, one bit per [`VarId`](earth_ir::VarId).
+type VarBits = Vec<u64>;
+
+fn bit(v: earth_ir::VarId) -> (usize, u64) {
+    (v.index() / 64, 1 << (v.index() % 64))
+}
 
 /// Results of possible-placement analysis for one function.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Placement {
     /// `RemoteReads(S)`: tuples placeable just before the statement with
     /// the given label.
-    pub reads_before: HashMap<Label, CommSet>,
+    pub reads_before: LabelMap<CommSet>,
     /// `RemoteWrites(S)`: tuples placeable just after the statement with
     /// the given label.
-    pub writes_after: HashMap<Label, CommSet>,
+    pub writes_after: LabelMap<CommSet>,
     /// Must-dereference sets: the pointer variables that are dereferenced
     /// on *every* path starting just before the given statement, before
     /// being redefined — the paper's footnote-2 check ("there exists some
     /// dereference to p on all program paths starting at S"). Placing a
     /// dereference of `p` at a point where `p` is in this set is never
-    /// speculative.
-    pub must_deref_before: HashMap<Label, std::collections::HashSet<earth_ir::VarId>>,
+    /// speculative. One row of `words_per_row` words per label, all rows in
+    /// one vector.
+    must_deref_before: Vec<u64>,
+    words_per_row: usize,
 }
 
 impl Placement {
     /// Whether inserting a dereference of `base` just before statement
     /// `anchor` is guaranteed non-speculative.
     pub fn deref_guaranteed(&self, base: earth_ir::VarId, anchor: Label) -> bool {
+        let (word, mask) = bit(base);
         self.must_deref_before
-            .get(&anchor)
-            .is_some_and(|s| s.contains(&base))
+            .get(anchor.0 as usize * self.words_per_row + word)
+            .is_some_and(|w| w & mask != 0)
     }
 }
 
@@ -109,10 +158,11 @@ pub fn analyze_placement_with(
     // them makes it execute on paths where it originally did not (the
     // paper's footnote 2 — only allowed when speculative remote reads are
     // tolerated).
-    let mut has_return = HashSet::new();
+    let bound = f.label_bound();
+    let mut has_return = vec![false; bound];
     {
         // Mark every statement whose subtree contains a return.
-        fn visit(s: &Stmt, set: &mut HashSet<Label>) -> bool {
+        fn visit(s: &Stmt, set: &mut [bool]) -> bool {
             let mut any = matches!(s.kind, earth_ir::StmtKind::Basic(Basic::Return(_)));
             match &s.kind {
                 earth_ir::StmtKind::Seq(ss) | earth_ir::StmtKind::ParSeq(ss) => {
@@ -143,13 +193,12 @@ pub fn analyze_placement_with(
                     any |= visit(body, set);
                 }
             }
-            if any {
-                set.insert(s.label);
-            }
+            set[s.label.0 as usize] = any;
             any
         }
         visit(&f.body, &mut has_return);
     }
+    let words_per_row = f.vars().len().div_ceil(64);
     let mut ctx = Ctx {
         f,
         fa,
@@ -157,11 +206,16 @@ pub fn analyze_placement_with(
         profile,
         facts,
         has_return,
-        out: Placement::default(),
+        out: Placement {
+            reads_before: LabelMap::with_bound(bound),
+            writes_after: LabelMap::with_bound(bound),
+            must_deref_before: vec![0; bound * words_per_row],
+            words_per_row,
+        },
     };
     ctx.collect_reads(&f.body);
     ctx.collect_writes(&f.body);
-    ctx.must_deref(&f.body, HashSet::new());
+    ctx.must_deref(&f.body, vec![0; words_per_row]);
     ctx.out
 }
 
@@ -171,7 +225,8 @@ struct Ctx<'a> {
     freq: &'a FreqModel,
     profile: Option<&'a FuncProfile>,
     facts: Option<&'a ProbFacts>,
-    has_return: HashSet<Label>,
+    /// Indexed by label: the statement's subtree contains a `return`.
+    has_return: Vec<bool>,
     out: Placement,
 }
 
@@ -261,7 +316,7 @@ impl Ctx<'_> {
                 let mut curr = CommSet::new();
                 for child in ss.iter().rev() {
                     let gen = self.collect_reads(child);
-                    let crosses_return = self.has_return.contains(&child.label);
+                    let crosses_return = self.has_return[child.label.0 as usize];
                     let mut pred = gen;
                     for mut t in curr.into_items() {
                         if !self.read_killed_by(&t, child.label) {
@@ -431,8 +486,7 @@ impl Ctx<'_> {
                     if let Some(other) = e.get(r.base, r.field) {
                         let mut merged = r.clone();
                         merged.freq = (r.freq + other.freq) / 2.0;
-                        merged.labels.extend(other.labels.iter().copied());
-                        merged.value_vars.extend(other.value_vars.iter().copied());
+                        merged.absorb_accesses(other);
                         out.add(merged);
                     }
                 }
@@ -456,8 +510,7 @@ impl Ctx<'_> {
                         let mut merged = r.clone();
                         for o in others {
                             merged.freq += o.freq;
-                            merged.labels.extend(o.labels.iter().copied());
-                            merged.value_vars.extend(o.value_vars.iter().copied());
+                            merged.absorb_accesses(o);
                         }
                         merged.freq /= n;
                         out.add(merged);
@@ -502,26 +555,33 @@ impl Ctx<'_> {
     /// guaranteed to be dereferenced (before redefinition) on every path
     /// starting just before it; `after` is the set holding just after `s`.
     /// Records the per-statement sets and returns the set before `s`.
-    fn must_deref(
-        &mut self,
-        s: &Stmt,
-        after: HashSet<earth_ir::VarId>,
-    ) -> HashSet<earth_ir::VarId> {
+    fn must_deref(&mut self, s: &Stmt, after: VarBits) -> VarBits {
+        // `after` less the variables statement `l` redefines.
+        let surviving = |ctx: &Self, mut set: VarBits, l: Label| {
+            for &v in ctx.fa.rw.get(l).vars_written {
+                let (word, mask) = bit(v);
+                set[word] &= !mask;
+            }
+            set
+        };
+        let words = self.out.words_per_row;
+        let none = move || vec![0; words];
+        let meet = |mut a: VarBits, b: &VarBits| {
+            a.iter_mut().zip(b).for_each(|(x, y)| *x &= y);
+            a
+        };
         let before = match &s.kind {
             StmtKind::Basic(b) => {
                 if matches!(b, Basic::Return(_)) {
                     // A path ending here performs no further dereferences.
-                    HashSet::new()
+                    none()
                 } else {
+                    let mut out = surviving(self, after, s.label);
                     let rw = self.fa.rw.get(s.label);
-                    let mut out: HashSet<earth_ir::VarId> = after
-                        .iter()
-                        .copied()
-                        .filter(|v| !rw.vars_written.contains(v))
-                        .collect();
                     for h in rw.heap_reads.iter().chain(rw.heap_writes.iter()) {
                         if h.direct {
-                            out.insert(h.base);
+                            let (word, mask) = bit(h.base);
+                            out[word] |= mask;
                         }
                     }
                     out
@@ -536,65 +596,49 @@ impl Ctx<'_> {
             }
             StmtKind::ParSeq(arms) => {
                 // Every arm executes to completion before the join.
-                let mut out = after.clone();
+                let mut out = after;
                 for arm in arms {
-                    let arm_must = self.must_deref(arm, HashSet::new());
-                    out.extend(arm_must);
+                    let arm_must = self.must_deref(arm, none());
+                    out.iter_mut().zip(&arm_must).for_each(|(x, y)| *x |= y);
                 }
                 out
             }
             StmtKind::If { then_s, else_s, .. } => {
                 let t = self.must_deref(then_s, after.clone());
                 let e = self.must_deref(else_s, after);
-                t.intersection(&e).copied().collect()
+                meet(t, &e)
             }
             StmtKind::Switch { cases, default, .. } => {
-                let mut sets = Vec::new();
+                let mut out = self.must_deref(default, after.clone());
                 for (_, cs) in cases {
-                    sets.push(self.must_deref(cs, after.clone()));
-                }
-                sets.push(self.must_deref(default, after));
-                let mut it = sets.into_iter();
-                let mut out = it.next().unwrap_or_default();
-                for set in it {
-                    out = out.intersection(&set).copied().collect();
+                    let set = self.must_deref(cs, after.clone());
+                    out = meet(out, &set);
                 }
                 out
             }
             StmtKind::While { body, .. } => {
                 // The loop may execute zero times; variables it redefines
                 // are not guaranteed to keep their value on looping paths.
-                let kept: HashSet<earth_ir::VarId> = after
-                    .iter()
-                    .copied()
-                    .filter(|v| !self.fa.var_written(*v, s.label))
-                    .collect();
+                let kept = surviving(self, after, s.label);
                 let _ = self.must_deref(body, kept.clone());
                 kept
             }
             StmtKind::DoWhile { body, .. } => {
                 // Executes at least once.
-                let kept: HashSet<earth_ir::VarId> = after
-                    .iter()
-                    .copied()
-                    .filter(|v| !self.fa.var_written(*v, s.label))
-                    .collect();
+                let kept = surviving(self, after, s.label);
                 self.must_deref(body, kept)
             }
             StmtKind::Forall {
                 init, step, body, ..
             } => {
-                let kept: HashSet<earth_ir::VarId> = after
-                    .iter()
-                    .copied()
-                    .filter(|v| !self.fa.var_written(*v, s.label))
-                    .collect();
-                let _ = self.must_deref(body, HashSet::new());
-                let _ = self.must_deref(step, HashSet::new());
+                let kept = surviving(self, after, s.label);
+                let _ = self.must_deref(body, none());
+                let _ = self.must_deref(step, none());
                 self.must_deref(init, kept)
             }
         };
-        self.out.must_deref_before.insert(s.label, before.clone());
+        let row = s.label.0 as usize * self.out.words_per_row;
+        self.out.must_deref_before[row..row + before.len()].copy_from_slice(&before);
         before
     }
 

@@ -3,6 +3,7 @@
 use earth_ir::{FieldId, Label, VarId};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::rc::Rc;
 
 /// A remote communication expression: field `field` of the object pointed
 /// to by `base`, with an estimated dynamic frequency and the set of basic
@@ -22,8 +23,11 @@ pub struct Rce {
     /// loop factor when hoisted out of loops, divided by the number of
     /// alternatives when hoisted out of conditionals.
     pub freq: f64,
-    /// Labels of the original remote accesses this tuple covers.
-    pub labels: BTreeSet<Label>,
+    /// Labels of the original remote accesses this tuple covers. Shared:
+    /// the analysis records a copy of every tuple at every statement it
+    /// can be placed before, and only a merge of two tuples changes the
+    /// set — so a copy costs a reference count, not a set.
+    pub labels: Rc<BTreeSet<Label>>,
     /// For write tuples: variables holding values to be written.
     pub value_vars: BTreeSet<VarId>,
     /// Whether the tuple crossed a conditional or loop boundary during
@@ -39,7 +43,7 @@ impl Rce {
             base,
             field,
             freq: 1.0,
-            labels: [label].into(),
+            labels: Rc::new([label].into()),
             value_vars: BTreeSet::new(),
             speculative: false,
         }
@@ -56,6 +60,15 @@ impl Rce {
     /// The `(base, field)` location key.
     pub fn key(&self) -> (VarId, FieldId) {
         (self.base, self.field)
+    }
+
+    /// Adds the accesses `other` covers (its labels and value variables)
+    /// to this tuple's.
+    pub fn absorb_accesses(&mut self, other: &Rce) {
+        if !other.labels.is_subset(&self.labels) {
+            Rc::make_mut(&mut self.labels).extend(other.labels.iter().copied());
+        }
+        self.value_vars.extend(other.value_vars.iter().copied());
     }
 }
 
@@ -102,6 +115,11 @@ impl CommSet {
         self.items.iter()
     }
 
+    /// The tuples, in insertion order.
+    pub fn as_slice(&self) -> &[Rce] {
+        &self.items
+    }
+
     /// Looks up the tuple for `(base, field)`.
     pub fn get(&self, base: VarId, field: FieldId) -> Option<&Rce> {
         self.items.iter().find(|r| r.key() == (base, field))
@@ -111,8 +129,7 @@ impl CommSet {
     pub fn add(&mut self, rce: Rce) {
         if let Some(existing) = self.items.iter_mut().find(|r| r.key() == rce.key()) {
             existing.freq += rce.freq;
-            existing.labels.extend(rce.labels.iter().copied());
-            existing.value_vars.extend(rce.value_vars.iter().copied());
+            existing.absorb_accesses(&rce);
             existing.speculative |= rce.speculative;
         } else {
             self.items.push(rce);

@@ -34,7 +34,7 @@ use earth_ir::{
     VarDecl, VarId, VarOrigin,
 };
 use earth_profile::FuncProfile;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// How a single original remote access is rewritten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,7 @@ pub fn select_with(
     profile: Option<&FuncProfile>,
     facts: Option<&ProbFacts>,
 ) -> Plan {
+    let bound = func.label_bound();
     let mut sel = Selector {
         prog,
         fa,
@@ -130,19 +131,65 @@ pub fn select_with(
         profile: profile.filter(|v| v.matched() > 0),
         facts,
         plan: Plan::default(),
-        covered: HashSet::new(),
+        covered: vec![false; bound],
+        extent: vec![(0, 0); bound],
         comm_counter: 0,
         buf_counter: 0,
+        accesses: Vec::new(),
+        fields: Vec::new(),
+        order: Vec::new(),
+        live: Vec::new(),
     };
+    // Selection adds variables to `func` while it walks the body, which it
+    // never edits: the body steps aside for the walk.
+    let body = std::mem::replace(
+        &mut func.body,
+        Stmt {
+            label: Label(0),
+            kind: StmtKind::Seq(Vec::new()),
+        },
+    );
+    number(&body, &mut 0, &mut sel.extent);
     if cfg.enable_blocking {
-        let body = func.body.clone();
         sel.block_spans(func, placement, &body, None);
     }
     if cfg.enable_motion || cfg.enable_redundancy_elim {
-        let body = func.body.clone();
         sel.pipelined_reads(func, placement, &body);
     }
+    func.body = body;
     sel.plan
+}
+
+/// Numbers the statements of `s` in pre-order from `*next`, recording for
+/// each label its own number and the number just past its subtree.
+fn number(s: &Stmt, next: &mut u32, extent: &mut [(u32, u32)]) {
+    let own = *next;
+    *next += 1;
+    match &s.kind {
+        StmtKind::Seq(ss) | StmtKind::ParSeq(ss) => {
+            ss.iter().for_each(|c| number(c, next, extent));
+        }
+        StmtKind::Basic(_) => {}
+        StmtKind::If { then_s, else_s, .. } => {
+            number(then_s, next, extent);
+            number(else_s, next, extent);
+        }
+        StmtKind::Switch { cases, default, .. } => {
+            cases.iter().for_each(|(_, c)| number(c, next, extent));
+            number(default, next, extent);
+        }
+        StmtKind::While { body, .. } | StmtKind::DoWhile { body, .. } => {
+            number(body, next, extent);
+        }
+        StmtKind::Forall {
+            init, step, body, ..
+        } => {
+            number(init, next, extent);
+            number(step, next, extent);
+            number(body, next, extent);
+        }
+    }
+    extent[s.label.0 as usize] = (own, *next);
 }
 
 struct Selector<'a> {
@@ -152,10 +199,24 @@ struct Selector<'a> {
     profile: Option<&'a FuncProfile>,
     facts: Option<&'a ProbFacts>,
     plan: Plan,
-    /// Labels of original accesses already rewritten.
-    covered: HashSet<Label>,
+    /// Indexed by label: original accesses already rewritten.
+    covered: Vec<bool>,
+    /// Indexed by label: the statement's pre-order number and the number
+    /// just past its subtree, so "is `l` inside `s`" is two comparisons.
+    extent: Vec<(u32, u32)>,
     comm_counter: u32,
     buf_counter: u32,
+    // Scratch buffers, each cleared by its one user before use.
+    /// [`try_span`](Self::try_span): the accesses of the span.
+    accesses: Vec<SpanAccess>,
+    /// [`distinct_fields`](Self::distinct_fields): the fields being counted.
+    fields: Vec<FieldId>,
+    /// [`consider_anchor`](Self::consider_anchor): the issue order of a
+    /// set's tuples.
+    order: Vec<u32>,
+    /// [`consider_anchor`](Self::consider_anchor): a tuple's labels not yet
+    /// covered.
+    live: Vec<Label>,
 }
 
 /// A direct remote access via one pointer found inside a span.
@@ -268,6 +329,48 @@ impl Selector<'_> {
         from: usize,
         enclosing_loop: Option<Label>,
     ) -> Option<usize> {
+        let mut accesses = std::mem::take(&mut self.accesses);
+        accesses.clear();
+        let next = self.try_span_into(
+            func,
+            placement,
+            children,
+            p,
+            from,
+            enclosing_loop,
+            &mut accesses,
+        );
+        self.accesses = accesses;
+        next
+    }
+
+    /// How many distinct fields `accesses` reads (or, with `writes`, writes).
+    fn distinct_fields(&mut self, accesses: &[SpanAccess], writes: bool) -> usize {
+        self.fields.clear();
+        self.fields.extend(
+            accesses
+                .iter()
+                .filter(|a| a.is_write == writes)
+                .map(|a| a.field),
+        );
+        self.fields.sort_unstable();
+        self.fields.dedup();
+        self.fields.len()
+    }
+
+    /// [`try_span`](Self::try_span) with `accesses` (empty) as the buffer
+    /// for the span's accesses.
+    #[allow(clippy::too_many_arguments)]
+    fn try_span_into(
+        &mut self,
+        func: &mut Function,
+        placement: &Placement,
+        children: &[Stmt],
+        p: VarId,
+        from: usize,
+        enclosing_loop: Option<Label>,
+        accesses: &mut Vec<SpanAccess>,
+    ) -> Option<usize> {
         // Find the first child with an unclaimed direct access via p.
         let start = (from..children.len()).find(|&i| {
             self.has_unclaimed_direct_access(&children[i], p)
@@ -298,25 +401,19 @@ impl Selector<'_> {
         }
 
         // Collect the accesses inside [start, end] + terminal.
-        let mut accesses: Vec<SpanAccess> = Vec::new();
-        for child in &children[start..=end] {
-            self.collect_direct_accesses(child, p, &mut accesses);
-        }
-        if let Some(t) = terminal {
-            self.collect_direct_accesses(&children[t], p, &mut accesses);
-        }
-        accesses.retain(|a| !self.covered.contains(&a.label));
-
-        let read_fields: BTreeSet<FieldId> = accesses
+        for child in children[start..=end]
             .iter()
-            .filter(|a| !a.is_write)
-            .map(|a| a.field)
-            .collect();
-        let write_fields: BTreeSet<FieldId> = accesses
-            .iter()
-            .filter(|a| a.is_write)
-            .map(|a| a.field)
-            .collect();
+            .chain(terminal.map(|t| &children[t]))
+        {
+            direct_accesses(child, p, &mut |a| {
+                if !self.covered[a.label.0 as usize] {
+                    accesses.push(a);
+                }
+            });
+        }
+        let accesses = &*accesses;
+        let read_fields = self.distinct_fields(accesses, false);
+        let write_fields = self.distinct_fields(accesses, true);
 
         let continue_at = terminal.map(|t| t + 1).unwrap_or(end + 1);
         if accesses.is_empty() {
@@ -342,13 +439,10 @@ impl Selector<'_> {
         };
         // A span that writes *every* transferred word before reading any
         // needs no up-front block read (RemoteFill is trivially satisfied).
-        let full_init = read_fields.is_empty() && write_fields.len() == range_words;
-        let static_choice = self.cfg.should_block_ex(
-            read_fields.len(),
-            write_fields.len(),
-            range_words,
-            full_init,
-        );
+        let full_init = read_fields == 0 && write_fields == range_words;
+        let static_choice =
+            self.cfg
+                .should_block_ex(read_fields, write_fields, range_words, full_init);
         let mut justification = None;
         let block = match self.profile {
             Some(view) => {
@@ -361,8 +455,8 @@ impl Selector<'_> {
                     .max()
                     .unwrap_or(0);
                 let measured = self.cfg.should_block_profiled(
-                    read_fields.len(),
-                    write_fields.len(),
+                    read_fields,
+                    write_fields,
                     range_words,
                     full_init,
                     execs,
@@ -381,8 +475,8 @@ impl Selector<'_> {
                 let induction_choice = self.induction_for(p, enclosing_loop).and_then(|j| {
                     self.cfg
                         .should_block_induction(
-                            read_fields.len(),
-                            write_fields.len(),
+                            read_fields,
+                            write_fields,
                             range_words,
                             full_init,
                             j.prob,
@@ -404,7 +498,7 @@ impl Selector<'_> {
 
         // A span with writes must not contain an early return (the
         // write-back would be skipped).
-        let has_writes = !write_fields.is_empty();
+        let has_writes = write_fields > 0;
         if has_writes {
             let span_children = &children[start..=terminal.unwrap_or(end)];
             let contains_return = span_children.iter().any(|c| {
@@ -477,8 +571,8 @@ impl Selector<'_> {
                     "blocked span of {} direct accesses ({} read / {} written fields, \
                      {range_words} words); read hoisted {} statement(s) above the span{}",
                     accesses.len(),
-                    read_fields.len(),
-                    write_fields.len(),
+                    read_fields,
+                    write_fields,
                     start - anchor,
                     if justification.is_some() {
                         "; cost gate relaxed by loop pointer induction"
@@ -491,7 +585,7 @@ impl Selector<'_> {
         }
         self.plan.stats.blocked_spans += 1;
 
-        for a in &accesses {
+        for a in accesses {
             let action = if a.is_write {
                 self.plan.stats.writes_rewritten += 1;
                 Replace::WriteToBuf(buf)
@@ -500,7 +594,7 @@ impl Selector<'_> {
                 Replace::ReadToBuf(buf)
             };
             self.plan.replace.insert(a.label, action);
-            self.covered.insert(a.label);
+            self.covered[a.label.0 as usize] = true;
         }
 
         if has_writes {
@@ -557,36 +651,11 @@ impl Selector<'_> {
     /// Does this child contain at least one direct remote access via `p`
     /// that has not been claimed by an earlier span?
     fn has_unclaimed_direct_access(&self, child: &Stmt, p: VarId) -> bool {
-        let mut out = Vec::new();
-        self.collect_direct_accesses(child, p, &mut out);
-        out.iter().any(|a| !self.covered.contains(&a.label))
-    }
-
-    /// Collects all direct field-level remote accesses via `p` in the
-    /// subtree of `child`.
-    fn collect_direct_accesses(&self, child: &Stmt, p: VarId, out: &mut Vec<SpanAccess>) {
-        child.walk(&mut |st| {
-            if let StmtKind::Basic(Basic::Assign { dst, src }) = &st.kind {
-                if let Place::Mem(MemRef::Deref { base, field }) = dst {
-                    if *base == p {
-                        out.push(SpanAccess {
-                            label: st.label,
-                            field: *field,
-                            is_write: true,
-                        });
-                    }
-                }
-                if let Rvalue::Load(MemRef::Deref { base, field }) = src {
-                    if *base == p {
-                        out.push(SpanAccess {
-                            label: st.label,
-                            field: *field,
-                            is_write: false,
-                        });
-                    }
-                }
-            }
+        let mut found = false;
+        direct_accesses(child, p, &mut |a| {
+            found |= !self.covered[a.label.0 as usize];
         });
+        found
     }
 
     /// Classifies a child statement for span extension.
@@ -661,21 +730,36 @@ impl Selector<'_> {
         let Some(set) = placement.reads_before.get(&child.label) else {
             return;
         };
+        let tuples = set.as_slice();
         // Issue in original program order (earliest covered access first):
         // the first access of a loop body is typically the loop-carried
         // pointer advance, and delaying its issue behind other reads would
         // lengthen the critical dependence chain.
-        let mut tuples: Vec<_> = set.iter().cloned().collect();
-        tuples.sort_by_key(|t| (t.labels.iter().min().copied(), t.base, t.field));
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(0..tuples.len() as u32);
+        order.sort_unstable_by_key(|&i| {
+            let t = &tuples[i as usize];
+            (t.labels.first().copied(), t.base, t.field)
+        });
         // Labels inside the anchor statement: tuples covering one must be
         // issued before the anchor; tuples whose uses all come later are
         // issued just after it, so they never delay the anchor's own
         // (possibly remote, possibly chain-critical) issue.
-        let subtree: HashSet<Label> = child.labels().into_iter().collect();
-        for mut t in tuples {
-            // Remove labels already covered by the hash table or by spans.
-            t.labels.retain(|l| !self.covered.contains(l));
-            if t.labels.is_empty() {
+        let (enter, exit) = self.extent[child.label.0 as usize];
+        let mut live = std::mem::take(&mut self.live);
+        for &i in &order {
+            let t = &tuples[i as usize];
+            // The labels not already covered by the hash table or by
+            // spans, in label order.
+            live.clear();
+            live.extend(
+                t.labels
+                    .iter()
+                    .copied()
+                    .filter(|l| !self.covered[l.0 as usize]),
+            );
+            if live.is_empty() {
                 continue;
             }
             if t.freq < self.cfg.freq.placement_threshold {
@@ -690,26 +774,25 @@ impl Selector<'_> {
                 // guaranteed dereference on every path from here.
                 continue;
             }
-            if !self.cfg.enable_motion {
+            let covers_anchor = live.binary_search(&child.label).is_ok();
+            if !self.cfg.enable_motion && !covers_anchor {
                 // Redundancy elimination only: the read stays at its first
                 // original site.
-                if !t.labels.contains(&child.label) {
-                    continue;
-                }
+                continue;
             }
-            if t.labels.len() == 1 && t.labels.contains(&child.label) {
+            if live.len() == 1 && covers_anchor {
                 // Placing the read just before its only original site is
                 // the identity transformation; leave the statement alone.
                 continue;
             }
-            if !self.cfg.enable_redundancy_elim && t.labels.len() > 1 {
+            if !self.cfg.enable_redundancy_elim && live.len() > 1 {
                 // Without redundancy elimination each access keeps its own
                 // operation; restrict the tuple to the anchor's own access.
-                if t.labels.contains(&child.label) {
-                    t.labels = [child.label].into();
-                } else {
+                if !covers_anchor {
                     continue;
                 }
+                live.clear();
+                live.push(child.label);
             }
             // Issue the read here.
             self.comm_counter += 1;
@@ -717,11 +800,9 @@ impl Selector<'_> {
                 .prog
                 .struct_def(func.var(t.base).ty.struct_id().expect("pointer base"))
                 .field(t.field);
-            let field_ty = field_def.ty;
-            let field_name = field_def.name.clone();
             let comm = func.add_var(VarDecl {
                 origin: VarOrigin::CommTemp,
-                ..VarDecl::new(format!("comm{}", self.comm_counter), field_ty)
+                ..VarDecl::new(format!("comm{}", self.comm_counter), field_def.ty)
             });
             let read = Basic::Assign {
                 dst: Place::Var(comm),
@@ -730,28 +811,24 @@ impl Selector<'_> {
                     field: t.field,
                 }),
             };
-            let before = t.labels.iter().any(|l| subtree.contains(l));
-            if before {
-                self.plan
-                    .inserts_before
-                    .entry(child.label)
-                    .or_default()
-                    .push(read);
+            let before = live.iter().any(|l| {
+                let at = self.extent[l.0 as usize].0;
+                enter <= at && at < exit
+            });
+            let inserts = if before {
+                &mut self.plan.inserts_before
             } else {
-                self.plan
-                    .inserts_after
-                    .entry(child.label)
-                    .or_default()
-                    .push(read);
-            }
+                &mut self.plan.inserts_after
+            };
+            inserts.entry(child.label).or_default().push(read);
             self.plan.motion.push(Motion {
                 base: t.base,
                 base_name: func.var(t.base).name.clone(),
                 field: Some(t.field),
-                from_labels: t.labels.clone(),
+                from_labels: live.iter().copied().collect(),
                 to_label: child.label,
                 before,
-                kind: if t.labels.len() > 1 {
+                kind: if live.len() > 1 {
                     MotionKind::RedundantReuse
                 } else {
                     MotionKind::PipelinedRead
@@ -759,20 +836,49 @@ impl Selector<'_> {
                 reason: format!(
                     "read of {}~>{} (freq {:.1}) placeable here, covering {} original access(es)",
                     func.var(t.base).name,
-                    field_name,
+                    field_def.name,
                     t.freq,
-                    t.labels.len()
+                    live.len()
                 ),
                 justification: None,
             });
             self.plan.stats.pipelined_reads += 1;
-            for l in &t.labels {
-                self.plan.replace.insert(*l, Replace::ReadToTemp(comm));
-                self.covered.insert(*l);
+            for &l in &live {
+                self.plan.replace.insert(l, Replace::ReadToTemp(comm));
+                self.covered[l.0 as usize] = true;
                 self.plan.stats.reads_rewritten += 1;
             }
         }
+        self.order = order;
+        self.live = live;
     }
+}
+
+/// Hands `visit` every direct field-level remote access via `p` in the
+/// subtree of `child`.
+fn direct_accesses(child: &Stmt, p: VarId, visit: &mut dyn FnMut(SpanAccess)) {
+    child.walk(&mut |st| {
+        if let StmtKind::Basic(Basic::Assign { dst, src }) = &st.kind {
+            if let Place::Mem(MemRef::Deref { base, field }) = dst {
+                if *base == p {
+                    visit(SpanAccess {
+                        label: st.label,
+                        field: *field,
+                        is_write: true,
+                    });
+                }
+            }
+            if let Rvalue::Load(MemRef::Deref { base, field }) = src {
+                if *base == p {
+                    visit(SpanAccess {
+                        label: st.label,
+                        field: *field,
+                        is_write: false,
+                    });
+                }
+            }
+        }
+    });
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -75,7 +75,7 @@ fn tuples_reference_real_reads() {
         for set in placement.reads_before.values() {
             for t in set.iter() {
                 assert!(t.freq > 0.0, "{case}");
-                for l in &t.labels {
+                for l in t.labels.iter() {
                     assert!(remote_reads.contains(l), "{case}");
                 }
             }
@@ -83,7 +83,7 @@ fn tuples_reference_real_reads() {
         for set in placement.writes_after.values() {
             for t in set.iter() {
                 assert!(t.freq > 0.0, "{case}");
-                for l in &t.labels {
+                for l in t.labels.iter() {
                     assert!(remote_writes.contains(l), "{case}");
                 }
             }

@@ -46,7 +46,7 @@ pub mod token;
 use std::fmt;
 
 pub use lower::{lower_unit, LowerError};
-pub use parser::{parse_unit, ParseError};
+pub use parser::{parse_unit, ParseError, ParseErrorKind, MAX_NESTING};
 pub use token::{lex, LexError, Pos};
 
 /// Any frontend failure: lexing, parsing, or lowering.
@@ -72,11 +72,17 @@ impl std::error::Error for FrontendError {}
 impl FrontendError {
     /// Converts the error to the toolchain-wide diagnostic format
     /// ([`earth_ir::diag`]): `FE001` for syntax errors, `FE002` for type and
-    /// lowering errors, with the source position folded into the message.
+    /// lowering errors, `FE003` for nesting beyond
+    /// [`MAX_NESTING`], with the source position
+    /// folded into a note.
     pub fn to_diagnostic(&self) -> earth_ir::Diagnostic {
         match self {
             FrontendError::Parse(e) => {
-                earth_ir::Diagnostic::error("FE001", format!("syntax error: {}", e.message))
+                let message = match e.kind {
+                    ParseErrorKind::Syntax => format!("syntax error: {}", e.message),
+                    ParseErrorKind::TooDeep => e.message.clone(),
+                };
+                earth_ir::Diagnostic::error(e.kind.code(), message)
                     .with_note(format!("at {}", e.pos))
             }
             FrontendError::Lower(e) => earth_ir::Diagnostic::error("FE002", e.message.clone())

@@ -18,7 +18,8 @@ use earth_ir::{
     AtTarget, Basic, BinOp, Builtin, Cond, FuncId, Operand, Program, StructDef, StructId, Ty, UnOp,
     VarDecl, VarId,
 };
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A type-checking / lowering error.
@@ -45,6 +46,19 @@ fn err<T>(pos: Pos, message: impl Into<String>) -> Result<T, LowerError> {
     })
 }
 
+/// Name tables are ordered maps over names borrowed from the AST: nothing
+/// is copied or hashed to look a name up, and lookups cost the same
+/// whatever names the source text chose.
+type Names<'a, T> = BTreeMap<&'a str, T>;
+
+/// A function's signature: its id, parameter types and return type.
+type Sig = (FuncId, Vec<Ty>, Option<Ty>);
+
+/// The flattened fields of one struct, sorted by their (dotted) names in
+/// the [`StructDef`], so that a field path resolves by binary search
+/// without being joined first.
+type FieldTable = Vec<earth_ir::FieldId>;
+
 /// Lowers a parsed translation unit to a SIMPLE IR program.
 ///
 /// # Errors
@@ -55,38 +69,46 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
     let mut prog = Program::new();
 
     // Pass 1a: declare all struct names.
-    let mut struct_ids: HashMap<String, StructId> = HashMap::new();
+    let mut struct_ids: Names<'_, StructId> = Names::new();
     for item in &unit.items {
         if let Item::Struct(s) = item {
-            if struct_ids.contains_key(&s.name) {
+            if struct_ids.contains_key(s.name.as_str()) {
                 return err(s.pos, format!("duplicate struct `{}`", s.name));
             }
             let id = prog.add_struct(StructDef::new(s.name.clone()));
-            struct_ids.insert(s.name.clone(), id);
+            struct_ids.insert(&s.name, id);
         }
     }
 
     // Pass 1b: flatten fields (nested structs become dotted field names).
-    let mut field_maps: HashMap<StructId, HashMap<String, earth_ir::FieldId>> = HashMap::new();
+    // Struct ids were handed out in item order, so the tables line up.
+    let mut field_tables: Vec<FieldTable> = Vec::with_capacity(struct_ids.len());
     for item in &unit.items {
         if let Item::Struct(s) = item {
-            let sid = struct_ids[&s.name];
+            let sid = struct_ids[s.name.as_str()];
             let mut def = StructDef::new(s.name.clone());
-            let mut map = HashMap::new();
-            let mut stack = vec![s.name.clone()];
-            flatten_struct(unit, &struct_ids, s, "", &mut def, &mut map, &mut stack)?;
-            field_maps.insert(sid, map);
+            let mut stack = vec![s.name.as_str()];
+            flatten_struct(unit, &struct_ids, s, "", &mut def, &mut stack)?;
+            let name = |id: &earth_ir::FieldId| &def.field(*id).name;
+            let mut table: FieldTable = (0..def.fields.len() as u32)
+                .map(earth_ir::FieldId)
+                .collect();
+            // Of two fields with one name the later declaration wins.
+            table.sort_by(|a, b| name(a).cmp(name(b)).then(b.cmp(a)));
+            table.dedup_by(|later, first| name(later) == name(first));
+            debug_assert_eq!(sid.index(), field_tables.len());
+            field_tables.push(table);
             // Replace the placeholder definition.
-            replace_struct(&mut prog, sid, def);
+            prog.set_struct_def(sid, def);
         }
     }
 
     // Pass 2a: declare function signatures.
-    let mut sigs: HashMap<String, (FuncId, Vec<Ty>, Option<Ty>)> = HashMap::new();
+    let mut sigs: Names<'_, Sig> = Names::new();
     let mut decls: Vec<&ast::FuncDecl> = Vec::new();
     for item in &unit.items {
         if let Item::Func(f) = item {
-            if sigs.contains_key(&f.name) {
+            if sigs.contains_key(f.name.as_str()) {
                 return err(f.pos, format!("duplicate function `{}`", f.name));
             }
             if Builtin::by_name(&f.name).is_some() || is_special_call(&f.name) {
@@ -100,7 +122,7 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
             // Reserve the FuncId by inserting a shell function now.
             let shell = earth_ir::Function::new(f.name.clone(), ret);
             let fid = prog.add_function(shell);
-            sigs.insert(f.name.clone(), (fid, ptys, ret));
+            sigs.insert(&f.name, (fid, ptys, ret));
             decls.push(f);
         }
     }
@@ -108,12 +130,12 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
     // Pass 2b: lower bodies.
     let ctx = UnitCtx {
         struct_ids: &struct_ids,
-        field_maps: &field_maps,
+        field_tables: &field_tables,
         sigs: &sigs,
     };
     for f in decls {
         let lowered = lower_function(&prog, &ctx, f)?;
-        let fid = sigs[&f.name].0;
+        let fid = sigs[f.name.as_str()].0;
         prog.replace_function(fid, lowered);
     }
 
@@ -124,22 +146,13 @@ pub fn lower_unit(unit: &Unit) -> Result<Program, LowerError> {
     Ok(prog)
 }
 
-fn replace_struct(prog: &mut Program, sid: StructId, def: StructDef) {
-    // Program has no struct replacement API; rebuild in place via interior
-    // knowledge: structs are append-only, so we rebuild the program's struct
-    // table through a small dance. To keep the IR crate's encapsulation we
-    // instead mutate through a dedicated helper.
-    prog.set_struct_def(sid, def);
-}
-
-fn flatten_struct(
-    unit: &Unit,
-    struct_ids: &HashMap<String, StructId>,
-    s: &ast::StructDecl,
+fn flatten_struct<'a>(
+    unit: &'a Unit,
+    struct_ids: &Names<'_, StructId>,
+    s: &'a ast::StructDecl,
     prefix: &str,
     def: &mut StructDef,
-    map: &mut HashMap<String, earth_ir::FieldId>,
-    stack: &mut Vec<String>,
+    stack: &mut Vec<&'a str>,
 ) -> Result<(), LowerError> {
     for (ty, fname) in &s.fields {
         let path = if prefix.is_empty() {
@@ -149,23 +162,20 @@ fn flatten_struct(
         };
         match ty {
             TypeExpr::Int => {
-                let id = def.add_field(path.clone(), Ty::Int);
-                map.insert(path, id);
+                def.add_field(path, Ty::Int);
             }
             TypeExpr::Double => {
-                let id = def.add_field(path.clone(), Ty::Double);
-                map.insert(path, id);
+                def.add_field(path, Ty::Double);
             }
             TypeExpr::Ptr(name) => {
-                let target = struct_ids.get(name).ok_or_else(|| LowerError {
+                let target = struct_ids.get(name.as_str()).ok_or_else(|| LowerError {
                     pos: s.pos,
                     message: format!("unknown struct `{name}` in field `{path}`"),
                 })?;
-                let id = def.add_field(path.clone(), Ty::Ptr(*target));
-                map.insert(path, id);
+                def.add_field(path, Ty::Ptr(*target));
             }
             TypeExpr::Struct(name) => {
-                if stack.contains(name) {
+                if stack.contains(&name.as_str()) {
                     return err(
                         s.pos,
                         format!("struct `{}` recursively contains itself by value", name),
@@ -175,8 +185,8 @@ fn flatten_struct(
                     pos: s.pos,
                     message: format!("unknown struct `{name}` in field `{path}`"),
                 })?;
-                stack.push(name.clone());
-                flatten_struct(unit, struct_ids, inner, &path, def, map, stack)?;
+                stack.push(name);
+                flatten_struct(unit, struct_ids, inner, &path, def, stack)?;
                 stack.pop();
             }
             TypeExpr::Void => {
@@ -194,20 +204,16 @@ fn find_struct_decl<'a>(unit: &'a Unit, name: &str) -> Option<&'a ast::StructDec
     })
 }
 
-fn lower_type(
-    ty: &TypeExpr,
-    struct_ids: &HashMap<String, StructId>,
-    pos: Pos,
-) -> Result<Ty, LowerError> {
+fn lower_type(ty: &TypeExpr, struct_ids: &Names<'_, StructId>, pos: Pos) -> Result<Ty, LowerError> {
     match ty {
         TypeExpr::Int => Ok(Ty::Int),
         TypeExpr::Double => Ok(Ty::Double),
         TypeExpr::Void => err(pos, "`void` is only valid as a return type"),
-        TypeExpr::Struct(n) => match struct_ids.get(n) {
+        TypeExpr::Struct(n) => match struct_ids.get(n.as_str()) {
             Some(id) => Ok(Ty::Struct(*id)),
             None => err(pos, format!("unknown struct `{n}`")),
         },
-        TypeExpr::Ptr(n) => match struct_ids.get(n) {
+        TypeExpr::Ptr(n) => match struct_ids.get(n.as_str()) {
             Some(id) => Ok(Ty::Ptr(*id)),
             None => err(pos, format!("unknown struct `{n}`")),
         },
@@ -216,7 +222,7 @@ fn lower_type(
 
 fn lower_ret_type(
     ty: &TypeExpr,
-    struct_ids: &HashMap<String, StructId>,
+    struct_ids: &Names<'_, StructId>,
     pos: Pos,
 ) -> Result<Option<Ty>, LowerError> {
     if matches!(ty, TypeExpr::Void) {
@@ -234,9 +240,20 @@ fn is_special_call(name: &str) -> bool {
 }
 
 struct UnitCtx<'a> {
-    struct_ids: &'a HashMap<String, StructId>,
-    field_maps: &'a HashMap<StructId, HashMap<String, earth_ir::FieldId>>,
-    sigs: &'a HashMap<String, (FuncId, Vec<Ty>, Option<Ty>)>,
+    struct_ids: &'a Names<'a, StructId>,
+    /// Indexed by [`StructId`].
+    field_tables: &'a [FieldTable],
+    sigs: &'a Names<'a, Sig>,
+}
+
+/// Orders the dotted field name `name` against `path` as if the path's
+/// segments had been joined with `.`.
+fn cmp_to_path(name: &str, path: &[String]) -> Ordering {
+    let joined = path
+        .iter()
+        .enumerate()
+        .flat_map(|(i, seg)| (i > 0).then_some(b'.').into_iter().chain(seg.bytes()));
+    name.bytes().cmp(joined)
 }
 
 /// The inferred type of an expression; `Null` unifies with any pointer.
@@ -262,24 +279,24 @@ struct FnLower<'a> {
     prog: &'a Program,
     ctx: &'a UnitCtx<'a>,
     fb: FunctionBuilder,
-    names: HashMap<String, VarId>,
+    names: Names<'a, VarId>,
     ret_ty: Option<Ty>,
-    fname: String,
+    fname: &'a str,
 }
 
-fn lower_function(
-    prog: &Program,
-    ctx: &UnitCtx<'_>,
-    f: &ast::FuncDecl,
+fn lower_function<'a>(
+    prog: &'a Program,
+    ctx: &'a UnitCtx<'a>,
+    f: &'a ast::FuncDecl,
 ) -> Result<earth_ir::Function, LowerError> {
     let ret = lower_ret_type(&f.ret, ctx.struct_ids, f.pos)?;
     let mut lw = FnLower {
         prog,
         ctx,
         fb: FunctionBuilder::new(f.name.clone(), ret),
-        names: HashMap::new(),
+        names: Names::new(),
         ret_ty: ret,
-        fname: f.name.clone(),
+        fname: &f.name,
     };
     for p in &f.params {
         let ty = lower_type(&p.ty, ctx.struct_ids, p.pos)?;
@@ -293,14 +310,36 @@ fn lower_function(
             }
             decl = VarDecl::local(p.name.clone(), ty);
         }
-        if lw.names.contains_key(&p.name) {
+        if lw.names.contains_key(p.name.as_str()) {
             return err(p.pos, format!("duplicate parameter `{}`", p.name));
         }
         let id = lw.fb.param(decl);
-        lw.names.insert(p.name.clone(), id);
+        lw.names.insert(&p.name, id);
     }
     lw.stmts(&f.body)?;
     Ok(lw.fb.finish())
+}
+
+/// How the value of a non-trivial expression reaches a destination
+/// variable: what [`FnLower::plan_value`] decided after type-checking, for
+/// [`FnLower::emit`] to carry out once the destination exists. Operands
+/// are borrowed from the AST and lowered during emission, which keeps the
+/// statement order natural.
+enum ValuePlan<'e> {
+    Load {
+        base: VarId,
+        field: earth_ir::FieldId,
+        is_deref: bool,
+    },
+    Unary(UnOp, &'e Expr),
+    Logical(AstBinOp, &'e Expr, &'e Expr),
+    Binary(BinOp, &'e Expr, &'e Expr),
+    ValueOf(&'e [Expr], Pos),
+    Malloc(StructId, Option<&'e Expr>),
+    Builtin(Builtin, &'e [Expr], Pos),
+    /// A user function call; the operand is the whole `Expr::Call`.
+    Call(FuncId, &'e Expr),
+    Copy(Operand),
 }
 
 impl<'a> FnLower<'a> {
@@ -330,18 +369,21 @@ impl<'a> FnLower<'a> {
         path: &[String],
         pos: Pos,
     ) -> Result<earth_ir::FieldId, LowerError> {
-        let joined = path.join(".");
-        self.ctx.field_maps[&sid]
-            .get(&joined)
-            .copied()
-            .ok_or_else(|| LowerError {
+        let (table, def) = (
+            &self.ctx.field_tables[sid.index()],
+            self.prog.struct_def(sid),
+        );
+        match table.binary_search_by(|&id| cmp_to_path(&def.field(id).name, path)) {
+            Ok(i) => Ok(table[i]),
+            Err(_) => err(
                 pos,
-                message: format!(
+                format!(
                     "struct `{}` has no field `{}`",
                     self.struct_name(sid),
-                    joined
+                    path.join(".")
                 ),
-            })
+            ),
+        }
     }
 
     fn field_ty(&self, sid: StructId, fid: earth_ir::FieldId) -> Ty {
@@ -350,14 +392,16 @@ impl<'a> FnLower<'a> {
 
     // ---- statements ---------------------------------------------------
 
-    fn stmts(&mut self, ss: &[Stmt]) -> Result<(), LowerError> {
+    fn stmts(&mut self, ss: &'a [Stmt]) -> Result<(), LowerError> {
         for s in ss {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn stmt(&mut self, s: &Stmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, s: &'a Stmt) -> Result<(), LowerError> {
+        // One function per statement form: this one is on the stack once
+        // per nesting level, so it keeps no form's locals itself.
         match s {
             Stmt::Block(ss) => self.stmts(ss),
             Stmt::Decl {
@@ -366,283 +410,344 @@ impl<'a> FnLower<'a> {
                 name,
                 init,
                 pos,
-            } => {
-                if self.names.contains_key(name) {
-                    return err(
-                        *pos,
-                        format!("duplicate variable `{name}` (shadowing is not supported)"),
-                    );
-                }
-                let ir_ty = lower_type(ty, self.ctx.struct_ids, *pos)?;
-                let decl = if quals.shared {
-                    if ir_ty != Ty::Int {
-                        return err(*pos, "`shared` variables must have type int");
-                    }
-                    VarDecl::shared(name.clone(), ir_ty)
-                } else if quals.local {
-                    if !ir_ty.is_ptr() {
-                        return err(*pos, "`local` only applies to pointers");
-                    }
-                    VarDecl::local(name.clone(), ir_ty)
-                } else {
-                    VarDecl::new(name.clone(), ir_ty)
-                };
-                let id = self.fb.var(decl);
-                self.names.insert(name.clone(), id);
-                if let Some(e) = init {
-                    if quals.shared {
-                        return err(*pos, "initialize shared variables with writeto(&x, v)");
-                    }
-                    self.assign_var(id, e)?;
-                }
-                Ok(())
-            }
-            Stmt::Assign { lv, rhs, pos } => match lv {
-                LValue::Var(name, vpos) => {
-                    let v = self.lookup(name, *vpos)?;
-                    if self.is_shared(v) {
-                        return err(*pos, "assign shared variables with writeto(&x, v)");
-                    }
-                    self.assign_var(v, rhs)
-                }
-                LValue::FieldPath {
-                    base,
-                    arrow,
-                    path,
-                    pos,
-                } => {
-                    let b = self.lookup(base, *pos)?;
-                    let bty = self.var_ty(b);
-                    let (sid, is_deref) = match (bty, arrow) {
-                        (Ty::Ptr(s), true) => (s, true),
-                        (Ty::Struct(s), false) => (s, false),
-                        (Ty::Ptr(_), false) => {
-                            return err(*pos, format!("`{base}` is a pointer; use `->`"))
-                        }
-                        (Ty::Struct(_), true) => {
-                            return err(*pos, format!("`{base}` is a struct; use `.`"))
-                        }
-                        _ => return err(*pos, format!("`{base}` has no fields")),
-                    };
-                    let fid = self.field(sid, path, *pos)?;
-                    let fty = self.field_ty(sid, fid);
-                    let (op, ety) = self.expr(rhs)?;
-                    self.check_assignable(ETy::T(fty), ety, rhs.pos())?;
-                    if is_deref {
-                        self.fb.store_deref(b, fid, op);
-                    } else {
-                        self.fb.store_field(b, fid, op);
-                    }
-                    Ok(())
-                }
-            },
-            Stmt::ExprStmt(e) => match e {
-                Expr::Call {
-                    name,
-                    args,
-                    at,
-                    pos,
-                } if name == "writeto" || name == "addto" => {
-                    if at.is_some() {
-                        return err(*pos, "atomic operations cannot take `@` clauses");
-                    }
-                    let var = self.shared_ref_arg(args, 0, *pos)?;
-                    if args.len() != 2 {
-                        return err(*pos, format!("`{name}` expects 2 arguments"));
-                    }
-                    let (val, vty) = self.expr(&args[1])?;
-                    self.check_assignable(ETy::T(Ty::Int), vty, args[1].pos())?;
-                    if name == "writeto" {
-                        self.fb.atomic_write(var, val);
-                    } else {
-                        self.fb.atomic_add(var, val);
-                    }
-                    Ok(())
-                }
-                Expr::Call { .. } => {
-                    self.expr_discard(e)?;
-                    Ok(())
-                }
-                _ => err(e.pos(), "expression statements must be calls"),
-            },
+            } => self.decl_stmt(ty, *quals, name, init.as_ref(), *pos),
+            Stmt::Assign { lv, rhs, pos } => self.assign_stmt(lv, rhs, *pos),
+            Stmt::ExprStmt(e) => self.expr_stmt(e),
             Stmt::If {
                 cond,
                 then_s,
                 else_s,
                 pos: _,
-            } => {
-                let c = self.cond(cond)?;
-                self.fb.begin_seq();
-                let r = self.stmts(then_s);
-                let then_stmt = self.fb.end_seq();
-                r?;
-                self.fb.begin_seq();
-                let r = self.stmts(else_s);
-                let else_stmt = self.fb.end_seq();
-                r?;
-                self.fb.emit_if(c, then_stmt, else_stmt);
-                Ok(())
-            }
-            Stmt::While { cond, body, pos: _ } => {
-                if let Some(c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb.emit_while(c, b);
-                } else {
-                    // `while (e)` with an impure condition becomes
-                    //   t = e; while (t != 0) { body; t = e; }
-                    let t = self.fb.temp(Ty::Int);
-                    self.assign_bool(t, cond)?;
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
-                }
-                Ok(())
-            }
-            Stmt::DoWhile { body, cond, pos: _ } => {
-                if let Some(_c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let b = self.fb.end_seq();
-                    r?;
-                    // Recompute: pure_cond emits nothing, so this is safe.
-                    let c = self.pure_cond(cond)?.expect("purity is deterministic");
-                    self.fb.emit_do_while(b, c);
-                } else {
-                    let t = self.fb.temp(Ty::Int);
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_do_while(b, Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)));
-                }
-                Ok(())
-            }
+            } => self.if_stmt(cond, then_s, else_s),
+            Stmt::While { cond, body, pos: _ } => self.while_stmt(cond, body),
+            Stmt::DoWhile { body, cond, pos: _ } => self.do_while_stmt(body, cond),
             Stmt::For {
                 init,
                 cond,
                 step,
                 body,
                 pos: _,
-            } => {
-                // `for` desugars to init; while (cond) { body; step; }.
-                if let Some(i) = init {
-                    self.stmt(i)?;
-                }
-                let always = Expr::Int(1, Pos::default());
-                let cond = cond.as_ref().unwrap_or(&always);
-                if let Some(_c) = self.pure_cond(cond)? {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body).and_then(|()| match step {
-                        Some(st) => self.stmt(st),
-                        None => Ok(()),
-                    });
-                    let b = self.fb.end_seq();
-                    r?;
-                    let c = self.pure_cond(cond)?.expect("purity is deterministic");
-                    self.fb.emit_while(c, b);
-                } else {
-                    let t = self.fb.temp(Ty::Int);
-                    self.assign_bool(t, cond)?;
-                    self.fb.begin_seq();
-                    let r = self
-                        .stmts(body)
-                        .and_then(|()| match step {
-                            Some(st) => self.stmt(st),
-                            None => Ok(()),
-                        })
-                        .and_then(|()| self.assign_bool(t, cond));
-                    let b = self.fb.end_seq();
-                    r?;
-                    self.fb
-                        .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
-                }
-                Ok(())
-            }
+            } => self.for_stmt(init.as_deref(), cond.as_ref(), step.as_deref(), body),
             Stmt::Forall {
                 init,
                 cond,
                 step,
                 body,
                 pos,
-            } => {
-                let init_b = self.lower_single_basic(init, *pos, "forall init")?;
-                let Some(c) = self.pure_cond(cond)? else {
-                    return err(
-                        *pos,
-                        "forall conditions must be simple comparisons over variables",
-                    );
-                };
-                let step_b = self.lower_single_basic(step, *pos, "forall step")?;
-                self.fb.begin_seq();
-                let r = self.stmts(body);
-                let b = self.fb.end_seq();
-                r?;
-                self.fb.emit_forall(init_b, c, step_b, b);
-                Ok(())
-            }
+            } => self.forall_stmt(init, cond, step, body, *pos),
             Stmt::Switch {
                 scrut,
                 cases,
                 default,
                 pos: _,
+            } => self.switch_stmt(scrut, cases, default),
+            Stmt::ParSeq(arms, _) => self.par_seq_stmt(arms),
+            Stmt::Return(e, pos) => self.return_stmt(e.as_ref(), *pos),
+        }
+    }
+
+    fn decl_stmt(
+        &mut self,
+        ty: &TypeExpr,
+        quals: ast::Quals,
+        name: &'a str,
+        init: Option<&Expr>,
+        pos: Pos,
+    ) -> Result<(), LowerError> {
+        if self.names.contains_key(name) {
+            return err(
+                pos,
+                format!("duplicate variable `{name}` (shadowing is not supported)"),
+            );
+        }
+        let ir_ty = lower_type(ty, self.ctx.struct_ids, pos)?;
+        let decl = if quals.shared {
+            if ir_ty != Ty::Int {
+                return err(pos, "`shared` variables must have type int");
+            }
+            VarDecl::shared(name, ir_ty)
+        } else if quals.local {
+            if !ir_ty.is_ptr() {
+                return err(pos, "`local` only applies to pointers");
+            }
+            VarDecl::local(name, ir_ty)
+        } else {
+            VarDecl::new(name, ir_ty)
+        };
+        let id = self.fb.var(decl);
+        self.names.insert(name, id);
+        if let Some(e) = init {
+            if quals.shared {
+                return err(pos, "initialize shared variables with writeto(&x, v)");
+            }
+            self.assign_var(id, e)?;
+        }
+        Ok(())
+    }
+
+    fn assign_stmt(&mut self, lv: &LValue, rhs: &Expr, pos: Pos) -> Result<(), LowerError> {
+        match lv {
+            LValue::Var(name, vpos) => {
+                let v = self.lookup(name, *vpos)?;
+                if self.is_shared(v) {
+                    return err(pos, "assign shared variables with writeto(&x, v)");
+                }
+                self.assign_var(v, rhs)
+            }
+            LValue::FieldPath {
+                base,
+                arrow,
+                path,
+                pos,
             } => {
-                let (op, ety) = self.expr(scrut)?;
-                self.check_assignable(ETy::T(Ty::Int), ety, scrut.pos())?;
-                let mut built = Vec::with_capacity(cases.len());
-                for (v, body) in cases {
-                    self.fb.begin_seq();
-                    let r = self.stmts(body);
-                    let cs = self.fb.end_seq();
-                    r?;
-                    built.push((*v, cs));
-                }
-                self.fb.begin_seq();
-                let r = self.stmts(default);
-                let def = self.fb.end_seq();
-                r?;
-                self.fb.emit_switch(op, built, def);
-                Ok(())
-            }
-            Stmt::ParSeq(arms, _) => {
-                let mut built = Vec::with_capacity(arms.len());
-                for arm in arms {
-                    self.fb.begin_seq();
-                    let r = self.stmt(arm);
-                    let a = self.fb.end_seq();
-                    r?;
-                    built.push(a);
-                }
-                self.fb.emit_par_seq(built);
-                Ok(())
-            }
-            Stmt::Return(e, pos) => {
-                match (e, self.ret_ty) {
-                    (None, None) => {
-                        self.fb.ret(None);
+                let b = self.lookup(base, *pos)?;
+                let bty = self.var_ty(b);
+                let (sid, is_deref) = match (bty, arrow) {
+                    (Ty::Ptr(s), true) => (s, true),
+                    (Ty::Struct(s), false) => (s, false),
+                    (Ty::Ptr(_), false) => {
+                        return err(*pos, format!("`{base}` is a pointer; use `->`"))
                     }
-                    (Some(e), Some(rt)) => {
-                        let (op, ety) = self.expr(e)?;
-                        self.check_assignable(ETy::T(rt), ety, e.pos())?;
-                        self.fb.ret(Some(op));
+                    (Ty::Struct(_), true) => {
+                        return err(*pos, format!("`{base}` is a struct; use `.`"))
                     }
-                    (None, Some(_)) => return err(*pos, "missing return value"),
-                    (Some(_), None) => return err(*pos, "void function returns a value"),
+                    _ => return err(*pos, format!("`{base}` has no fields")),
+                };
+                let fid = self.field(sid, path, *pos)?;
+                let fty = self.field_ty(sid, fid);
+                let (op, ety) = self.expr(rhs)?;
+                self.check_assignable(ETy::T(fty), ety, rhs.pos())?;
+                if is_deref {
+                    self.fb.store_deref(b, fid, op);
+                } else {
+                    self.fb.store_field(b, fid, op);
                 }
                 Ok(())
             }
         }
     }
 
+    fn expr_stmt(&mut self, e: &Expr) -> Result<(), LowerError> {
+        match e {
+            Expr::Call {
+                name,
+                args,
+                at,
+                pos,
+            } if name == "writeto" || name == "addto" => {
+                if at.is_some() {
+                    return err(*pos, "atomic operations cannot take `@` clauses");
+                }
+                let var = self.shared_ref_arg(args, 0, *pos)?;
+                if args.len() != 2 {
+                    return err(*pos, format!("`{name}` expects 2 arguments"));
+                }
+                let (val, vty) = self.expr(&args[1])?;
+                self.check_assignable(ETy::T(Ty::Int), vty, args[1].pos())?;
+                if name == "writeto" {
+                    self.fb.atomic_write(var, val);
+                } else {
+                    self.fb.atomic_add(var, val);
+                }
+                Ok(())
+            }
+            Expr::Call { .. } => {
+                self.expr_discard(e)?;
+                Ok(())
+            }
+            _ => err(e.pos(), "expression statements must be calls"),
+        }
+    }
+
+    fn if_stmt(
+        &mut self,
+        cond: &Expr,
+        then_s: &'a [Stmt],
+        else_s: &'a [Stmt],
+    ) -> Result<(), LowerError> {
+        let c = self.cond(cond)?;
+        self.fb.begin_seq();
+        let r = self.stmts(then_s);
+        let then_stmt = self.fb.end_seq();
+        r?;
+        self.fb.begin_seq();
+        let r = self.stmts(else_s);
+        let else_stmt = self.fb.end_seq();
+        r?;
+        self.fb.emit_if(c, then_stmt, else_stmt);
+        Ok(())
+    }
+
+    fn while_stmt(&mut self, cond: &Expr, body: &'a [Stmt]) -> Result<(), LowerError> {
+        if let Some(c) = self.pure_cond(cond)? {
+            self.fb.begin_seq();
+            let r = self.stmts(body);
+            let b = self.fb.end_seq();
+            r?;
+            self.fb.emit_while(c, b);
+        } else {
+            // `while (e)` with an impure condition becomes
+            //   t = e; while (t != 0) { body; t = e; }
+            let t = self.fb.temp(Ty::Int);
+            self.assign_bool(t, cond)?;
+            self.fb.begin_seq();
+            let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
+            let b = self.fb.end_seq();
+            r?;
+            self.fb
+                .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
+        }
+        Ok(())
+    }
+
+    fn do_while_stmt(&mut self, body: &'a [Stmt], cond: &Expr) -> Result<(), LowerError> {
+        if let Some(_c) = self.pure_cond(cond)? {
+            self.fb.begin_seq();
+            let r = self.stmts(body);
+            let b = self.fb.end_seq();
+            r?;
+            // Recompute: pure_cond emits nothing, so this is safe.
+            let c = self.pure_cond(cond)?.expect("purity is deterministic");
+            self.fb.emit_do_while(b, c);
+        } else {
+            let t = self.fb.temp(Ty::Int);
+            self.fb.begin_seq();
+            let r = self.stmts(body).and_then(|()| self.assign_bool(t, cond));
+            let b = self.fb.end_seq();
+            r?;
+            self.fb
+                .emit_do_while(b, Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)));
+        }
+        Ok(())
+    }
+
+    fn for_stmt(
+        &mut self,
+        init: Option<&'a Stmt>,
+        cond: Option<&Expr>,
+        step: Option<&'a Stmt>,
+        body: &'a [Stmt],
+    ) -> Result<(), LowerError> {
+        // `for` desugars to init; while (cond) { body; step; }.
+        if let Some(i) = init {
+            self.stmt(i)?;
+        }
+        let always = Expr::Int(1, Pos::default());
+        let cond = cond.unwrap_or(&always);
+        if let Some(_c) = self.pure_cond(cond)? {
+            self.fb.begin_seq();
+            let r = self.stmts(body).and_then(|()| match step {
+                Some(st) => self.stmt(st),
+                None => Ok(()),
+            });
+            let b = self.fb.end_seq();
+            r?;
+            let c = self.pure_cond(cond)?.expect("purity is deterministic");
+            self.fb.emit_while(c, b);
+        } else {
+            let t = self.fb.temp(Ty::Int);
+            self.assign_bool(t, cond)?;
+            self.fb.begin_seq();
+            let r = self
+                .stmts(body)
+                .and_then(|()| match step {
+                    Some(st) => self.stmt(st),
+                    None => Ok(()),
+                })
+                .and_then(|()| self.assign_bool(t, cond));
+            let b = self.fb.end_seq();
+            r?;
+            self.fb
+                .emit_while(Cond::new(BinOp::Ne, Operand::Var(t), Operand::int(0)), b);
+        }
+        Ok(())
+    }
+
+    fn forall_stmt(
+        &mut self,
+        init: &'a Stmt,
+        cond: &Expr,
+        step: &'a Stmt,
+        body: &'a [Stmt],
+        pos: Pos,
+    ) -> Result<(), LowerError> {
+        let init_b = self.lower_single_basic(init, pos, "forall init")?;
+        let Some(c) = self.pure_cond(cond)? else {
+            return err(
+                pos,
+                "forall conditions must be simple comparisons over variables",
+            );
+        };
+        let step_b = self.lower_single_basic(step, pos, "forall step")?;
+        self.fb.begin_seq();
+        let r = self.stmts(body);
+        let b = self.fb.end_seq();
+        r?;
+        self.fb.emit_forall(init_b, c, step_b, b);
+        Ok(())
+    }
+
+    fn switch_stmt(
+        &mut self,
+        scrut: &Expr,
+        cases: &'a [(i64, Vec<Stmt>)],
+        default: &'a [Stmt],
+    ) -> Result<(), LowerError> {
+        let (op, ety) = self.expr(scrut)?;
+        self.check_assignable(ETy::T(Ty::Int), ety, scrut.pos())?;
+        let mut built = Vec::with_capacity(cases.len());
+        for (v, body) in cases {
+            self.fb.begin_seq();
+            let r = self.stmts(body);
+            let cs = self.fb.end_seq();
+            r?;
+            built.push((*v, cs));
+        }
+        self.fb.begin_seq();
+        let r = self.stmts(default);
+        let def = self.fb.end_seq();
+        r?;
+        self.fb.emit_switch(op, built, def);
+        Ok(())
+    }
+
+    fn par_seq_stmt(&mut self, arms: &'a [Stmt]) -> Result<(), LowerError> {
+        let mut built = Vec::with_capacity(arms.len());
+        for arm in arms {
+            self.fb.begin_seq();
+            let r = self.stmt(arm);
+            let a = self.fb.end_seq();
+            r?;
+            built.push(a);
+        }
+        self.fb.emit_par_seq(built);
+        Ok(())
+    }
+
+    fn return_stmt(&mut self, e: Option<&Expr>, pos: Pos) -> Result<(), LowerError> {
+        match (e, self.ret_ty) {
+            (None, None) => {
+                self.fb.ret(None);
+            }
+            (Some(e), Some(rt)) => {
+                let (op, ety) = self.expr(e)?;
+                self.check_assignable(ETy::T(rt), ety, e.pos())?;
+                self.fb.ret(Some(op));
+            }
+            (None, Some(_)) => return err(pos, "missing return value"),
+            (Some(_), None) => return err(pos, "void function returns a value"),
+        }
+        Ok(())
+    }
+
     /// Lowers a statement that must produce exactly one basic statement
     /// (used for `forall` init/step).
-    fn lower_single_basic(&mut self, s: &Stmt, pos: Pos, what: &str) -> Result<Basic, LowerError> {
+    fn lower_single_basic(
+        &mut self,
+        s: &'a Stmt,
+        pos: Pos,
+        what: &str,
+    ) -> Result<Basic, LowerError> {
         self.fb.begin_seq();
         let r = self.stmt(s);
         let seq = self.fb.end_seq();
@@ -800,11 +905,9 @@ impl<'a> FnLower<'a> {
     fn expr_discard(&mut self, e: &Expr) -> Result<(), LowerError> {
         // Calls evaluated for effect.
         if let Expr::Call { name, .. } = e {
-            if let Some((fid, _, ret)) = self.ctx.sigs.get(name) {
-                let (fid, ret) = (*fid, *ret);
+            if let Some(&(fid, ..)) = self.ctx.sigs.get(name.as_str()) {
                 let args = self.call_args(e)?;
                 let at = self.at_clause(e)?;
-                let _ = ret;
                 self.fb.basic(Basic::Call {
                     dst: None,
                     func: fid,
@@ -825,8 +928,8 @@ impl<'a> FnLower<'a> {
         else {
             unreachable!()
         };
-        let (_, ptys, _) = &self.ctx.sigs[name];
-        let ptys = ptys.clone();
+        let ctx = self.ctx;
+        let (_, ptys, _) = &ctx.sigs[name.as_str()];
         if args.len() != ptys.len() {
             return err(
                 *pos,
@@ -840,7 +943,7 @@ impl<'a> FnLower<'a> {
         let mut out = Vec::with_capacity(args.len());
         for (a, pty) in args.iter().zip(ptys) {
             let (op, ety) = self.expr(a)?;
-            self.check_assignable(ETy::T(pty), ety, a.pos())?;
+            self.check_assignable(ETy::T(*pty), ety, a.pos())?;
             out.push(op);
         }
         Ok(out)
@@ -882,9 +985,9 @@ impl<'a> FnLower<'a> {
             }
             _ => {
                 // Everything else materializes into a temp.
-                let (ty, emit) = self.plan_value(e)?;
+                let (ty, plan) = self.plan_value(e)?;
                 let t = self.fb.temp(ty);
-                emit(self, t)?;
+                self.emit(plan, t)?;
                 Ok((Operand::Var(t), ETy::T(ty)))
             }
         }
@@ -902,29 +1005,19 @@ impl<'a> FnLower<'a> {
                 Ok(())
             }
             _ => {
-                let (ty, emit) = self.plan_value(e)?;
+                let (ty, plan) = self.plan_value(e)?;
                 self.check_assignable(ETy::T(dty), ETy::T(ty), e.pos())?;
-                emit(self, dst)
+                self.emit(plan, dst)
             }
         }
     }
 
-    /// Plans the lowering of a non-trivial expression: returns its result
-    /// type and a closure that emits the final operation into a given
-    /// destination variable. Sub-expressions are lowered eagerly (emitting
-    /// temps) when the plan is created... except they cannot be, because the
-    /// borrow would overlap — so the closure performs all emission.
-    #[allow(clippy::type_complexity)]
-    fn plan_value(
-        &mut self,
-        e: &Expr,
-    ) -> Result<
-        (
-            Ty,
-            Box<dyn FnOnce(&mut Self, VarId) -> Result<(), LowerError> + 'a>,
-        ),
-        LowerError,
-    > {
+    /// Plans the lowering of a non-trivial expression: type-checks it and
+    /// returns its result type with the [`ValuePlan`] that
+    /// [`emit`](Self::emit) turns into the final operation on a given
+    /// destination. Nothing is emitted here, so the caller can allocate
+    /// the destination in between.
+    fn plan_value<'e>(&mut self, e: &'e Expr) -> Result<(Ty, ValuePlan<'e>), LowerError> {
         match e {
             Expr::FieldPath {
                 base,
@@ -945,125 +1038,70 @@ impl<'a> FnLower<'a> {
                     }
                     _ => return err(*pos, format!("`{base}` has no fields")),
                 };
-                let fid = self.field(sid, path, *pos)?;
-                let fty = self.field_ty(sid, fid);
-                Ok((
-                    fty,
-                    Box::new(move |lw, dst| {
-                        if is_deref {
-                            lw.fb.load_deref(dst, b, fid);
-                        } else {
-                            lw.fb.load_field(dst, b, fid);
-                        }
-                        Ok(())
-                    }),
-                ))
+                let field = self.field(sid, path, *pos)?;
+                let plan = ValuePlan::Load {
+                    base: b,
+                    field,
+                    is_deref,
+                };
+                Ok((self.field_ty(sid, field), plan))
             }
             Expr::Unary { op, arg, pos: _ } => {
-                let op = *op;
-                let arg = (**arg).clone();
-                // Type: Neg preserves numeric type; Not yields int.
-                // We must lower the argument inside the closure (after dst
-                // is allocated) to keep statement order natural.
-                let aty = self.peek_ty(&arg)?;
-                let rty = match op {
+                // Type: Neg preserves numeric type; Not yields int. The
+                // argument is lowered during emission (after dst is
+                // allocated) to keep statement order natural.
+                let aty = self.peek_ty(arg)?;
+                let (rty, irop) = match op {
                     AstUnOp::Neg => match aty {
-                        ETy::T(Ty::Int) => Ty::Int,
-                        ETy::T(Ty::Double) => Ty::Double,
+                        ETy::T(Ty::Int) => (Ty::Int, UnOp::Neg),
+                        ETy::T(Ty::Double) => (Ty::Double, UnOp::Neg),
                         _ => return err(arg.pos(), "`-` requires a numeric operand"),
                     },
-                    AstUnOp::Not => Ty::Int,
+                    AstUnOp::Not => (Ty::Int, UnOp::Not),
                 };
-                Ok((
-                    rty,
-                    Box::new(move |lw, dst| {
-                        let (a, _) = lw.expr(&arg)?;
-                        let irop = match op {
-                            AstUnOp::Neg => UnOp::Neg,
-                            AstUnOp::Not => UnOp::Not,
-                        };
-                        lw.fb.unop(dst, irop, a);
-                        Ok(())
-                    }),
-                ))
+                Ok((rty, ValuePlan::Unary(irop, arg)))
             }
             Expr::Binary { op, lhs, rhs, pos } => {
-                let op = *op;
-                let pos = *pos;
-                match op {
-                    AstBinOp::And | AstBinOp::Or => {
-                        let lhs = (**lhs).clone();
-                        let rhs = (**rhs).clone();
-                        Ok((
-                            Ty::Int,
-                            Box::new(move |lw, dst| lw.lower_logical(op, &lhs, &rhs, dst)),
-                        ))
-                    }
-                    _ => {
-                        let lty = self.peek_ty(lhs)?;
-                        let rty = self.peek_ty(rhs)?;
-                        let ir_op = ast_binop_to_ir(op);
-                        let res_ty = if ir_op.is_comparison() {
-                            self.check_comparable(lty, rty, pos)?;
-                            Ty::Int
-                        } else {
-                            match (lty, rty) {
-                                (ETy::T(Ty::Int), ETy::T(Ty::Int)) => Ty::Int,
-                                (ETy::T(Ty::Double), ETy::T(Ty::Int))
-                                | (ETy::T(Ty::Int), ETy::T(Ty::Double))
-                                | (ETy::T(Ty::Double), ETy::T(Ty::Double)) => Ty::Double,
-                                _ => {
-                                    return err(
-                                        pos,
-                                        format!(
-                                            "arithmetic requires numeric operands, got {} and {}",
-                                            lty.display(self.prog),
-                                            rty.display(self.prog)
-                                        ),
-                                    )
-                                }
-                            }
-                        };
-                        let lhs = (**lhs).clone();
-                        let rhs = (**rhs).clone();
-                        Ok((
-                            res_ty,
-                            Box::new(move |lw, dst| {
-                                let (a, _) = lw.expr(&lhs)?;
-                                let (b, _) = lw.expr(&rhs)?;
-                                lw.fb.binop(dst, ir_op, a, b);
-                                Ok(())
-                            }),
-                        ))
-                    }
+                let (op, pos) = (*op, *pos);
+                if matches!(op, AstBinOp::And | AstBinOp::Or) {
+                    return Ok((Ty::Int, ValuePlan::Logical(op, lhs, rhs)));
                 }
+                let lty = self.peek_ty(lhs)?;
+                let rty = self.peek_ty(rhs)?;
+                let ir_op = ast_binop_to_ir(op);
+                let res_ty = if ir_op.is_comparison() {
+                    self.check_comparable(lty, rty, pos)?;
+                    Ty::Int
+                } else {
+                    match (lty, rty) {
+                        (ETy::T(Ty::Int), ETy::T(Ty::Int)) => Ty::Int,
+                        (ETy::T(Ty::Double), ETy::T(Ty::Int))
+                        | (ETy::T(Ty::Int), ETy::T(Ty::Double))
+                        | (ETy::T(Ty::Double), ETy::T(Ty::Double)) => Ty::Double,
+                        _ => {
+                            return err(
+                                pos,
+                                format!(
+                                    "arithmetic requires numeric operands, got {} and {}",
+                                    lty.display(self.prog),
+                                    rty.display(self.prog)
+                                ),
+                            )
+                        }
+                    }
+                };
+                Ok((res_ty, ValuePlan::Binary(ir_op, lhs, rhs)))
             }
             Expr::Call {
                 name, pos, args, ..
             } => {
                 // Special call forms first.
                 match name.as_str() {
-                    "valueof" => {
-                        let args = args.clone();
-                        let pos = *pos;
-                        return Ok((
-                            Ty::Int,
-                            Box::new(move |lw, dst| {
-                                let v = lw.shared_ref_arg(&args, 0, pos)?;
-                                if args.len() != 1 {
-                                    return err(pos, "`valueof` expects 1 argument");
-                                }
-                                lw.fb.value_of(dst, v);
-                                Ok(())
-                            }),
-                        ));
-                    }
+                    "valueof" => return Ok((Ty::Int, ValuePlan::ValueOf(args, *pos))),
                     "malloc" | "malloc_on" => {
                         let (sname, on) = match (name.as_str(), args.as_slice()) {
-                            ("malloc", [Expr::Sizeof(s, _)]) => (s.clone(), None),
-                            ("malloc_on", [node, Expr::Sizeof(s, _)]) => {
-                                (s.clone(), Some(node.clone()))
-                            }
+                            ("malloc", [Expr::Sizeof(s, _)]) => (s, None),
+                            ("malloc_on", [node, Expr::Sizeof(s, _)]) => (s, Some(node)),
                             _ => {
                                 return err(
                                     *pos,
@@ -1071,25 +1109,16 @@ impl<'a> FnLower<'a> {
                                 )
                             }
                         };
-                        let sid = *self.ctx.struct_ids.get(&sname).ok_or_else(|| LowerError {
-                            pos: *pos,
-                            message: format!("unknown struct `{sname}` in sizeof"),
-                        })?;
-                        return Ok((
-                            Ty::Ptr(sid),
-                            Box::new(move |lw, dst| {
-                                let on_op = match &on {
-                                    Some(n) => {
-                                        let (op, ety) = lw.expr(n)?;
-                                        lw.check_assignable(ETy::T(Ty::Int), ety, n.pos())?;
-                                        Some(op)
-                                    }
-                                    None => None,
-                                };
-                                lw.fb.malloc(dst, sid, on_op);
-                                Ok(())
-                            }),
-                        ));
+                        let sid =
+                            *self
+                                .ctx
+                                .struct_ids
+                                .get(sname.as_str())
+                                .ok_or_else(|| LowerError {
+                                    pos: *pos,
+                                    message: format!("unknown struct `{sname}` in sizeof"),
+                                })?;
+                        return Ok((Ty::Ptr(sid), ValuePlan::Malloc(sid, on)));
                     }
                     "writeto" | "addto" => {
                         return err(*pos, format!("`{name}` is a statement, not an expression"))
@@ -1097,59 +1126,20 @@ impl<'a> FnLower<'a> {
                     _ => {}
                 }
                 if let Some(b) = Builtin::by_name(name) {
-                    let args = args.clone();
-                    let pos = *pos;
                     let rty = match b {
                         Builtin::Sqrt | Builtin::Fabs | Builtin::PrintDouble => Ty::Double,
                         _ => Ty::Int,
                     };
-                    return Ok((
-                        rty,
-                        Box::new(move |lw, dst| {
-                            if args.len() != b.arity() {
-                                return err(
-                                    pos,
-                                    format!(
-                                        "`{}` expects {} arguments, got {}",
-                                        b.name(),
-                                        b.arity(),
-                                        args.len()
-                                    ),
-                                );
-                            }
-                            let mut ops = Vec::new();
-                            for a in &args {
-                                let (op, _) = lw.expr(a)?;
-                                ops.push(op);
-                            }
-                            lw.fb.builtin(dst, b, ops);
-                            Ok(())
-                        }),
-                    ));
+                    return Ok((rty, ValuePlan::Builtin(b, args, *pos)));
                 }
                 // User function.
-                let Some((fid, _, ret)) = self.ctx.sigs.get(name) else {
+                let Some(&(fid, _, ret)) = self.ctx.sigs.get(name.as_str()) else {
                     return err(*pos, format!("unknown function `{name}`"));
                 };
-                let (fid, ret) = (*fid, *ret);
                 let Some(ret) = ret else {
                     return err(*pos, format!("void function `{name}` used as a value"));
                 };
-                let e = e.clone();
-                Ok((
-                    ret,
-                    Box::new(move |lw, dst| {
-                        let args = lw.call_args(&e)?;
-                        let at = lw.at_clause(&e)?;
-                        lw.fb.basic(Basic::Call {
-                            dst: Some(dst),
-                            func: fid,
-                            args,
-                            at,
-                        });
-                        Ok(())
-                    }),
-                ))
+                Ok((ret, ValuePlan::Call(fid, e)))
             }
             Expr::AddrOf(_, pos) => {
                 err(*pos, "`&` is only valid in writeto/addto/valueof arguments")
@@ -1158,21 +1148,88 @@ impl<'a> FnLower<'a> {
             Expr::Int(..) | Expr::Double(..) | Expr::Null(..) | Expr::Var(..) => {
                 // Trivial values: plan as a copy.
                 let (op, ety) = self.expr(e)?;
-                let ty = match ety {
-                    ETy::T(t) => t,
-                    ETy::Null => {
-                        return err(e.pos(), "NULL needs a pointer-typed context");
-                    }
-                };
-                Ok((
-                    ty,
-                    Box::new(move |lw, dst| {
-                        lw.fb.assign(dst, op);
-                        Ok(())
-                    }),
-                ))
+                match ety {
+                    ETy::T(ty) => Ok((ty, ValuePlan::Copy(op))),
+                    ETy::Null => err(e.pos(), "NULL needs a pointer-typed context"),
+                }
             }
         }
+    }
+
+    /// Emits the operation `plan` describes, leaving its value in `dst`.
+    fn emit(&mut self, plan: ValuePlan<'_>, dst: VarId) -> Result<(), LowerError> {
+        match plan {
+            ValuePlan::Load {
+                base,
+                field,
+                is_deref,
+            } => {
+                if is_deref {
+                    self.fb.load_deref(dst, base, field);
+                } else {
+                    self.fb.load_field(dst, base, field);
+                }
+            }
+            ValuePlan::Unary(op, arg) => {
+                let (a, _) = self.expr(arg)?;
+                self.fb.unop(dst, op, a);
+            }
+            ValuePlan::Logical(op, lhs, rhs) => self.lower_logical(op, lhs, rhs, dst)?,
+            ValuePlan::Binary(op, lhs, rhs) => {
+                let (a, _) = self.expr(lhs)?;
+                let (b, _) = self.expr(rhs)?;
+                self.fb.binop(dst, op, a, b);
+            }
+            ValuePlan::ValueOf(args, pos) => {
+                let v = self.shared_ref_arg(args, 0, pos)?;
+                if args.len() != 1 {
+                    return err(pos, "`valueof` expects 1 argument");
+                }
+                self.fb.value_of(dst, v);
+            }
+            ValuePlan::Malloc(sid, on) => {
+                let on_op = match on {
+                    Some(n) => {
+                        let (op, ety) = self.expr(n)?;
+                        self.check_assignable(ETy::T(Ty::Int), ety, n.pos())?;
+                        Some(op)
+                    }
+                    None => None,
+                };
+                self.fb.malloc(dst, sid, on_op);
+            }
+            ValuePlan::Builtin(b, args, pos) => {
+                if args.len() != b.arity() {
+                    return err(
+                        pos,
+                        format!(
+                            "`{}` expects {} arguments, got {}",
+                            b.name(),
+                            b.arity(),
+                            args.len()
+                        ),
+                    );
+                }
+                let mut ops = Vec::with_capacity(args.len());
+                for a in args {
+                    let (op, _) = self.expr(a)?;
+                    ops.push(op);
+                }
+                self.fb.builtin(dst, b, ops);
+            }
+            ValuePlan::Call(func, call) => {
+                let args = self.call_args(call)?;
+                let at = self.at_clause(call)?;
+                self.fb.basic(Basic::Call {
+                    dst: Some(dst),
+                    func,
+                    args,
+                    at,
+                });
+            }
+            ValuePlan::Copy(op) => self.fb.assign(dst, op),
+        }
+        Ok(())
     }
 
     /// Infers the type of `e` without emitting code.
@@ -1225,10 +1282,10 @@ impl<'a> FnLower<'a> {
                     // planning, so a best-effort answer suffices here.
                     if let Expr::Call { args, .. } = e {
                         let s = args.iter().find_map(|a| match a {
-                            Expr::Sizeof(s, _) => Some(s.clone()),
+                            Expr::Sizeof(s, _) => Some(s.as_str()),
                             _ => None,
                         });
-                        match s.and_then(|s| self.ctx.struct_ids.get(&s).copied()) {
+                        match s.and_then(|s| self.ctx.struct_ids.get(s).copied()) {
                             Some(sid) => ETy::T(Ty::Ptr(sid)),
                             None => return err(*pos, "malloc needs sizeof(Struct)"),
                         }
@@ -1244,7 +1301,7 @@ impl<'a> FnLower<'a> {
                             }
                             _ => ETy::T(Ty::Int),
                         }
-                    } else if let Some((_, _, ret)) = self.ctx.sigs.get(name) {
+                    } else if let Some((_, _, ret)) = self.ctx.sigs.get(name.as_str()) {
                         match ret {
                             Some(t) => ETy::T(*t),
                             None => return err(*pos, format!("void function `{name}` as value")),

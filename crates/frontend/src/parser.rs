@@ -4,6 +4,26 @@ use crate::ast::*;
 use crate::token::{lex, LexError, Pos, Tok, Token};
 use std::fmt;
 
+/// What a [`ParseError`] reports, each with its diagnostic code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// `FE001`: a lexical or syntactic error.
+    Syntax,
+    /// `FE003`: statements or expressions nested deeper than
+    /// [`MAX_NESTING`].
+    TooDeep,
+}
+
+impl ParseErrorKind {
+    /// The diagnostic code of this kind of error.
+    pub fn code(self) -> &'static str {
+        match self {
+            ParseErrorKind::Syntax => "FE001",
+            ParseErrorKind::TooDeep => "FE003",
+        }
+    }
+}
+
 /// A parse error with position information.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -11,11 +31,17 @@ pub struct ParseError {
     pub pos: Pos,
     /// Description of the problem.
     pub message: String,
+    /// Which diagnostic this is.
+    pub kind: ParseErrorKind,
 }
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}: {}", self.pos, self.message)
+        write!(f, "parse error at {}: ", self.pos)?;
+        if self.kind == ParseErrorKind::TooDeep {
+            write!(f, "{} ", self.kind.code())?;
+        }
+        f.write_str(&self.message)
     }
 }
 
@@ -26,48 +52,69 @@ impl From<LexError> for ParseError {
         ParseError {
             pos: e.pos,
             message: e.message,
+            kind: ParseErrorKind::Syntax,
         }
     }
 }
+
+/// The deepest an AST may nest: statements inside statements, operands
+/// inside expressions, and the left-leaning spine of an operator chain
+/// (`1 + 1 + 1 + ...`) all count. The parser, the lowering, the analyses,
+/// the validator and the printer walk their trees recursively, and IR
+/// nesting is AST nesting plus a constant, so this one bound keeps every
+/// one of those walks inside its stack whatever the source text.
+pub const MAX_NESTING: u32 = 128;
 
 /// Parses a full translation unit.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error.
+/// Returns the first lexical or syntactic error, or a
+/// [`TooDeep`](ParseErrorKind::TooDeep) error for a program nested beyond
+/// [`MAX_NESTING`].
 pub fn parse_unit(src: &str) -> Result<Unit, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, i: 0 };
+    let mut p = Parser {
+        tokens,
+        i: 0,
+        depth: 0,
+    };
     p.unit()
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     i: usize,
+    /// How many [`nest`](Parser::nest) scopes enclose the current token:
+    /// an upper bound on the AST depth of the node being parsed.
+    depth: u32,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.i].tok
+/// An expression with the height of its tree (a leaf has height 1).
+type Tall = (Expr, u32);
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok<'a> {
+        self.tokens[self.i].tok
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.i + 1).min(self.tokens.len() - 1)].tok
+    fn peek2(&self) -> Tok<'a> {
+        self.tokens[(self.i + 1).min(self.tokens.len() - 1)].tok
     }
 
     fn pos(&self) -> Pos {
         self.tokens[self.i].pos
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.i].tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.tokens[self.i].tok;
         if self.i + 1 < self.tokens.len() {
             self.i += 1;
         }
         t
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -77,7 +124,7 @@ impl Parser {
     }
 
     fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
-        if self.peek() == &t {
+        if self.peek() == t {
             self.bump();
             Ok(())
         } else {
@@ -89,14 +136,48 @@ impl Parser {
         ParseError {
             pos: self.pos(),
             message,
+            kind: ParseErrorKind::Syntax,
         }
     }
 
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            pos: self.pos(),
+            message: format!("nesting too deep (more than {MAX_NESTING} levels)"),
+            kind: ParseErrorKind::TooDeep,
+        }
+    }
+
+    /// Runs `f` one nesting level further in.
+    fn nest<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Checks that a subtree of height `height`, hanging from the current
+    /// nesting level, stays within [`MAX_NESTING`]. This is what bounds
+    /// operator chains, which grow a tree without any recursion here.
+    fn check_height(&self, height: u32) -> Result<u32, ParseError> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(height)
+    }
+
+    /// The one place a name moves from the source text into the AST.
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_string())
             }
             other => Err(self.err(format!("expected identifier, found {other}"))),
         }
@@ -106,14 +187,14 @@ impl Parser {
 
     fn unit(&mut self) -> Result<Unit, ParseError> {
         let mut items = Vec::new();
-        while self.peek() != &Tok::Eof {
-            if self.peek() == &Tok::KwStruct && matches!(self.peek2(), Tok::Ident(_)) {
+        while self.peek() != Tok::Eof {
+            if self.peek() == Tok::KwStruct && matches!(self.peek2(), Tok::Ident(_)) {
                 // Could be a struct definition or a function returning a
                 // struct pointer; look ahead for `{` after the name.
                 let save = self.i;
                 self.bump(); // struct
                 let _name = self.ident()?;
-                let is_def = self.peek() == &Tok::LBrace;
+                let is_def = self.peek() == Tok::LBrace;
                 self.i = save;
                 if is_def {
                     items.push(Item::Struct(self.struct_decl()?));
@@ -131,7 +212,7 @@ impl Parser {
         let name = self.ident()?;
         self.expect(Tok::LBrace)?;
         let mut fields = Vec::new();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             let ty = self.type_expr()?;
             let fname = self.ident()?;
             self.expect(Tok::Semi)?;
@@ -145,7 +226,7 @@ impl Parser {
     /// Parses a type: `int`, `double`, `void`, `Name`, `Name*`,
     /// `struct Name`, `struct Name*`.
     fn type_expr(&mut self) -> Result<TypeExpr, ParseError> {
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             Tok::KwInt => {
                 self.bump();
                 TypeExpr::Int
@@ -165,11 +246,11 @@ impl Parser {
             }
             Tok::Ident(n) => {
                 self.bump();
-                TypeExpr::Struct(n)
+                TypeExpr::Struct(n.to_string())
             }
             other => return Err(self.err(format!("expected a type, found {other}"))),
         };
-        if self.eat(&Tok::Star) {
+        if self.eat(Tok::Star) {
             match base {
                 TypeExpr::Struct(n) => Ok(TypeExpr::Ptr(n)),
                 _ => Err(self.err("only struct types may be pointed to".into())),
@@ -185,17 +266,17 @@ impl Parser {
         let name = self.ident()?;
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if self.peek() != &Tok::RParen {
+        if self.peek() != Tok::RParen {
             loop {
                 params.push(self.param()?);
-                if !self.eat(&Tok::Comma) {
+                if !self.eat(Tok::Comma) {
                     break;
                 }
             }
         }
         self.expect(Tok::RParen)?;
         self.expect(Tok::LBrace)?;
-        let body = self.stmt_list(&Tok::RBrace)?;
+        let body = self.stmt_list(Tok::RBrace)?;
         self.expect(Tok::RBrace)?;
         Ok(FuncDecl {
             ret,
@@ -211,7 +292,7 @@ impl Parser {
     fn param(&mut self) -> Result<Param, ParseError> {
         let pos = self.pos();
         let mut quals = Quals::default();
-        while self.peek() == &Tok::KwLocal || self.peek() == &Tok::KwShared {
+        while self.peek() == Tok::KwLocal || self.peek() == Tok::KwShared {
             match self.bump() {
                 Tok::KwLocal => quals.local = true,
                 Tok::KwShared => quals.shared = true,
@@ -219,7 +300,7 @@ impl Parser {
             }
         }
         // Base type name (possibly followed by `local` then `*`).
-        let base = match self.peek().clone() {
+        let base = match self.peek() {
             Tok::KwInt => {
                 self.bump();
                 TypeExpr::Int
@@ -235,14 +316,14 @@ impl Parser {
             }
             Tok::Ident(n) => {
                 self.bump();
-                TypeExpr::Struct(n)
+                TypeExpr::Struct(n.to_string())
             }
             other => return Err(self.err(format!("expected parameter type, found {other}"))),
         };
-        if self.eat(&Tok::KwLocal) {
+        if self.eat(Tok::KwLocal) {
             quals.local = true;
         }
-        let ty = if self.eat(&Tok::Star) {
+        let ty = if self.eat(Tok::Star) {
             match base {
                 TypeExpr::Struct(n) => TypeExpr::Ptr(n),
                 _ => return Err(self.err("only struct types may be pointed to".into())),
@@ -261,17 +342,17 @@ impl Parser {
 
     // ---- statements ---------------------------------------------------
 
-    fn stmt_list(&mut self, terminator: &Tok) -> Result<Vec<Stmt>, ParseError> {
+    fn stmt_list(&mut self, terminator: Tok) -> Result<Vec<Stmt>, ParseError> {
         let mut out = Vec::new();
-        while self.peek() != terminator && self.peek() != &Tok::Eof {
+        while self.peek() != terminator && self.peek() != Tok::Eof {
             out.push(self.stmt()?);
         }
         Ok(out)
     }
 
     fn block_or_single(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        if self.eat(&Tok::LBrace) {
-            let ss = self.stmt_list(&Tok::RBrace)?;
+        if self.eat(Tok::LBrace) {
+            let ss = self.stmt_list(Tok::RBrace)?;
             self.expect(Tok::RBrace)?;
             Ok(ss)
         } else {
@@ -294,180 +375,34 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        let pos = self.pos();
-        match self.peek().clone() {
+        self.nest(Self::stmt_unnested)
+    }
+
+    fn stmt_unnested(&mut self) -> Result<Stmt, ParseError> {
+        // One small function per statement form: this one is on the stack
+        // once per nesting level, so it keeps no form's locals itself.
+        match self.peek() {
             Tok::LBrace => {
                 self.bump();
-                let ss = self.stmt_list(&Tok::RBrace)?;
+                let ss = self.stmt_list(Tok::RBrace)?;
                 self.expect(Tok::RBrace)?;
                 Ok(Stmt::Block(ss))
             }
             Tok::ParOpen => {
+                let pos = self.pos();
                 self.bump();
-                let ss = self.stmt_list(&Tok::ParClose)?;
+                let ss = self.stmt_list(Tok::ParClose)?;
                 self.expect(Tok::ParClose)?;
                 Ok(Stmt::ParSeq(ss, pos))
             }
-            Tok::KwIf => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let then_s = self.block_or_single()?;
-                let else_s = if self.eat(&Tok::KwElse) {
-                    self.block_or_single()?
-                } else {
-                    Vec::new()
-                };
-                Ok(Stmt::If {
-                    cond,
-                    then_s,
-                    else_s,
-                    pos,
-                })
-            }
-            Tok::KwWhile => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::While { cond, body, pos })
-            }
-            Tok::KwDo => {
-                self.bump();
-                let body = self.block_or_single()?;
-                self.expect(Tok::KwWhile)?;
-                self.expect(Tok::LParen)?;
-                let cond = self.expr()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::DoWhile { body, cond, pos })
-            }
-            Tok::KwFor => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let init = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(Tok::Semi)?;
-                let cond = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(Tok::Semi)?;
-                let step = if self.peek() == &Tok::RParen {
-                    None
-                } else {
-                    Some(Box::new(self.simple_stmt_no_semi()?))
-                };
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::For {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    pos,
-                })
-            }
-            Tok::KwForall => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let init = Box::new(self.simple_stmt_no_semi()?);
-                self.expect(Tok::Semi)?;
-                let cond = self.expr()?;
-                self.expect(Tok::Semi)?;
-                let step = Box::new(self.simple_stmt_no_semi()?);
-                self.expect(Tok::RParen)?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::Forall {
-                    init,
-                    cond,
-                    step,
-                    body,
-                    pos,
-                })
-            }
-            Tok::KwSwitch => {
-                self.bump();
-                self.expect(Tok::LParen)?;
-                let scrut = self.expr()?;
-                self.expect(Tok::RParen)?;
-                self.expect(Tok::LBrace)?;
-                let mut cases = Vec::new();
-                let mut default = Vec::new();
-                while self.peek() != &Tok::RBrace {
-                    if self.eat(&Tok::KwCase) {
-                        let v = match self.bump() {
-                            Tok::Int(v) => v,
-                            Tok::Minus => match self.bump() {
-                                Tok::Int(v) => -v,
-                                other => {
-                                    return Err(
-                                        self.err(format!("expected case value, found {other}"))
-                                    )
-                                }
-                            },
-                            other => {
-                                return Err(self.err(format!("expected case value, found {other}")))
-                            }
-                        };
-                        self.expect(Tok::Colon)?;
-                        let mut body = Vec::new();
-                        while !matches!(
-                            self.peek(),
-                            Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
-                        ) {
-                            body.push(self.stmt()?);
-                        }
-                        if self.eat(&Tok::KwBreak) {
-                            self.expect(Tok::Semi)?;
-                        }
-                        cases.push((v, body));
-                    } else if self.eat(&Tok::KwDefault) {
-                        self.expect(Tok::Colon)?;
-                        while !matches!(
-                            self.peek(),
-                            Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
-                        ) {
-                            default.push(self.stmt()?);
-                        }
-                        if self.eat(&Tok::KwBreak) {
-                            self.expect(Tok::Semi)?;
-                        }
-                    } else {
-                        return Err(self.err(format!(
-                            "expected `case`, `default` or `}}`, found {}",
-                            self.peek()
-                        )));
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-                Ok(Stmt::Switch {
-                    scrut,
-                    cases,
-                    default,
-                    pos,
-                })
-            }
-            Tok::KwReturn => {
-                self.bump();
-                let e = if self.peek() == &Tok::Semi {
-                    None
-                } else {
-                    Some(self.expr()?)
-                };
-                self.expect(Tok::Semi)?;
-                Ok(Stmt::Return(e, pos))
-            }
-            _ if self.at_decl() => {
-                let s = self.decl_stmt()?;
-                Ok(s)
-            }
+            Tok::KwIf => self.if_stmt(),
+            Tok::KwWhile => self.while_stmt(),
+            Tok::KwDo => self.do_stmt(),
+            Tok::KwFor => self.for_stmt(),
+            Tok::KwForall => self.forall_stmt(),
+            Tok::KwSwitch => self.switch_stmt(),
+            Tok::KwReturn => self.return_stmt(),
+            _ if self.at_decl() => self.decl_stmt(),
             _ => {
                 let s = self.simple_stmt_no_semi()?;
                 self.expect(Tok::Semi)?;
@@ -476,13 +411,179 @@ impl Parser {
         }
     }
 
+    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let cond = self.expr()?;
+        self.expect(Tok::RParen)?;
+        let then_s = self.block_or_single()?;
+        let else_s = if self.eat(Tok::KwElse) {
+            self.block_or_single()?
+        } else {
+            Vec::new()
+        };
+        Ok(Stmt::If {
+            cond,
+            then_s,
+            else_s,
+            pos,
+        })
+    }
+
+    fn while_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let cond = self.expr()?;
+        self.expect(Tok::RParen)?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::While { cond, body, pos })
+    }
+
+    fn do_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        let body = self.block_or_single()?;
+        self.expect(Tok::KwWhile)?;
+        self.expect(Tok::LParen)?;
+        let cond = self.expr()?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::DoWhile { body, cond, pos })
+    }
+
+    fn for_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let init = if self.peek() == Tok::Semi {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(Tok::Semi)?;
+        let cond = if self.peek() == Tok::Semi {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(Tok::Semi)?;
+        let step = if self.peek() == Tok::RParen {
+            None
+        } else {
+            Some(Box::new(self.simple_stmt_no_semi()?))
+        };
+        self.expect(Tok::RParen)?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::For {
+            init,
+            cond,
+            step,
+            body,
+            pos,
+        })
+    }
+
+    fn forall_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let init = Box::new(self.simple_stmt_no_semi()?);
+        self.expect(Tok::Semi)?;
+        let cond = self.expr()?;
+        self.expect(Tok::Semi)?;
+        let step = Box::new(self.simple_stmt_no_semi()?);
+        self.expect(Tok::RParen)?;
+        let body = self.block_or_single()?;
+        Ok(Stmt::Forall {
+            init,
+            cond,
+            step,
+            body,
+            pos,
+        })
+    }
+
+    fn switch_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let scrut = self.expr()?;
+        self.expect(Tok::RParen)?;
+        self.expect(Tok::LBrace)?;
+        let mut cases = Vec::new();
+        let mut default = Vec::new();
+        while self.peek() != Tok::RBrace {
+            if self.eat(Tok::KwCase) {
+                let v = match self.bump() {
+                    Tok::Int(v) => v,
+                    Tok::Minus => match self.bump() {
+                        Tok::Int(v) => -v,
+                        other => {
+                            return Err(self.err(format!("expected case value, found {other}")))
+                        }
+                    },
+                    other => return Err(self.err(format!("expected case value, found {other}"))),
+                };
+                self.expect(Tok::Colon)?;
+                let mut body = Vec::new();
+                while !matches!(
+                    self.peek(),
+                    Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
+                ) {
+                    body.push(self.stmt()?);
+                }
+                if self.eat(Tok::KwBreak) {
+                    self.expect(Tok::Semi)?;
+                }
+                cases.push((v, body));
+            } else if self.eat(Tok::KwDefault) {
+                self.expect(Tok::Colon)?;
+                while !matches!(
+                    self.peek(),
+                    Tok::KwCase | Tok::KwDefault | Tok::RBrace | Tok::KwBreak
+                ) {
+                    default.push(self.stmt()?);
+                }
+                if self.eat(Tok::KwBreak) {
+                    self.expect(Tok::Semi)?;
+                }
+            } else {
+                return Err(self.err(format!(
+                    "expected `case`, `default` or `}}`, found {}",
+                    self.peek()
+                )));
+            }
+        }
+        self.expect(Tok::RBrace)?;
+        Ok(Stmt::Switch {
+            scrut,
+            cases,
+            default,
+            pos,
+        })
+    }
+
+    fn return_stmt(&mut self) -> Result<Stmt, ParseError> {
+        let pos = self.pos();
+        self.bump();
+        let e = if self.peek() == Tok::Semi {
+            None
+        } else {
+            Some(self.expr()?)
+        };
+        self.expect(Tok::Semi)?;
+        Ok(Stmt::Return(e, pos))
+    }
+
     fn decl_stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
         let mut quals = Quals::default();
         loop {
-            if self.eat(&Tok::KwShared) {
+            if self.eat(Tok::KwShared) {
                 quals.shared = true;
-            } else if self.eat(&Tok::KwLocal) {
+            } else if self.eat(Tok::KwLocal) {
                 quals.local = true;
             } else {
                 break;
@@ -490,9 +591,9 @@ impl Parser {
         }
         let base = self.type_expr()?;
         // Accept `Point local *p` ordering too.
-        let ty = if self.eat(&Tok::KwLocal) {
+        let ty = if self.eat(Tok::KwLocal) {
             quals.local = true;
-            if self.eat(&Tok::Star) {
+            if self.eat(Tok::Star) {
                 match base {
                     TypeExpr::Struct(n) => TypeExpr::Ptr(n),
                     _ => return Err(self.err("only struct types may be pointed to".into())),
@@ -504,7 +605,7 @@ impl Parser {
             base
         };
         let name = self.ident()?;
-        let init = if self.eat(&Tok::Assign) {
+        let init = if self.eat(Tok::Assign) {
             Some(self.expr()?)
         } else {
             None
@@ -524,17 +625,14 @@ impl Parser {
     fn simple_stmt_no_semi(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
         // Lookahead: IDENT ( ... is a call; otherwise an lvalue assignment.
-        if let Tok::Ident(name) = self.peek().clone() {
-            if self.peek2() == &Tok::LParen {
-                let e = self.expr()?;
-                // Could still be `f(x) == y`-style inside an expression
-                // statement; we only allow pure call statements here.
-                if let Expr::Call { .. } = e {
-                    return Ok(Stmt::ExprStmt(e));
-                }
-                return Err(self.err("expected a statement".into()));
+        if matches!(self.peek(), Tok::Ident(_)) && self.peek2() == Tok::LParen {
+            let e = self.expr()?;
+            // Could still be `f(x) == y`-style inside an expression
+            // statement; we only allow pure call statements here.
+            if let Expr::Call { .. } = e {
+                return Ok(Stmt::ExprStmt(e));
             }
-            let _ = name;
+            return Err(self.err("expected a statement".into()));
         }
         let lv = self.lvalue()?;
         self.expect(Tok::Assign)?;
@@ -545,16 +643,13 @@ impl Parser {
     fn lvalue(&mut self) -> Result<LValue, ParseError> {
         let pos = self.pos();
         // `(*p).f` form.
-        if self.peek() == &Tok::LParen && self.peek2() == &Tok::Star {
+        if self.peek() == Tok::LParen && self.peek2() == Tok::Star {
             self.bump(); // (
             self.bump(); // *
             let base = self.ident()?;
             self.expect(Tok::RParen)?;
             self.expect(Tok::Dot)?;
-            let mut path = vec![self.ident()?];
-            while self.eat(&Tok::Dot) {
-                path.push(self.ident()?);
-            }
+            let path = self.field_path()?;
             return Ok(LValue::FieldPath {
                 base,
                 arrow: true,
@@ -564,29 +659,12 @@ impl Parser {
         }
         let base = self.ident()?;
         match self.peek() {
-            Tok::Arrow => {
-                self.bump();
-                let mut path = vec![self.ident()?];
-                while self.eat(&Tok::Dot) {
-                    path.push(self.ident()?);
-                }
+            Tok::Arrow | Tok::Dot => {
+                let arrow = self.bump() == Tok::Arrow;
                 Ok(LValue::FieldPath {
                     base,
-                    arrow: true,
-                    path,
-                    pos,
-                })
-            }
-            Tok::Dot => {
-                self.bump();
-                let mut path = vec![self.ident()?];
-                while self.eat(&Tok::Dot) {
-                    path.push(self.ident()?);
-                }
-                Ok(LValue::FieldPath {
-                    base,
-                    arrow: false,
-                    path,
+                    arrow,
+                    path: self.field_path()?,
                     pos,
                 })
             }
@@ -597,56 +675,46 @@ impl Parser {
     // ---- expressions --------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        Ok(self.binary_expr(0)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::OrOr {
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: AstBinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
+    /// The binary operator `t` spells, with its precedence: `||` binds
+    /// loosest, then `&&`, comparisons, additive and multiplicative
+    /// operators. All are left-associative.
+    fn binary_op(t: Tok<'_>) -> Option<(AstBinOp, u8)> {
+        Some(match t {
+            Tok::OrOr => (AstBinOp::Or, 0),
+            Tok::AndAnd => (AstBinOp::And, 1),
+            Tok::EqEq => (AstBinOp::Eq, 2),
+            Tok::NotEq => (AstBinOp::Ne, 2),
+            Tok::Lt => (AstBinOp::Lt, 2),
+            Tok::Le => (AstBinOp::Le, 2),
+            Tok::Gt => (AstBinOp::Gt, 2),
+            Tok::Ge => (AstBinOp::Ge, 2),
+            Tok::Plus => (AstBinOp::Add, 3),
+            Tok::Minus => (AstBinOp::Sub, 3),
+            Tok::Star => (AstBinOp::Mul, 4),
+            Tok::Slash => (AstBinOp::Div, 4),
+            Tok::Percent => (AstBinOp::Rem, 4),
+            _ => return None,
+        })
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Tok::AndAnd {
+    /// An expression of operators binding at least as tightly as
+    /// `min_prec` (precedence climbing). A right operand recurses only as
+    /// deep as there are precedence levels; a chain of one level's
+    /// operators grows the tree leftwards in the loop, without recursing,
+    /// so the loop checks the height itself.
+    fn binary_expr(&mut self, min_prec: u8) -> Result<Tall, ParseError> {
+        let (mut lhs, mut height) = self.unary_expr()?;
+        while let Some((op, prec)) = Self::binary_op(self.peek()) {
+            if prec < min_prec {
+                break;
+            }
             let pos = self.pos();
             self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: AstBinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => AstBinOp::Eq,
-                Tok::NotEq => AstBinOp::Ne,
-                Tok::Lt => AstBinOp::Lt,
-                Tok::Le => AstBinOp::Le,
-                Tok::Gt => AstBinOp::Gt,
-                Tok::Ge => AstBinOp::Ge,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.add_expr()?;
+            let (rhs, rhs_height) = self.binary_expr(prec + 1)?;
+            height = self.check_height(1 + height.max(rhs_height))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -654,195 +722,145 @@ impl Parser {
                 pos,
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => AstBinOp::Add,
-                Tok::Minus => AstBinOp::Sub,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => AstBinOp::Mul,
-                Tok::Slash => AstBinOp::Div,
-                Tok::Percent => AstBinOp::Rem,
-                _ => break,
-            };
-            let pos = self.pos();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                pos,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
+    fn unary_expr(&mut self) -> Result<Tall, ParseError> {
         let pos = self.pos();
-        if self.eat(&Tok::Minus) {
-            let arg = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: AstUnOp::Neg,
-                arg: Box::new(arg),
-                pos,
-            });
-        }
-        if self.eat(&Tok::Not) {
-            let arg = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: AstUnOp::Not,
-                arg: Box::new(arg),
-                pos,
-            });
-        }
-        if self.eat(&Tok::Amp) {
-            let name = self.ident()?;
-            return Ok(Expr::AddrOf(name, pos));
-        }
-        self.postfix_expr()
+        let op = match self.peek() {
+            Tok::Minus => AstUnOp::Neg,
+            Tok::Not => AstUnOp::Not,
+            Tok::Amp => {
+                self.bump();
+                let name = self.ident()?;
+                return Ok((Expr::AddrOf(name, pos), 1));
+            }
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let (arg, height) = self.nest(Self::unary_expr)?;
+        let arg = Box::new(arg);
+        Ok((Expr::Unary { op, arg, pos }, height + 1))
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, ParseError> {
+    fn postfix_expr(&mut self) -> Result<Tall, ParseError> {
         let pos = self.pos();
-        match self.peek().clone() {
+        let leaf = match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::Int(v, pos))
+                Expr::Int(v, pos)
             }
             Tok::Double(v) => {
                 self.bump();
-                Ok(Expr::Double(v, pos))
+                Expr::Double(v, pos)
             }
             Tok::KwNull => {
                 self.bump();
-                Ok(Expr::Null(pos))
+                Expr::Null(pos)
             }
             Tok::KwSizeof => {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 // Accept `sizeof(Name)` and `sizeof(struct Name)`.
-                self.eat(&Tok::KwStruct);
+                self.eat(Tok::KwStruct);
                 let n = self.ident()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::Sizeof(n, pos))
+                Expr::Sizeof(n, pos)
             }
             Tok::LParen => {
                 // `(*p).f` or parenthesized expression.
-                if self.peek2() == &Tok::Star {
+                if self.peek2() == Tok::Star {
                     let save = self.i;
                     self.bump(); // (
                     self.bump(); // *
-                    if let Tok::Ident(base) = self.peek().clone() {
+                    if let Tok::Ident(base) = self.peek() {
                         self.bump();
-                        if self.eat(&Tok::RParen) && self.eat(&Tok::Dot) {
-                            let mut path = vec![self.ident()?];
-                            while self.eat(&Tok::Dot) {
-                                path.push(self.ident()?);
-                            }
-                            return Ok(Expr::FieldPath {
-                                base,
+                        if self.eat(Tok::RParen) && self.eat(Tok::Dot) {
+                            let e = Expr::FieldPath {
+                                base: base.to_string(),
                                 arrow: true,
-                                path,
+                                path: self.field_path()?,
                                 pos,
-                            });
+                            };
+                            return Ok((e, 1));
                         }
                     }
                     self.i = save;
                 }
                 self.bump();
-                let e = self.expr()?;
+                let inner = self.nest(|p| p.binary_expr(0))?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok(inner);
             }
             Tok::Ident(name) => {
                 self.bump();
-                if self.peek() == &Tok::LParen {
-                    self.bump();
-                    let mut args = Vec::new();
-                    if self.peek() != &Tok::RParen {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(Tok::RParen)?;
-                    let at = if self.eat(&Tok::At) {
-                        if self.eat(&Tok::KwOwnerOf) {
-                            self.expect(Tok::LParen)?;
-                            let p = self.ident()?;
-                            self.expect(Tok::RParen)?;
-                            Some(AtClause::OwnerOf(p))
-                        } else {
-                            let e = self.postfix_expr()?;
-                            Some(AtClause::Node(Box::new(e)))
-                        }
-                    } else {
-                        None
-                    };
-                    return Ok(Expr::Call {
-                        name,
-                        args,
-                        at,
-                        pos,
-                    });
-                }
+                let name = name.to_string();
                 match self.peek() {
-                    Tok::Arrow => {
-                        self.bump();
-                        let mut path = vec![self.ident()?];
-                        while self.eat(&Tok::Dot) {
-                            path.push(self.ident()?);
-                        }
-                        Ok(Expr::FieldPath {
+                    Tok::LParen => return self.call(name, pos),
+                    Tok::Arrow | Tok::Dot => {
+                        let arrow = self.bump() == Tok::Arrow;
+                        Expr::FieldPath {
                             base: name,
-                            arrow: true,
-                            path,
+                            arrow,
+                            path: self.field_path()?,
                             pos,
-                        })
-                    }
-                    Tok::Dot => {
-                        self.bump();
-                        let mut path = vec![self.ident()?];
-                        while self.eat(&Tok::Dot) {
-                            path.push(self.ident()?);
                         }
-                        Ok(Expr::FieldPath {
-                            base: name,
-                            arrow: false,
-                            path,
-                            pos,
-                        })
                     }
-                    _ => Ok(Expr::Var(name, pos)),
+                    _ => Expr::Var(name, pos),
                 }
             }
-            other => Err(self.err(format!("expected an expression, found {other}"))),
+            other => return Err(self.err(format!("expected an expression, found {other}"))),
+        };
+        Ok((leaf, 1))
+    }
+
+    /// `a.b.c` after the `->` or `.` that introduces it.
+    fn field_path(&mut self) -> Result<Vec<String>, ParseError> {
+        let mut path = vec![self.ident()?];
+        while self.eat(Tok::Dot) {
+            path.push(self.ident()?);
         }
+        Ok(path)
+    }
+
+    /// The rest of a call whose callee `name` has been consumed: the
+    /// argument list and an optional `@` placement.
+    fn call(&mut self, name: String, pos: Pos) -> Result<Tall, ParseError> {
+        self.expect(Tok::LParen)?;
+        let mut args = Vec::new();
+        let mut height = 0;
+        if self.peek() != Tok::RParen {
+            loop {
+                let (arg, h) = self.nest(|p| p.binary_expr(0))?;
+                args.push(arg);
+                height = height.max(h);
+                if !self.eat(Tok::Comma) {
+                    break;
+                }
+            }
+        }
+        self.expect(Tok::RParen)?;
+        let at = if self.eat(Tok::At) {
+            if self.eat(Tok::KwOwnerOf) {
+                self.expect(Tok::LParen)?;
+                let p = self.ident()?;
+                self.expect(Tok::RParen)?;
+                Some(AtClause::OwnerOf(p))
+            } else {
+                let (e, h) = self.nest(Self::postfix_expr)?;
+                height = height.max(h);
+                Some(AtClause::Node(Box::new(e)))
+            }
+        } else {
+            None
+        };
+        let e = Expr::Call {
+            name,
+            args,
+            at,
+            pos,
+        };
+        Ok((e, height + 1))
     }
 }
 

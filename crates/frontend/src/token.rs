@@ -23,12 +23,13 @@ impl fmt::Display for Pos {
     }
 }
 
-/// Token kinds of the EARTH-C subset.
-#[derive(Debug, Clone, PartialEq)]
+/// Token kinds of the EARTH-C subset. Identifiers borrow their spelling
+/// from the source text, so a token is a plain copyable value.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)] // token names mirror their lexemes
-pub enum Tok {
+pub enum Tok<'a> {
     /// Identifier or keyword-adjacent name.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
@@ -89,7 +90,7 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier `{s}`"),
@@ -149,10 +150,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// The token kind/payload.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where the token starts.
     pub pos: Pos,
 }
@@ -174,79 +175,114 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes EARTH-C source.
+/// The scanning state: a byte offset into the source and the position of
+/// the character there. Every token boundary is an ASCII byte, so offsets
+/// used for slicing are always character boundaries.
+struct Cursor<'a> {
+    src: &'a str,
+    i: usize,
+    pos: Pos,
+}
+
+impl<'a> Cursor<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
+    fn at(&self, offset: usize) -> Option<u8> {
+        self.bytes().get(self.i + offset).copied()
+    }
+
+    /// Steps over one byte. Columns count characters, so the continuation
+    /// bytes of a multi-byte character do not advance the column.
+    fn bump(&mut self) {
+        let b = self.bytes()[self.i];
+        if b == b'\n' {
+            self.pos.line += 1;
+            self.pos.col = 1;
+        } else if b & 0xC0 != 0x80 {
+            self.pos.col += 1;
+        }
+        self.i += 1;
+    }
+
+    /// Steps over bytes while `keep` holds and returns the text covered.
+    /// `keep` must hold only for ASCII bytes other than the newline, each
+    /// of which is one column.
+    fn take_columns(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let rest = &self.bytes()[self.i..];
+        let n = rest.iter().position(|&b| !keep(b)).unwrap_or(rest.len());
+        let text = &self.src[self.i..self.i + n];
+        self.i += n;
+        self.pos.col += n as u32;
+        text
+    }
+
+    /// The character at the cursor, which must not be at the end.
+    fn char(&self) -> char {
+        self.src[self.i..]
+            .chars()
+            .next()
+            .expect("cursor is inside the source")
+    }
+}
+
+/// Tokenizes EARTH-C source. Identifier tokens borrow from `src`.
 ///
 /// Supports `//` line comments and `/* */` block comments.
 ///
 /// # Errors
 ///
 /// Returns a [`LexError`] on unknown characters or malformed numbers.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut out = Vec::new();
-    let chars: Vec<char> = src.chars().collect();
-    let mut i = 0usize;
-    let mut pos = Pos::default();
-
-    let advance = |pos: &mut Pos, c: char| {
-        if c == '\n' {
-            pos.line += 1;
-            pos.col = 1;
-        } else {
-            pos.col += 1;
-        }
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    // A token of this language averages four to five bytes of source.
+    let mut out = Vec::with_capacity(src.len() / 4 + 1);
+    let mut c = Cursor {
+        src,
+        i: 0,
+        pos: Pos::default(),
     };
 
-    macro_rules! bump {
-        () => {{
-            advance(&mut pos, chars[i]);
-            i += 1;
-        }};
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        let start = pos;
-        // Whitespace.
-        if c.is_whitespace() {
-            bump!();
+    while let Some(b) = c.at(0) {
+        let start = c.pos;
+        // Whitespace (ASCII here; other scripts' spaces below).
+        if b == b' ' {
+            c.take_columns(|b| b == b' ');
+            continue;
+        }
+        if matches!(b, b'\t'..=b'\r') {
+            c.bump();
             continue;
         }
         // Comments.
-        if c == '/' && i + 1 < chars.len() {
-            if chars[i + 1] == '/' {
-                while i < chars.len() && chars[i] != '\n' {
-                    bump!();
-                }
-                continue;
+        if b == b'/' && c.at(1) == Some(b'/') {
+            while c.at(0).is_some_and(|b| b != b'\n') {
+                c.bump();
             }
-            if chars[i + 1] == '*' {
-                bump!();
-                bump!();
-                loop {
-                    if i + 1 >= chars.len() {
-                        return Err(LexError {
-                            pos: start,
-                            message: "unterminated block comment".into(),
-                        });
-                    }
-                    if chars[i] == '*' && chars[i + 1] == '/' {
-                        bump!();
-                        bump!();
-                        break;
-                    }
-                    bump!();
+            continue;
+        }
+        if b == b'/' && c.at(1) == Some(b'*') {
+            c.bump();
+            c.bump();
+            loop {
+                if c.at(1).is_none() {
+                    return Err(LexError {
+                        pos: start,
+                        message: "unterminated block comment".into(),
+                    });
                 }
-                continue;
+                if c.at(0) == Some(b'*') && c.at(1) == Some(b'/') {
+                    c.bump();
+                    c.bump();
+                    break;
+                }
+                c.bump();
             }
+            continue;
         }
         // Identifiers and keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut s = String::new();
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                s.push(chars[i]);
-                bump!();
-            }
-            let tok = match s.as_str() {
+        if b.is_ascii_alphabetic() || b == b'_' {
+            let tok = match c.take_columns(|b| b.is_ascii_alphanumeric() || b == b'_') {
                 "struct" => Tok::KwStruct,
                 "int" => Tok::KwInt,
                 "double" => Tok::KwDouble,
@@ -267,46 +303,33 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 "NULL" => Tok::KwNull,
                 "OWNER_OF" => Tok::KwOwnerOf,
                 "sizeof" => Tok::KwSizeof,
-                _ => Tok::Ident(s),
+                name => Tok::Ident(name),
             };
             out.push(Token { tok, pos: start });
             continue;
         }
         // Numbers.
-        if c.is_ascii_digit() {
-            let mut s = String::new();
+        if b.is_ascii_digit() {
+            let first = c.i;
             let mut is_double = false;
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                s.push(chars[i]);
-                bump!();
-            }
-            if i + 1 < chars.len() && chars[i] == '.' && chars[i + 1].is_ascii_digit() {
+            c.take_columns(|b| b.is_ascii_digit());
+            if c.at(0) == Some(b'.') && c.at(1).is_some_and(|b| b.is_ascii_digit()) {
                 is_double = true;
-                s.push('.');
-                bump!();
-                while i < chars.len() && chars[i].is_ascii_digit() {
-                    s.push(chars[i]);
-                    bump!();
-                }
+                c.bump();
+                c.take_columns(|b| b.is_ascii_digit());
             }
             // Exponent.
-            if i < chars.len() && (chars[i] == 'e' || chars[i] == 'E') {
-                let mut j = i + 1;
-                if j < chars.len() && (chars[j] == '+' || chars[j] == '-') {
-                    j += 1;
-                }
-                if j < chars.len() && chars[j].is_ascii_digit() {
+            if matches!(c.at(0), Some(b'e' | b'E')) {
+                let sign = matches!(c.at(1), Some(b'+' | b'-')) as usize;
+                if c.at(1 + sign).is_some_and(|b| b.is_ascii_digit()) {
                     is_double = true;
-                    while i < j {
-                        s.push(chars[i]);
-                        bump!();
+                    for _ in 0..=sign {
+                        c.bump();
                     }
-                    while i < chars.len() && chars[i].is_ascii_digit() {
-                        s.push(chars[i]);
-                        bump!();
-                    }
+                    c.take_columns(|b| b.is_ascii_digit());
                 }
             }
+            let s = &src[first..c.i];
             let tok = if is_double {
                 Tok::Double(s.parse().map_err(|_| LexError {
                     pos: start,
@@ -322,77 +345,66 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             continue;
         }
         // Multi-character operators.
-        let two = |a: char, b: char| i + 1 < chars.len() && c == a && chars[i + 1] == b;
-        let tok = if two('{', '^') {
-            bump!();
-            bump!();
-            Tok::ParOpen
-        } else if two('^', '}') {
-            bump!();
-            bump!();
-            Tok::ParClose
-        } else if two('-', '>') {
-            bump!();
-            bump!();
-            Tok::Arrow
-        } else if two('=', '=') {
-            bump!();
-            bump!();
-            Tok::EqEq
-        } else if two('!', '=') {
-            bump!();
-            bump!();
-            Tok::NotEq
-        } else if two('<', '=') {
-            bump!();
-            bump!();
-            Tok::Le
-        } else if two('>', '=') {
-            bump!();
-            bump!();
-            Tok::Ge
-        } else if two('&', '&') {
-            bump!();
-            bump!();
-            Tok::AndAnd
-        } else if two('|', '|') {
-            bump!();
-            bump!();
-            Tok::OrOr
+        let two = match (b, c.at(1)) {
+            (b'{', Some(b'^')) => Some(Tok::ParOpen),
+            (b'^', Some(b'}')) => Some(Tok::ParClose),
+            (b'-', Some(b'>')) => Some(Tok::Arrow),
+            (b'=', Some(b'=')) => Some(Tok::EqEq),
+            (b'!', Some(b'=')) => Some(Tok::NotEq),
+            (b'<', Some(b'=')) => Some(Tok::Le),
+            (b'>', Some(b'=')) => Some(Tok::Ge),
+            (b'&', Some(b'&')) => Some(Tok::AndAnd),
+            (b'|', Some(b'|')) => Some(Tok::OrOr),
+            _ => None,
+        };
+        let tok = if let Some(tok) = two {
+            c.bump();
+            c.bump();
+            tok
         } else {
-            let t = match c {
-                '{' => Tok::LBrace,
-                '}' => Tok::RBrace,
-                '(' => Tok::LParen,
-                ')' => Tok::RParen,
-                ';' => Tok::Semi,
-                ',' => Tok::Comma,
-                ':' => Tok::Colon,
-                '.' => Tok::Dot,
-                '*' => Tok::Star,
-                '/' => Tok::Slash,
-                '%' => Tok::Percent,
-                '+' => Tok::Plus,
-                '-' => Tok::Minus,
-                '=' => Tok::Assign,
-                '<' => Tok::Lt,
-                '>' => Tok::Gt,
-                '!' => Tok::Not,
-                '&' => Tok::Amp,
-                '@' => Tok::At,
-                other => {
+            let t = match b {
+                b'{' => Tok::LBrace,
+                b'}' => Tok::RBrace,
+                b'(' => Tok::LParen,
+                b')' => Tok::RParen,
+                b';' => Tok::Semi,
+                b',' => Tok::Comma,
+                b':' => Tok::Colon,
+                b'.' => Tok::Dot,
+                b'*' => Tok::Star,
+                b'/' => Tok::Slash,
+                b'%' => Tok::Percent,
+                b'+' => Tok::Plus,
+                b'-' => Tok::Minus,
+                b'=' => Tok::Assign,
+                b'<' => Tok::Lt,
+                b'>' => Tok::Gt,
+                b'!' => Tok::Not,
+                b'&' => Tok::Amp,
+                b'@' => Tok::At,
+                _ => {
+                    let other = c.char();
+                    if other.is_whitespace() {
+                        for _ in 0..other.len_utf8() {
+                            c.bump();
+                        }
+                        continue;
+                    }
                     return Err(LexError {
                         pos: start,
                         message: format!("unexpected character `{other}`"),
-                    })
+                    });
                 }
             };
-            bump!();
+            c.bump();
             t
         };
         out.push(Token { tok, pos: start });
     }
-    out.push(Token { tok: Tok::Eof, pos });
+    out.push(Token {
+        tok: Tok::Eof,
+        pos: c.pos,
+    });
     Ok(out)
 }
 
@@ -400,7 +412,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
+    fn toks(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -410,9 +422,9 @@ mod tests {
             toks("struct Point int foo"),
             vec![
                 Tok::KwStruct,
-                Tok::Ident("Point".into()),
+                Tok::Ident("Point"),
                 Tok::KwInt,
-                Tok::Ident("foo".into()),
+                Tok::Ident("foo"),
                 Tok::Eof
             ]
         );
@@ -437,17 +449,17 @@ mod tests {
         assert_eq!(
             toks("p->x == q.y && a != b"),
             vec![
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::Arrow,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::EqEq,
-                Tok::Ident("q".into()),
+                Tok::Ident("q"),
                 Tok::Dot,
-                Tok::Ident("y".into()),
+                Tok::Ident("y"),
                 Tok::AndAnd,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::NotEq,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Eof
             ]
         );
@@ -459,9 +471,9 @@ mod tests {
             toks("{^ a; b; ^}"),
             vec![
                 Tok::ParOpen,
-                Tok::Ident("a".into()),
+                Tok::Ident("a"),
                 Tok::Semi,
-                Tok::Ident("b".into()),
+                Tok::Ident("b"),
                 Tok::Semi,
                 Tok::ParClose,
                 Tok::Eof
@@ -473,12 +485,7 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             toks("a // hello\nb /* multi\nline */ c"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Ident("c"), Tok::Eof]
         );
     }
 
@@ -506,14 +513,14 @@ mod tests {
         assert_eq!(
             toks("f(x) @ OWNER_OF(p)"),
             vec![
-                Tok::Ident("f".into()),
+                Tok::Ident("f"),
                 Tok::LParen,
-                Tok::Ident("x".into()),
+                Tok::Ident("x"),
                 Tok::RParen,
                 Tok::At,
                 Tok::KwOwnerOf,
                 Tok::LParen,
-                Tok::Ident("p".into()),
+                Tok::Ident("p"),
                 Tok::RParen,
                 Tok::Eof
             ]

@@ -169,3 +169,98 @@ fn positions_point_at_the_problem() {
         other => panic!("expected lower error, got {other}"),
     }
 }
+
+/// Columns count characters, not bytes: the comment ahead of the error
+/// holds two-, three- and four-byte characters.
+#[test]
+fn columns_count_characters_after_non_ascii_comments() {
+    let e = compile("struct A { int x; };\nint main() { /* naïve ✓ 漢字 */ return $; } // é")
+        .unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "parse error at 2:38: unexpected character `$`"
+    );
+    let e = compile("struct A { int x; };\n// ünïcödé ✓\nint main() { /* 漢 */ return y; }")
+        .unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        "error at 3:29: unknown variable `y` in `main`"
+    );
+}
+
+/// The `FE003` diagnostic of a program nested past `MAX_NESTING`, with
+/// the position it was reported at.
+fn too_deep(src: &str) -> earth_frontend::Pos {
+    match compile(src) {
+        Err(e @ FrontendError::Parse(_)) => {
+            let d = e.to_diagnostic();
+            assert_eq!(d.code, "FE003", "{e}");
+            assert!(d.message.contains("nesting too deep"), "{e}");
+            assert!(e.to_string().contains("FE003 nesting too deep"), "{e}");
+            let FrontendError::Parse(p) = e else {
+                unreachable!()
+            };
+            assert_eq!(p.kind, earth_frontend::ParseErrorKind::TooDeep);
+            p.pos
+        }
+        Err(other) => panic!("expected FE003, got {other}"),
+        Ok(_) => panic!("expected FE003, got a program"),
+    }
+}
+
+/// 200,000 parentheses: recursion through `expr`.
+#[test]
+fn deep_parentheses_are_fe003() {
+    let n = 200_000;
+    let src = format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let pos = too_deep(&src);
+    // Reported where the budget ran out, not at the end of the input.
+    assert_eq!(pos.line, 1);
+    assert!(
+        (20..20 + 2 * earth_frontend::MAX_NESTING).contains(&pos.col),
+        "{pos}"
+    );
+}
+
+/// 200,000 nested `if`s: recursion through `stmt`.
+#[test]
+fn deep_statement_nesting_is_fe003() {
+    let src = format!("int main() {{ {} return 1; }}", "if (1) ".repeat(200_000));
+    let pos = too_deep(&src);
+    assert_eq!(pos.line, 1);
+    assert!(pos.col < 8 * (earth_frontend::MAX_NESTING + 4), "{pos}");
+}
+
+/// A 200,000-term sum: the parser loops, but the tree it would build is
+/// 200,000 deep on its left spine, and the lowering recurses over it.
+#[test]
+fn long_operator_chains_are_fe003() {
+    let src = format!("int main() {{ return 1{}; }}", "+1".repeat(200_000));
+    let pos = too_deep(&src);
+    assert_eq!(pos.line, 1);
+    assert!(pos.col < 2 * (earth_frontend::MAX_NESTING + 16), "{pos}");
+}
+
+/// Nesting up to the limit is a program like any other: it goes through
+/// the recursive lowering and the validator on a test thread's stack.
+#[test]
+fn nesting_within_the_limit_compiles() {
+    let n = earth_frontend::MAX_NESTING as usize - 8;
+    let parens = format!(
+        "int main() {{ return {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    compile(&parens).expect("parentheses within the limit");
+    let sum = format!("int main() {{ return 1{}; }}", "+1".repeat(n));
+    compile(&sum).expect("a sum within the limit");
+    let ifs = format!(
+        "int main() {{ {} return 1; return 0; }}",
+        "if (1) ".repeat(n)
+    );
+    compile(&ifs).expect("ifs within the limit");
+}

@@ -7,7 +7,8 @@
 
 use crate::func::{FuncId, Function, Program};
 use crate::stmt::{AtTarget, Basic, BlkDir, Cond, MemRef, Operand, Place, Rvalue, Stmt, StmtKind};
-use crate::types::StructId;
+use crate::types::{StructId, Ty};
+use crate::var::VarId;
 use std::fmt::Write;
 
 /// Options controlling pretty-printing.
@@ -35,9 +36,11 @@ pub fn print_program(prog: &Program) -> String {
     for (i, s) in prog.structs().iter().enumerate() {
         let _ = writeln!(out, "struct {} {{ /* {} words */", s.name, s.size_words());
         for f in &s.fields {
-            let _ = writeln!(out, "  {} {};", ty_name(prog, f.ty), f.name);
+            out.push_str("  ");
+            push_ty(&mut out, prog, f.ty);
+            let _ = writeln!(out, " {};", f.name);
         }
-        let _ = writeln!(out, "}};");
+        out.push_str("};\n");
         if i + 1 < prog.structs().len() {
             out.push('\n');
         }
@@ -46,7 +49,7 @@ pub fn print_program(prog: &Program) -> String {
         out.push('\n');
     }
     for (id, _) in prog.iter_functions() {
-        out.push_str(&print_function(prog, id, &opts));
+        write_function(&mut out, prog, id, &opts);
         out.push('\n');
     }
     out
@@ -59,116 +62,114 @@ pub fn print_function_default(prog: &Program, id: FuncId) -> String {
 
 /// Renders one function.
 pub fn print_function(prog: &Program, id: FuncId, opts: &PrettyOptions) -> String {
-    let f = prog.function(id);
-    let mut p = Printer {
+    let mut out = String::new();
+    write_function(&mut out, prog, id, opts);
+    out
+}
+
+/// Appends one function to `out`: the whole listing grows one buffer, and
+/// every name is written from where the program keeps it.
+fn write_function(out: &mut String, prog: &Program, id: FuncId, opts: &PrettyOptions) {
+    Printer {
         prog,
-        func: f,
+        func: prog.function(id),
         opts,
-        out: String::new(),
+        out,
         level: 0,
-    };
-    p.function();
-    p.out
-}
-
-fn ty_name(prog: &Program, ty: crate::types::Ty) -> String {
-    use crate::types::Ty;
-    match ty {
-        Ty::Int => "int".into(),
-        Ty::Double => "double".into(),
-        Ty::Ptr(s) => format!("{}*", struct_name(prog, s)),
-        Ty::Struct(s) => struct_name(prog, s),
     }
+    .function();
 }
 
-fn struct_name(prog: &Program, s: StructId) -> String {
-    prog.struct_def(s).name.clone()
+fn push_ty(out: &mut String, prog: &Program, ty: Ty) {
+    match ty {
+        Ty::Int => out.push_str("int"),
+        Ty::Double => out.push_str("double"),
+        Ty::Ptr(s) => {
+            out.push_str(&prog.struct_def(s).name);
+            out.push('*');
+        }
+        Ty::Struct(s) => out.push_str(&prog.struct_def(s).name),
+    }
 }
 
 struct Printer<'a> {
     prog: &'a Program,
     func: &'a Function,
     opts: &'a PrettyOptions,
-    out: String,
+    out: &'a mut String,
     level: usize,
 }
 
 impl Printer<'_> {
     fn function(&mut self) {
-        let ret = self
-            .func
-            .ret_ty
-            .map(|t| ty_name(self.prog, t))
-            .unwrap_or_else(|| "void".into());
-        let params: Vec<String> = self
-            .func
-            .params
-            .iter()
-            .map(|&v| {
-                let d = self.func.var(v);
-                let loc = if d.ty.is_ptr() && !d.deref_is_remote() {
-                    " local"
-                } else {
-                    ""
-                };
-                format!("{}{} {}", ty_name(self.prog, d.ty), loc, d.name)
-            })
-            .collect();
-        let _ = writeln!(
-            self.out,
-            "{ret} {}({}) {{",
-            self.func.name,
-            params.join(", ")
-        );
+        match self.func.ret_ty {
+            Some(t) => push_ty(self.out, self.prog, t),
+            None => self.out.push_str("void"),
+        }
+        self.out.push(' ');
+        self.out.push_str(&self.func.name);
+        self.out.push('(');
+        for (i, &v) in self.func.params.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let d = self.func.var(v);
+            push_ty(self.out, self.prog, d.ty);
+            if d.ty.is_ptr() && !d.deref_is_remote() {
+                self.out.push_str(" local");
+            }
+            self.out.push(' ');
+            self.out.push_str(&d.name);
+        }
+        self.out.push_str(") {\n");
         self.level += 1;
         // Declarations for non-parameter variables.
         for (v, d) in self.func.iter_vars() {
             if self.func.params.contains(&v) {
                 continue;
             }
-            let quals = match (d.shared, d.ty.is_ptr() && !d.deref_is_remote()) {
-                (true, _) => "shared ",
-                (false, true) => "local ",
-                _ => "",
-            };
-            self.line(&format!(
-                "{}{} {};",
-                quals,
-                ty_name(self.prog, d.ty),
-                d.name
-            ));
+            self.indent();
+            self.out
+                .push_str(match (d.shared, d.ty.is_ptr() && !d.deref_is_remote()) {
+                    (true, _) => "shared ",
+                    (false, true) => "local ",
+                    _ => "",
+                });
+            push_ty(self.out, self.prog, d.ty);
+            self.out.push(' ');
+            self.out.push_str(&d.name);
+            self.out.push_str(";\n");
         }
-        self.stmt_children_of_body();
-        self.level -= 1;
-        let _ = writeln!(self.out, "}}");
-    }
-
-    fn stmt_children_of_body(&mut self) {
         // The body is a Seq; print its children without an extra brace level.
-        let body = self.func.body.clone();
-        if let StmtKind::Seq(ss) = &body.kind {
-            for s in ss {
-                self.stmt(s);
-            }
-        } else {
-            self.stmt(&body);
-        }
+        self.block(&self.func.body);
+        self.level -= 1;
+        self.out.push_str("}\n");
     }
 
-    fn indent_str(&self) -> String {
-        " ".repeat(self.level * self.opts.indent)
+    fn indent(&mut self) {
+        let n = self.level * self.opts.indent;
+        self.out.extend(std::iter::repeat_n(' ', n));
     }
 
     fn line(&mut self, text: &str) {
-        let _ = writeln!(self.out, "{}{}", self.indent_str(), text);
+        self.indent();
+        self.out.push_str(text);
+        self.out.push('\n');
+    }
+
+    /// Starts the line of statement `s`: indentation, then its label when
+    /// labels are shown. The caller writes the rest and the newline.
+    fn open(&mut self, s: &Stmt) {
+        self.indent();
+        if self.opts.show_labels {
+            let _ = write!(self.out, "{}: ", s.label);
+        }
     }
 
     fn labelled_line(&mut self, s: &Stmt, text: &str) {
-        if self.opts.show_labels {
-            self.line(&format!("{}: {}", s.label, text));
-        } else {
-            self.line(text);
-        }
+        self.open(s);
+        self.out.push_str(text);
+        self.out.push('\n');
     }
 
     fn block(&mut self, s: &Stmt) {
@@ -182,49 +183,54 @@ impl Printer<'_> {
         }
     }
 
+    /// `block` one level in.
+    fn nested(&mut self, s: &Stmt) {
+        self.level += 1;
+        self.block(s);
+        self.level -= 1;
+    }
+
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
-            StmtKind::Seq(ss) => {
+            StmtKind::Seq(_) => {
                 self.line("{");
-                self.level += 1;
-                for c in ss {
-                    self.stmt(c);
-                }
-                self.level -= 1;
+                self.nested(s);
                 self.line("}");
             }
             StmtKind::Basic(b) => {
-                let text = self.basic(b);
-                self.labelled_line(s, &text);
+                self.open(s);
+                self.basic(b);
+                self.out.push_str(";\n");
             }
             StmtKind::If {
                 cond,
                 then_s,
                 else_s,
             } => {
-                self.labelled_line(s, &format!("if ({}) {{", self.cond(cond)));
-                self.level += 1;
-                self.block(then_s);
-                self.level -= 1;
-                if else_s.is_empty_seq() {
-                    self.line("}");
-                } else {
+                self.open(s);
+                self.out.push_str("if (");
+                self.cond(cond);
+                self.out.push_str(") {\n");
+                self.nested(then_s);
+                if !else_s.is_empty_seq() {
                     self.line("} else {");
-                    self.level += 1;
-                    self.block(else_s);
-                    self.level -= 1;
-                    self.line("}");
+                    self.nested(else_s);
                 }
+                self.line("}");
             }
             StmtKind::Switch {
                 scrut,
                 cases,
                 default,
             } => {
-                self.labelled_line(s, &format!("switch ({}) {{", self.operand(*scrut)));
+                self.open(s);
+                self.out.push_str("switch (");
+                self.operand(*scrut);
+                self.out.push_str(") {\n");
                 self.level += 1;
                 for (v, cs) in cases {
-                    self.line(&format!("case {v}:"));
+                    self.indent();
+                    let _ = writeln!(self.out, "case {v}:");
                     self.level += 1;
                     self.block(cs);
                     self.line("break;");
@@ -232,26 +238,26 @@ impl Printer<'_> {
                 }
                 if !default.is_empty_seq() {
                     self.line("default:");
-                    self.level += 1;
-                    self.block(default);
-                    self.level -= 1;
+                    self.nested(default);
                 }
                 self.level -= 1;
                 self.line("}");
             }
             StmtKind::While { cond, body } => {
-                self.labelled_line(s, &format!("while ({}) {{", self.cond(cond)));
-                self.level += 1;
-                self.block(body);
-                self.level -= 1;
+                self.open(s);
+                self.out.push_str("while (");
+                self.cond(cond);
+                self.out.push_str(") {\n");
+                self.nested(body);
                 self.line("}");
             }
             StmtKind::DoWhile { body, cond } => {
                 self.labelled_line(s, "do {");
-                self.level += 1;
-                self.block(body);
-                self.level -= 1;
-                self.line(&format!("}} while ({});", self.cond(cond)));
+                self.nested(body);
+                self.indent();
+                self.out.push_str("} while (");
+                self.cond(cond);
+                self.out.push_str(");\n");
             }
             StmtKind::ParSeq(arms) => {
                 self.labelled_line(s, "{^");
@@ -271,103 +277,134 @@ impl Printer<'_> {
                 step,
                 body,
             } => {
-                let init_s = match &init.kind {
-                    StmtKind::Basic(b) => self.basic_expr_only(b),
-                    _ => "...".into(),
-                };
-                let step_s = match &step.kind {
-                    StmtKind::Basic(b) => self.basic_expr_only(b),
-                    _ => "...".into(),
-                };
-                self.labelled_line(
-                    s,
-                    &format!("forall ({init_s}; {}; {step_s}) {{", self.cond(cond)),
-                );
-                self.level += 1;
-                self.block(body);
-                self.level -= 1;
+                self.open(s);
+                self.out.push_str("forall (");
+                self.header_part(init);
+                self.out.push_str("; ");
+                self.cond(cond);
+                self.out.push_str("; ");
+                self.header_part(step);
+                self.out.push_str(") {\n");
+                self.nested(body);
                 self.line("}");
             }
         }
     }
 
-    fn cond(&self, c: &Cond) -> String {
-        format!(
-            "{} {} {}",
-            self.operand(c.lhs),
-            c.op.symbol(),
-            self.operand(c.rhs)
-        )
+    /// The init or step of a `forall (...)` header: a basic statement
+    /// without its semicolon.
+    fn header_part(&mut self, s: &Stmt) {
+        match &s.kind {
+            StmtKind::Basic(b) => self.basic(b),
+            _ => self.out.push_str("..."),
+        }
     }
 
-    fn operand(&self, o: Operand) -> String {
+    fn cond(&mut self, c: &Cond) {
+        self.operand(c.lhs);
+        self.out.push(' ');
+        self.out.push_str(c.op.symbol());
+        self.out.push(' ');
+        self.operand(c.rhs);
+    }
+
+    fn var(&mut self, v: VarId) {
+        self.out.push_str(&self.func.var(v).name);
+    }
+
+    fn operand(&mut self, o: Operand) {
         match o {
-            Operand::Var(v) => self.func.var(v).name.clone(),
-            Operand::Const(c) => c.to_string(),
-        }
-    }
-
-    fn memref(&self, m: MemRef) -> String {
-        let base = self.func.var(m.base()).name.clone();
-        let field = self.field_name(m);
-        match m {
-            MemRef::Deref { base: b, .. } => {
-                if self.func.deref_is_remote(b) {
-                    format!("{base}~>{field}")
-                } else {
-                    format!("{base}->{field}")
-                }
+            Operand::Var(v) => self.var(v),
+            Operand::Const(c) => {
+                let _ = write!(self.out, "{c}");
             }
-            MemRef::Field { .. } => format!("{base}.{field}"),
         }
     }
 
-    fn field_name(&self, m: MemRef) -> String {
-        let base_ty = self.func.var(m.base()).ty;
-        match base_ty.struct_id() {
-            Some(sid) => self.prog.struct_def(sid).field(m.field()).name.clone(),
-            None => m.field().to_string(),
+    fn operands(&mut self, args: &[Operand]) {
+        for (i, a) in args.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.operand(*a);
         }
     }
 
-    fn rvalue(&self, r: &Rvalue) -> String {
+    fn memref(&mut self, m: MemRef) {
+        self.var(m.base());
+        self.out.push_str(match m {
+            MemRef::Deref { base, .. } if self.func.deref_is_remote(base) => "~>",
+            MemRef::Deref { .. } => "->",
+            MemRef::Field { .. } => ".",
+        });
+        match self.func.var(m.base()).ty.struct_id() {
+            Some(sid) => self
+                .out
+                .push_str(&self.prog.struct_def(sid).field(m.field()).name),
+            None => {
+                let _ = write!(self.out, "{}", m.field());
+            }
+        }
+    }
+
+    fn struct_name(&mut self, s: StructId) {
+        self.out.push_str(&self.prog.struct_def(s).name);
+    }
+
+    fn rvalue(&mut self, r: &Rvalue) {
         match r {
             Rvalue::Use(o) => self.operand(*o),
             Rvalue::Unary(op, a) => {
-                let sym = match op {
-                    crate::stmt::UnOp::Neg => "-",
-                    crate::stmt::UnOp::Not => "!",
-                };
-                format!("{sym}{}", self.operand(*a))
+                self.out.push(match op {
+                    crate::stmt::UnOp::Neg => '-',
+                    crate::stmt::UnOp::Not => '!',
+                });
+                self.operand(*a);
             }
             Rvalue::Binary(op, a, b) => {
-                format!("{} {} {}", self.operand(*a), op.symbol(), self.operand(*b))
+                self.operand(*a);
+                self.out.push(' ');
+                self.out.push_str(op.symbol());
+                self.out.push(' ');
+                self.operand(*b);
             }
             Rvalue::Load(m) => self.memref(*m),
-            Rvalue::Malloc { struct_id, on } => match on {
-                Some(o) => format!(
-                    "malloc_on({}, sizeof({}))",
-                    self.operand(*o),
-                    struct_name(self.prog, *struct_id)
-                ),
-                None => format!("malloc(sizeof({}))", struct_name(self.prog, *struct_id)),
-            },
-            Rvalue::Builtin { builtin, args } => {
-                let args: Vec<String> = args.iter().map(|a| self.operand(*a)).collect();
-                format!("{}({})", builtin.name(), args.join(", "))
+            Rvalue::Malloc { struct_id, on } => {
+                match on {
+                    Some(o) => {
+                        self.out.push_str("malloc_on(");
+                        self.operand(*o);
+                        self.out.push_str(", sizeof(");
+                    }
+                    None => self.out.push_str("malloc(sizeof("),
+                }
+                self.struct_name(*struct_id);
+                self.out.push_str("))");
             }
-            Rvalue::ValueOf(v) => format!("valueof(&{})", self.func.var(*v).name),
+            Rvalue::Builtin { builtin, args } => {
+                self.out.push_str(builtin.name());
+                self.out.push('(');
+                self.operands(args);
+                self.out.push(')');
+            }
+            Rvalue::ValueOf(v) => {
+                self.out.push_str("valueof(&");
+                self.var(*v);
+                self.out.push(')');
+            }
         }
     }
 
-    fn basic(&self, b: &Basic) -> String {
+    /// A basic statement without its trailing semicolon.
+    fn basic(&mut self, b: &Basic) {
         match b {
             Basic::Assign { dst, src } => {
-                let d = match dst {
-                    Place::Var(v) => self.func.var(*v).name.clone(),
+                match dst {
+                    Place::Var(v) => self.var(*v),
                     Place::Mem(m) => self.memref(*m),
-                };
-                format!("{d} = {};", self.rvalue(src))
+                }
+                self.out.push_str(" = ");
+                self.rvalue(src);
             }
             Basic::Call {
                 dst,
@@ -375,66 +412,80 @@ impl Printer<'_> {
                 args,
                 at,
             } => {
-                let callee = self.prog.function(*func).name.clone();
-                let args_s: Vec<String> = args.iter().map(|a| self.operand(*a)).collect();
-                let at_s = match at {
+                if let Some(d) = dst {
+                    self.var(*d);
+                    self.out.push_str(" = ");
+                }
+                self.out.push_str(&self.prog.function(*func).name);
+                self.out.push('(');
+                self.operands(args);
+                self.out.push(')');
+                match at {
                     Some(AtTarget::OwnerOf(p)) => {
-                        format!(" @OWNER_OF({})", self.func.var(*p).name)
+                        self.out.push_str(" @OWNER_OF(");
+                        self.var(*p);
+                        self.out.push(')');
                     }
-                    Some(AtTarget::Node(n)) => format!(" @{}", self.operand(*n)),
-                    None => String::new(),
-                };
-                match dst {
-                    Some(d) => format!(
-                        "{} = {callee}({}){at_s};",
-                        self.func.var(*d).name,
-                        args_s.join(", ")
-                    ),
-                    None => format!("{callee}({}){at_s};", args_s.join(", ")),
+                    Some(AtTarget::Node(n)) => {
+                        self.out.push_str(" @");
+                        self.operand(*n);
+                    }
+                    None => {}
                 }
             }
-            Basic::Return(op) => match op {
-                Some(o) => format!("return {};", self.operand(*o)),
-                None => "return;".into(),
-            },
+            Basic::Return(op) => {
+                self.out.push_str("return");
+                if let Some(o) = op {
+                    self.out.push(' ');
+                    self.operand(*o);
+                }
+            }
             Basic::BlkMov {
                 dir,
                 ptr,
                 buf,
                 range,
             } => {
-                let p = self.func.var(*ptr).name.clone();
-                let b = self.func.var(*buf).name.clone();
-                let size = match range {
-                    Some((first, words)) => format!("{words} words @ {first}"),
-                    None => format!("sizeof(*{p})"),
-                };
+                self.out.push_str("blkmov(");
                 match dir {
-                    BlkDir::RemoteToLocal => format!("blkmov({p}, &{b}, {size});"),
-                    BlkDir::LocalToRemote => format!("blkmov(&{b}, {p}, {size});"),
+                    BlkDir::RemoteToLocal => {
+                        self.var(*ptr);
+                        self.out.push_str(", &");
+                        self.var(*buf);
+                    }
+                    BlkDir::LocalToRemote => {
+                        self.out.push('&');
+                        self.var(*buf);
+                        self.out.push_str(", ");
+                        self.var(*ptr);
+                    }
                 }
+                self.out.push_str(", ");
+                match range {
+                    Some((first, words)) => {
+                        let _ = write!(self.out, "{words} words @ {first}");
+                    }
+                    None => {
+                        self.out.push_str("sizeof(*");
+                        self.var(*ptr);
+                        self.out.push(')');
+                    }
+                }
+                self.out.push(')');
             }
-            Basic::AtomicWrite { var, value } => format!(
-                "writeto(&{}, {});",
-                self.func.var(*var).name,
-                self.operand(*value)
-            ),
-            Basic::AtomicAdd { var, value } => format!(
-                "addto(&{}, {});",
-                self.func.var(*var).name,
-                self.operand(*value)
-            ),
+            Basic::AtomicWrite { var, value } | Basic::AtomicAdd { var, value } => {
+                self.out
+                    .push_str(if matches!(b, Basic::AtomicWrite { .. }) {
+                        "writeto(&"
+                    } else {
+                        "addto(&"
+                    });
+                self.var(*var);
+                self.out.push_str(", ");
+                self.operand(*value);
+                self.out.push(')');
+            }
         }
-    }
-
-    /// A basic statement rendered without the trailing semicolon, for use in
-    /// `forall (...)` headers.
-    fn basic_expr_only(&self, b: &Basic) -> String {
-        let mut s = self.basic(b);
-        if s.ends_with(';') {
-            s.pop();
-        }
-        s
     }
 }
 

@@ -122,8 +122,9 @@ impl SiteMap {
 pub fn assign_sites(func: FuncId, f: &Function) -> SiteMap {
     let mut map = BTreeMap::new();
     let mut path = Vec::new();
-    visit(func, &f.body, &mut path, &mut |label, site| {
-        map.entry(label).or_insert(site);
+    visit(&f.body, &mut path, &mut |label, path| {
+        map.entry(label)
+            .or_insert_with(|| SiteId::new(func, path.to_vec()));
     });
     SiteMap { map }
 }
@@ -131,25 +132,48 @@ pub fn assign_sites(func: FuncId, f: &Function) -> SiteMap {
 /// Labels that occur at more than one tree position, each with the first two
 /// conflicting site paths. A non-empty result means `SiteId`s for those
 /// labels are *unstable*: a profile keyed by them cannot be attributed.
+///
+/// Valid IR has no such label, and this check runs on every compile, so the
+/// labels alone are compared first; site paths are built only for labels
+/// already known to clash.
 pub fn duplicate_site_labels(func: FuncId, f: &Function) -> Vec<(Label, SiteId, SiteId)> {
-    let mut first: BTreeMap<Label, SiteId> = BTreeMap::new();
-    let mut dups: BTreeMap<Label, (SiteId, SiteId)> = BTreeMap::new();
+    let mut labels = f.body.labels();
+    labels.sort_unstable();
+    let mut clashing: Vec<Label> = labels
+        .windows(2)
+        .filter(|w| w[0] == w[1])
+        .map(|w| w[0])
+        .collect();
+    if clashing.is_empty() {
+        return Vec::new();
+    }
+    clashing.dedup();
+    let mut sites: BTreeMap<Label, Vec<SiteId>> = BTreeMap::new();
     let mut path = Vec::new();
-    visit(func, &f.body, &mut path, &mut |label, site| {
-        if let Some(prev) = first.get(&label) {
-            dups.entry(label).or_insert((prev.clone(), site));
-        } else {
-            first.insert(label, site);
+    visit(&f.body, &mut path, &mut |label, path| {
+        if clashing.binary_search(&label).is_ok() {
+            let seen = sites.entry(label).or_default();
+            if seen.len() < 2 {
+                seen.push(SiteId::new(func, path.to_vec()));
+            }
         }
     });
-    dups.into_iter().map(|(l, (a, b))| (l, a, b)).collect()
+    sites
+        .into_iter()
+        .map(|(l, mut s)| {
+            let second = s.pop().expect("a clashing label occurs twice");
+            let first = s.pop().expect("a clashing label occurs twice");
+            (l, first, second)
+        })
+        .collect()
 }
 
-fn visit(func: FuncId, s: &Stmt, path: &mut Vec<u32>, record: &mut dyn FnMut(Label, SiteId)) {
-    record(s.label, SiteId::new(func, path.clone()));
-    let mut child = |i: u32, s: &Stmt, record: &mut dyn FnMut(Label, SiteId)| {
+/// Pre-order walk handing `record` every statement's label and tree path.
+fn visit(s: &Stmt, path: &mut Vec<u32>, record: &mut dyn FnMut(Label, &[u32])) {
+    record(s.label, path);
+    let mut child = |i: u32, s: &Stmt, record: &mut dyn FnMut(Label, &[u32])| {
         path.push(i);
-        visit(func, s, path, record);
+        visit(s, path, record);
         path.pop();
     };
     match &s.kind {

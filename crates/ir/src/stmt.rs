@@ -538,28 +538,37 @@ impl Basic {
         }
     }
 
-    /// Operands read by this basic statement (not including memory loads).
-    pub fn operands(&self) -> Vec<Operand> {
-        match self {
+    /// Operands read by this basic statement (not including memory loads),
+    /// in source order.
+    pub fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+        // Up to two operands held inline, then an argument list, then the
+        // `@node` operand of a call.
+        let (inline, list, at): ([Option<Operand>; 2], &[Operand], Option<Operand>) = match self {
             Basic::Assign { src, .. } => match src {
-                Rvalue::Use(a) | Rvalue::Unary(_, a) => vec![*a],
-                Rvalue::Binary(_, a, b) => vec![*a, *b],
-                Rvalue::Load(_) => vec![],
-                Rvalue::Malloc { on, .. } => on.iter().copied().collect(),
-                Rvalue::Builtin { args, .. } => args.clone(),
-                Rvalue::ValueOf(_) => vec![],
+                Rvalue::Use(a) | Rvalue::Unary(_, a) => ([Some(*a), None], &[], None),
+                Rvalue::Binary(_, a, b) => ([Some(*a), Some(*b)], &[], None),
+                Rvalue::Load(_) | Rvalue::ValueOf(_) => ([None, None], &[], None),
+                Rvalue::Malloc { on, .. } => ([*on, None], &[], None),
+                Rvalue::Builtin { args, .. } => ([None, None], args, None),
             },
             Basic::Call { args, at, .. } => {
-                let mut v = args.clone();
-                if let Some(AtTarget::Node(op)) = at {
-                    v.push(*op);
-                }
-                v
+                let node = match at {
+                    Some(AtTarget::Node(op)) => Some(*op),
+                    _ => None,
+                };
+                ([None, None], args, node)
             }
-            Basic::Return(op) => op.iter().copied().collect(),
-            Basic::BlkMov { .. } => vec![],
-            Basic::AtomicWrite { value, .. } | Basic::AtomicAdd { value, .. } => vec![*value],
-        }
+            Basic::Return(op) => ([*op, None], &[], None),
+            Basic::BlkMov { .. } => ([None, None], &[], None),
+            Basic::AtomicWrite { value, .. } | Basic::AtomicAdd { value, .. } => {
+                ([Some(*value), None], &[], None)
+            }
+        };
+        inline
+            .into_iter()
+            .flatten()
+            .chain(list.iter().copied())
+            .chain(at)
     }
 }
 

@@ -27,7 +27,6 @@ use crate::func::{FuncId, Function, Program};
 use crate::stmt::{Basic, Cond, Label, MemRef, Operand, Place, Rvalue, Stmt, StmtKind};
 use crate::types::Ty;
 use crate::var::VarId;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -99,7 +98,8 @@ pub fn validate_function_diags(prog: &Program, id: FuncId) -> Vec<Diagnostic> {
     let mut v = Validator {
         prog,
         func: f,
-        seen_labels: HashSet::new(),
+        seen_labels: vec![false; f.label_bound()],
+        seen_dangling: Vec::new(),
         diags: Vec::new(),
     };
     v.stmt(&f.body);
@@ -126,7 +126,10 @@ fn err(code: &str, at: Label, message: impl Into<String>) -> Diagnostic {
 struct Validator<'a> {
     prog: &'a Program,
     func: &'a Function,
-    seen_labels: HashSet<u32>,
+    /// Indexed by label; labels at or past the function's bound (IR008)
+    /// are kept in `seen_dangling`.
+    seen_labels: Vec<bool>,
+    seen_dangling: Vec<u32>,
     diags: Vec<Diagnostic>,
 }
 
@@ -374,7 +377,15 @@ impl Validator<'_> {
     }
 
     fn stmt(&mut self, s: &Stmt) {
-        if !self.seen_labels.insert(s.label.0) {
+        let first_sight = match self.seen_labels.get_mut(s.label.0 as usize) {
+            Some(seen) => !std::mem::replace(seen, true),
+            None => {
+                let new = !self.seen_dangling.contains(&s.label.0);
+                self.seen_dangling.push(s.label.0);
+                new
+            }
+        };
+        if !first_sight {
             self.diags.push(err(
                 "IR002",
                 s.label,
@@ -419,7 +430,7 @@ impl Validator<'_> {
             } => {
                 let r = self.check_operand(*scrut, s.label);
                 self.record(r);
-                let mut vals = HashSet::new();
+                let mut vals = std::collections::HashSet::new();
                 for (v, cs) in cases {
                     if !vals.insert(*v) {
                         self.diags.push(err(

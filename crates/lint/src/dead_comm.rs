@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Variables a basic statement reads (operands, dereference bases, blkmov
 /// endpoints, call/atomic inputs, owner anchors).
 fn reads_of(b: &Basic) -> Vec<VarId> {
-    let mut out: Vec<VarId> = b.operands().iter().filter_map(|o| o.as_var()).collect();
+    let mut out: Vec<VarId> = b.operands().filter_map(|o| o.as_var()).collect();
     match b {
         Basic::Assign { dst, src } => {
             if let Place::Mem(m) = dst {

@@ -225,7 +225,7 @@ impl Linter<'_> {
         let o_rw = self.fa.rw.get(other.label);
         let mut out = Vec::new();
         let mut reported: BTreeSet<VarId> = BTreeSet::new();
-        for hw in &w_rw.heap_writes {
+        for hw in w_rw.heap_writes {
             if reported.contains(&hw.base) || self.fresh_private(writer, hw.base) {
                 continue;
             }

@@ -117,18 +117,36 @@ impl PassReport {
     }
 }
 
+/// Wall time of one layer that runs outside the pass manager, taken by the
+/// driver around the call it already makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerTime {
+    /// Row name in the timings table (`lex+parse`, `codegen`, …).
+    pub name: &'static str,
+    /// Wall-clock time spent in the layer.
+    pub wall: Duration,
+}
+
 /// The whole pipeline's instrumentation: one [`PassReport`] per executed
-/// pass plus the final analysis-cache totals.
+/// pass plus the final analysis-cache totals, and — where the driver timed
+/// them — the layers on either side of the passes.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
     /// Reports in execution order (includes the failing pass, if any).
     pub passes: Vec<PassReport>,
     /// Final cache counters for the whole run.
     pub cache: CacheStats,
+    /// Layers that ran before the passes (`lex+parse`, `lower`), in order.
+    /// Empty unless the driver timed them.
+    pub frontend: Vec<LayerTime>,
+    /// Layers that ran after the passes (`codegen`, `predecode`), in
+    /// order. Empty unless the driver timed them.
+    pub backend: Vec<LayerTime>,
 }
 
 impl PipelineReport {
-    /// Total wall-clock time across all passes.
+    /// Total wall-clock time across all passes (the layers outside the
+    /// pass manager are not part of it).
     pub fn total_wall(&self) -> Duration {
         self.passes.iter().map(|p| p.wall).sum()
     }
@@ -138,13 +156,24 @@ impl PipelineReport {
         self.passes.iter().find(|p| p.name == name)
     }
 
-    /// Human-readable timings table (the `--timings` output).
+    /// Human-readable timings table (the `--timings` output): one row per
+    /// layer and pass in execution order, then the total of all rows.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<18} {:>12}  {:<28} counters\n",
             "pass", "wall", "cache (hit/miss/refn/inval/esc)"
         ));
+        let layer_rows = |out: &mut String, layers: &[LayerTime]| {
+            for l in layers {
+                out.push_str(&format!(
+                    "{:<18} {:>12}\n",
+                    l.name,
+                    format!("{:.1?}", l.wall)
+                ));
+            }
+        };
+        layer_rows(&mut out, &self.frontend);
         for p in &self.passes {
             let cache = format!(
                 "{}/{}/{}/{}/{}",
@@ -168,10 +197,13 @@ impl PipelineReport {
                 counters
             ));
         }
+        layer_rows(&mut out, &self.backend);
+        let layers = self.frontend.iter().chain(&self.backend);
+        let layers: Duration = layers.map(|l| l.wall).sum();
         out.push_str(&format!(
             "{:<18} {:>12}  analyses={} hits={} refns={} invals={} escs={}\n",
             "total",
-            format!("{:.1?}", self.total_wall()),
+            format!("{:.1?}", self.total_wall() + layers),
             self.cache.misses,
             self.cache.hits,
             self.cache.function_recomputes,
@@ -211,8 +243,24 @@ impl PipelineReport {
             s.push_str(&earth_ir::diag::to_json_array(&p.diagnostics));
             s.push('}');
         }
+        s.push(']');
+        // Beside `passes`, and only where the driver timed them.
+        for (group, layers) in [("frontend", &self.frontend), ("backend", &self.backend)] {
+            if layers.is_empty() {
+                continue;
+            }
+            s.push_str(&format!(",{}:{{", json_string(group)));
+            for (i, l) in layers.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                let key = format!("{}_ns", l.name);
+                s.push_str(&format!("{}:{}", json_string(&key), l.wall.as_nanos()));
+            }
+            s.push('}');
+        }
         s.push_str(&format!(
-            "],\"total_wall_ns\":{},\"cache\":{}}}",
+            ",\"total_wall_ns\":{},\"cache\":{}}}",
             self.total_wall().as_nanos(),
             cache_json(&self.cache)
         ));
@@ -228,7 +276,7 @@ pub struct PassError {
     /// The violations it reported.
     pub diagnostics: Vec<Diagnostic>,
     /// Instrumentation up to and including the failing pass.
-    pub report: PipelineReport,
+    pub report: Box<PipelineReport>,
 }
 
 impl fmt::Display for PassError {
@@ -301,7 +349,7 @@ impl PassManager {
                 return Err(PassError {
                     pass: pass.name(),
                     diagnostics,
-                    report,
+                    report: Box::new(report),
                 });
             }
         }

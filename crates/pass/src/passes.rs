@@ -15,7 +15,7 @@
 //! | [`ValidateIrPass`] | check | pure; aborts on IR errors |
 
 use crate::{Pass, PassReport};
-use earth_analysis::{AnalysisCache, EscapeAnalysis, ProbFacts};
+use earth_analysis::AnalysisCache;
 use earth_commopt::{
     inline_functions, optimize_program_seeded, reorder_fields, CommOptConfig, IncrementalStats,
     InlineConfig, OptReport, PipelineSnapshot, Seed, SelectionStats,
@@ -212,9 +212,11 @@ impl Pass for RaceLintPass {
 
 /// Probabilistic alias + loop pointer-induction survey (prob-alias mode).
 ///
-/// The optimizer recomputes [`ProbFacts`] per function from the shared
-/// cached analysis when it runs (facts are cheap relative to the points-to
-/// fixpoint the cache holds); this pass surfaces the same facts as pipeline
+/// The structural [`ProbFacts`](earth_analysis::ProbFacts) are memoized
+/// per function beside the shared cached analysis
+/// ([`FunctionAnalysis::prob_facts`](earth_analysis::FunctionAnalysis::prob_facts)):
+/// this pass computes them and the optimizer reads the same instances.
+/// The pass surfaces them as pipeline
 /// counters *before* selection so timing reports and drivers can see what
 /// prob-alias mode has to work with: how many branches/loops received a
 /// likelihood annotation and how many loop pointer inductions were
@@ -237,7 +239,7 @@ impl Pass for ProbAliasPass {
         let mut annotated = 0u64;
         let mut inductions = 0u64;
         for (fid, f) in prog.iter_functions() {
-            let facts = ProbFacts::compute(f, analysis.function(fid), None);
+            let facts = analysis.function(fid).prob_facts(f);
             annotated += facts.n_annotated() as u64;
             inductions += facts.inductions().len() as u64;
         }
@@ -249,8 +251,11 @@ impl Pass for ProbAliasPass {
 
 /// Whole-program escape & node-affinity survey (`--escape on`).
 ///
-/// The optimizer computes its own [`EscapeAnalysis`] instance when it runs
-/// (once, before the per-function fan-out); this pass surfaces the same
+/// The [`EscapeAnalysis`](earth_analysis::EscapeAnalysis) is memoized
+/// beside the shared cached analysis
+/// ([`ProgramAnalysis::escape`](earth_analysis::ProgramAnalysis::escape)):
+/// this pass computes it and the optimizer reads the same instance. The
+/// pass surfaces the
 /// verdicts as pipeline counters *before* selection, so timing reports and
 /// drivers can see how much communication the escape upgrades stand to
 /// delete: how many allocation-site regions proved node-local, how many
@@ -273,8 +278,7 @@ impl Pass for EscapePass {
         cache: &mut AnalysisCache,
         report: &mut PassReport,
     ) -> Result<(), Vec<Diagnostic>> {
-        let analysis = cache.get(prog);
-        let esc = EscapeAnalysis::compute(prog, &analysis.summaries);
+        let esc = cache.get(prog).escape(prog);
         report.counter("regions_node_local", esc.regions_node_local as u64);
         report.counter("regions_shared", esc.regions_shared as u64);
         report.counter("vars_upgradable", esc.total_upgrades() as u64);

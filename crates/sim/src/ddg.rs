@@ -25,7 +25,7 @@
 
 use earth_analysis::FunctionAnalysis;
 use earth_ir::{Basic, Function, Label, MemRef, Rvalue, Stmt, StmtKind};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A dependence edge between two statements of one sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -147,12 +147,14 @@ fn is_long_latency(f: &Function, b: &Basic) -> bool {
 
 /// Variables a statement (including compound children, via rw sets)
 /// defines / uses.
-fn defs_uses(
-    fa: &FunctionAnalysis,
-    l: Label,
-) -> (BTreeSet<earth_ir::VarId>, BTreeSet<earth_ir::VarId>) {
+fn defs_uses(fa: &FunctionAnalysis, l: Label) -> (&[earth_ir::VarId], &[earth_ir::VarId]) {
     let rw = fa.rw.get(l);
-    (rw.vars_written.clone(), rw.vars_read.clone())
+    (rw.vars_written, rw.vars_read)
+}
+
+/// Whether two sorted variable sets share a member.
+fn intersects(a: &[earth_ir::VarId], b: &[earth_ir::VarId]) -> bool {
+    a.iter().any(|v| b.binary_search(v).is_ok())
 }
 
 fn seq_ddg(f: &Function, fa: &FunctionAnalysis, ss: &[Stmt]) -> SeqDdg {
@@ -165,14 +167,13 @@ fn seq_ddg(f: &Function, fa: &FunctionAnalysis, ss: &[Stmt]) -> SeqDdg {
         let (di, ui) = defs_uses(fa, ss[i].label);
         for later in ss.iter().skip(i + 1) {
             let (dj, uj) = defs_uses(fa, later.label);
-            if di.intersection(&uj).next().is_some() {
+            if intersects(di, uj) {
                 ddg.edges.push(Edge {
                     from: ss[i].label,
                     to: later.label,
                     kind: EdgeKind::Flow,
                 });
-            } else if dj.intersection(&ui).next().is_some() || dj.intersection(&di).next().is_some()
-            {
+            } else if intersects(dj, ui) || intersects(dj, di) {
                 ddg.edges.push(Edge {
                     from: ss[i].label,
                     to: later.label,

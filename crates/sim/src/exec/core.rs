@@ -207,6 +207,7 @@ impl Core {
                 node_busy_ns: self.nodes.iter().map(|n| n.busy_ns).collect(),
                 site_trace: std::mem::take(&mut self.site_trace),
                 op_stats: std::mem::take(&mut self.op_stats),
+                sched_events: self.event_seq,
             }),
             // Reported at the time the last EU went idle.
             None => Err(SimError {

@@ -104,6 +104,11 @@ pub struct RunResult {
     /// Per-op-kind dispatch histogram (all zero unless the run had
     /// [`record_op_stats`](MachineConfig::record_op_stats) set).
     pub op_stats: OpStats,
+    /// Events the scheduler queued over the whole run (thread wake-ups,
+    /// spawns, split-phase completions). Against [`Stats::ops`] this says
+    /// how much of a run is scheduling: the Olden kernels execute tens to
+    /// hundreds of ops per event.
+    pub sched_events: u64,
 }
 
 impl RunResult {

@@ -59,12 +59,13 @@ pub use earth_analysis::{AnalysisCache, CacheStats};
 pub use earth_commopt::{CommOptConfig, IncrementalStats, OptReport, PipelineSnapshot};
 pub use earth_frontend::FrontendError;
 pub use earth_ir::Program;
-pub use earth_pass::{PassManager, PipelineReport, SnapshotSlot};
+pub use earth_pass::{LayerTime, PassManager, PipelineReport, SnapshotSlot};
 pub use earth_profile::{Profile, ProfileDb};
 pub use earth_sim::{CostModel, ExecBackend, RunResult, SimError, Value};
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Any failure in the end-to-end pipeline.
 #[derive(Debug)]
@@ -428,22 +429,30 @@ impl Pipeline {
         mut prog: Program,
         args: &[Value],
     ) -> Result<(RunResult, PipelineReport), PipelineError> {
-        let report = self.apply_passes(&mut prog)?;
-        let (_, result) = self.simulate(&prog, earth_sim::CodegenOptions::default(), args)?;
+        let mut report = self.apply_passes(&mut prog)?;
+        let (_, result, backend) =
+            self.simulate(&prog, earth_sim::CodegenOptions::default(), args)?;
+        report.backend = backend;
         Ok((result, report))
     }
 
-    /// Code generation + simulation of an already-lowered program.
+    /// Code generation + simulation of an already-lowered program, with
+    /// the wall time of the layers ahead of the run.
     fn simulate(
         &self,
         prog: &Program,
         opts: earth_sim::CodegenOptions,
         args: &[Value],
-    ) -> Result<(earth_sim::CompiledProgram, RunResult), PipelineError> {
+    ) -> Result<(earth_sim::CompiledProgram, RunResult, Vec<LayerTime>), PipelineError> {
+        let start = Instant::now();
         let compiled = earth_sim::compile(prog, opts).map_err(|e| SimError {
             time_ns: 0,
             message: e.to_string(),
         })?;
+        let mut layers = vec![LayerTime {
+            name: "codegen",
+            wall: start.elapsed(),
+        }];
         let entry = compiled
             .function_by_name(&self.entry)
             .ok_or_else(|| SimError {
@@ -452,8 +461,21 @@ impl Pipeline {
             })?;
         let mut mc = self.machine.clone();
         mc.n_nodes = self.nodes;
-        let result = earth_sim::run_compiled(self.backend, mc, &compiled, entry, args)?;
-        Ok((compiled, result))
+        // `earth_sim::run_compiled`, spelled out so that pre-decoding is
+        // timed apart from the run.
+        let result = match self.backend {
+            ExecBackend::Interp => earth_sim::Machine::new(mc).run(&compiled, entry, args)?,
+            ExecBackend::Native => {
+                let start = Instant::now();
+                let native = earth_sim::NativeProgram::compile(&compiled, &mc.cost);
+                layers.push(LayerTime {
+                    name: "predecode",
+                    wall: start.elapsed(),
+                });
+                earth_sim::NativeMachine::new(mc).run(&native, entry, args)?
+            }
+        };
+        Ok((compiled, result, layers))
     }
 
     /// Runs the *instrumented* build of an already-compiled program: the
@@ -486,7 +508,7 @@ impl Pipeline {
             record_sites: true,
             ..Default::default()
         };
-        let (compiled, result) = instrumented.simulate(&prog, opts, args)?;
+        let (compiled, result, _) = instrumented.simulate(&prog, opts, args)?;
         let profile = Profile::from_trace(&compiled, &result.site_trace);
         Ok((result, profile))
     }
@@ -527,8 +549,18 @@ impl Pipeline {
         src: &str,
         args: &[Value],
     ) -> Result<(RunResult, PipelineReport), PipelineError> {
-        let prog = earth_frontend::compile(src)?;
-        self.run_program_report(prog, args)
+        // `earth_frontend::compile`, its two halves timed apart.
+        let start = Instant::now();
+        let unit = earth_frontend::parse_unit(src).map_err(FrontendError::from)?;
+        let lex_parse = start.elapsed();
+        let start = Instant::now();
+        let prog = earth_frontend::lower_unit(&unit).map_err(FrontendError::from)?;
+        let lower = start.elapsed();
+        let (result, mut report) = self.run_program_report(prog, args)?;
+        report.frontend = [("lex+parse", lex_parse), ("lower", lower)]
+            .map(|(name, wall)| LayerTime { name, wall })
+            .into();
+        Ok((result, report))
     }
 
     /// Compiles EARTH-C source and runs it.

@@ -151,3 +151,82 @@ fn run_succeeds_on_a_real_program() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("result: 1"), "{stdout}");
 }
+
+/// `run --timings --report-json` shows the layers on either side of the
+/// pass pipeline, and together with the passes they account for no more
+/// time than the command took.
+#[test]
+fn timings_cover_the_layers_around_the_passes() {
+    use earthc::earth_ir::json::{self, ObjectExt as _};
+    let start = std::time::Instant::now();
+    let out = earthcc(&[
+        "run",
+        "programs/treesum.ec",
+        "--nodes",
+        "2",
+        "--arg",
+        "6",
+        "--timings",
+        "--report-json",
+    ]);
+    let wall = start.elapsed();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The table: one row per layer, in execution order around the passes.
+    let row = |name: &str| {
+        stdout
+            .lines()
+            .position(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no `{name}` row in:\n{stdout}"))
+    };
+    let order = [
+        "lex+parse",
+        "lower",
+        "optimize",
+        "validate-ir",
+        "codegen",
+        "predecode",
+        "total",
+    ];
+    assert!(
+        order.map(row).windows(2).all(|w| w[0] < w[1]),
+        "rows out of order:\n{stdout}"
+    );
+    // The JSON: `frontend` and `backend` objects beside `passes`.
+    let report = json::parse(stdout.lines().last().unwrap()).unwrap();
+    let report = report.as_object("report").unwrap();
+    let mut accounted = 0u128;
+    for (group, keys) in [
+        ("frontend", ["lex+parse_ns", "lower_ns"]),
+        ("backend", ["codegen_ns", "predecode_ns"]),
+    ] {
+        let layers = report.field(group).unwrap().as_object(group).unwrap();
+        for key in keys {
+            accounted += layers.get_u64(key).unwrap() as u128;
+        }
+    }
+    for pass in report.get_array("passes").unwrap() {
+        accounted += pass.as_object("pass").unwrap().get_u64("wall_ns").unwrap() as u128;
+    }
+    assert!(accounted > 0);
+    assert!(
+        accounted <= wall.as_nanos(),
+        "layers and passes add up to {accounted} ns, the command took {} ns",
+        wall.as_nanos()
+    );
+    // The interpreter has no pre-decode step, so no such row.
+    let out = earthcc(&[
+        "run",
+        "programs/treesum.ec",
+        "--arg",
+        "6",
+        "--backend",
+        "interp",
+        "--timings",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("codegen") && !stdout.contains("predecode"),
+        "{stdout}"
+    );
+}

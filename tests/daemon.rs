@@ -381,3 +381,40 @@ fn daemon_survives_bad_programs() {
     client.shutdown().unwrap();
     join.join().unwrap();
 }
+
+/// ROADMAP's first hostile input: 20,000 nested parentheses in one
+/// `compile` request used to overflow the worker's stack and take the
+/// whole daemon with it. Now it is a positioned `FE003` answer like any
+/// other frontend error, and the daemon keeps serving.
+#[test]
+fn daemon_answers_hostile_nesting_and_keeps_serving() {
+    use earthc::earth_serve::client::ClientError;
+    let (addr, _handle, join) = start(ServerConfig::default());
+    let mut client = Client::connect(addr).unwrap();
+    let n = 20_000;
+    for hostile in [
+        format!(
+            "int main() {{ return {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("int main() {{ {} return 1; }}", "if (1) ".repeat(n)),
+        format!("int main() {{ return 1{}; }}", "+1".repeat(n)),
+    ] {
+        match client.compile(&hostile, CompileOptions::default()) {
+            Err(ClientError::Server { error, .. }) => {
+                assert!(
+                    error.contains("parse error at 1:") && error.contains("FE003 nesting too deep"),
+                    "{error}"
+                );
+            }
+            other => panic!("expected an FE003 answer, got {other:?}"),
+        }
+        client.ping().expect("the daemon still answers ping");
+    }
+    let (_, source) = sources().remove(0);
+    let (ir, _) = compile_ir(&mut client, &source);
+    assert_eq!(ir, reference_ir(&source));
+    client.shutdown().unwrap();
+    join.join().unwrap();
+}

@@ -7,6 +7,8 @@
 //! must produce byte-identical pretty-printed IR, identical `MotionLog`s,
 //! and identical `SelectionStats`.
 
+mod common;
+
 use earthc::earth_analysis;
 use earthc::earth_commopt::{
     optimize_program_with, AliasMode, CommOptConfig, MotionLog, SelectionStats,
@@ -340,4 +342,102 @@ fn full_pipeline_is_worker_invariant() {
         assert_eq!(one.stats, n.stats);
     }
     assert_eq!(one.ret, Value::Double(5.0));
+}
+
+/// 64-bit FNV-1a over the text, written out here so that the fence does
+/// not move with the repository's own hasher.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `print_program` of every (source, mode) pair of the `compile_cold`
+/// corpus, generated at 7cf2f74 (the parent of the compile-path
+/// allocation work): a compiler change that is meant to be faster, not
+/// different, leaves every row as it is.
+const IR_CHECKSUMS: [(&str, &str, u64); 40] = [
+    ("power", "simple", 0x8a4beb3d890a9716),
+    ("power", "static", 0xb528ab34132ef0c8),
+    ("power", "prob", 0x029e6cdae35c67f8),
+    ("power", "escape", 0xdd78e5c2336aa398),
+    ("tsp", "simple", 0xc3bbc18014e0fe6f),
+    ("tsp", "static", 0xdf1f7591166fddf0),
+    ("tsp", "prob", 0xdb037eff77d06455),
+    ("tsp", "escape", 0x8ccb2d65d8fe0157),
+    ("health", "simple", 0xcd6bb9087b82599e),
+    ("health", "static", 0x0bd38dd2a1fc44f4),
+    ("health", "prob", 0x1ce9ba66ed284526),
+    ("health", "escape", 0x8f0472bda784680c),
+    ("perimeter", "simple", 0x310b4f75e9fc16fb),
+    ("perimeter", "static", 0x299412e57ba34581),
+    ("perimeter", "prob", 0x299412e57ba34581),
+    ("perimeter", "escape", 0xd0f534a3507ceb39),
+    ("voronoi", "simple", 0x582a3a723dafd14a),
+    ("voronoi", "static", 0x431093bdd663e60c),
+    ("voronoi", "prob", 0x5008d14d5330fd58),
+    ("voronoi", "escape", 0x3d2190f49b2c8763),
+    ("treeadd", "simple", 0x75acfa13d3aa00c2),
+    ("treeadd", "static", 0xaa6463d44606f77d),
+    ("treeadd", "prob", 0xaa6463d44606f77d),
+    ("treeadd", "escape", 0x2abdf6d0262294d0),
+    ("count.ec", "simple", 0x3da51a6d78934fff),
+    ("count.ec", "static", 0xc29ef3aa633f7ca9),
+    ("count.ec", "prob", 0xc29ef3aa633f7ca9),
+    ("count.ec", "escape", 0x572f7ba4aae5c910),
+    ("distance.ec", "simple", 0xeaed587277169fee),
+    ("distance.ec", "static", 0x2f613896e2a575b6),
+    ("distance.ec", "prob", 0x2f613896e2a575b6),
+    ("distance.ec", "escape", 0x2f613896e2a575b6),
+    ("orbit.ec", "simple", 0xb984a76f3715d72a),
+    ("orbit.ec", "static", 0xfdc12273f3b3d292),
+    ("orbit.ec", "prob", 0xbb6d5725d1b19a99),
+    ("orbit.ec", "escape", 0x653ba607514e1fa3),
+    ("treesum.ec", "simple", 0x761557612b9615ec),
+    ("treesum.ec", "static", 0xbef71c4e852bebb2),
+    ("treesum.ec", "prob", 0xbef71c4e852bebb2),
+    ("treesum.ec", "escape", 0x46d972f360730ae3),
+];
+
+/// `print_function` of every function of `health` under `static` with
+/// `PrettyOptions { show_labels: false, indent: 4 }`, same commit.
+const IR_CHECKSUM_NO_LABELS_INDENT_4: u64 = 0x33f4_57b8_0907_c867;
+
+#[test]
+fn ir_text_matches_the_checked_in_checksums() {
+    use earthc::earth_frontend::{lower_unit, parse_unit};
+    let mut actual = Vec::new();
+    for (name, src) in common::sources() {
+        for (mode, pipeline) in common::modes() {
+            let mut prog = lower_unit(&parse_unit(src).expect("parses")).expect("lowers");
+            pipeline.apply_passes(&mut prog).expect("passes");
+            actual.push((name, mode, fnv1a(&pretty::print_program(&prog))));
+            if (name, mode) == ("health", "static") {
+                let opts = pretty::PrettyOptions {
+                    show_labels: false,
+                    indent: 4,
+                };
+                let text: String = prog
+                    .iter_functions()
+                    .map(|(id, _)| pretty::print_function(&prog, id, &opts))
+                    .collect();
+                assert_eq!(
+                    fnv1a(&text),
+                    IR_CHECKSUM_NO_LABELS_INDENT_4,
+                    "health/static without labels, indent 4: {:#018x}",
+                    fnv1a(&text)
+                );
+            }
+        }
+    }
+    let render = |rows: &[(&str, &str, u64)]| {
+        rows.iter()
+            .map(|(n, m, h)| format!("    ({n:?}, {m:?}, {h:#018x}),\n"))
+            .collect::<String>()
+    };
+    assert_eq!(
+        render(&actual),
+        render(&IR_CHECKSUMS),
+        "the IR text of the corpus changed"
+    );
 }

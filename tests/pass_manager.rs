@@ -401,3 +401,49 @@ fn scratch_and_seeded_runs_share_one_pass_list() {
         }
     }
 }
+
+/// A fact two consumers need is computed once. The `escape` and
+/// `prob-alias` survey passes report counters of facts the optimizer
+/// needs anyway; both read the instance memoized beside the cached
+/// analysis, so one pipeline run computes one escape analysis and one set
+/// of probability facts per function — and the validator's replay of the
+/// plan shares the probability facts too (its escape analysis is its own
+/// on purpose: an independent re-derivation).
+#[test]
+fn survey_passes_and_optimizer_share_one_computation_of_each_fact() {
+    use earthc::earth_analysis::{AnalysisCache, FactStats};
+    use earthc::earth_commopt::{AliasMode, EscapeMode};
+    let cfg = CommOptConfig {
+        alias: AliasMode::Prob,
+        escape: EscapeMode::On,
+        ..CommOptConfig::default()
+    };
+    for verify in [false, true] {
+        let mut prog = earthc::compile_earth_c(SRC).unwrap();
+        let functions = prog.functions().len() as u64;
+        let mut cache = AnalysisCache::new();
+        let report = Pipeline::new()
+            .workers(1)
+            .optimizer(Some(cfg.clone()))
+            .verify(verify)
+            .pass_manager(None)
+            .run(&mut prog, &mut cache)
+            .unwrap();
+        // Both surveys and the optimizer ran and had something to say.
+        let escape = report.pass("escape").expect("escape survey ran");
+        assert!(escape.get_counter("vars_upgradable").is_some());
+        let prob = report.pass("prob-alias").expect("prob-alias survey ran");
+        assert!(prob.get_counter("sites_annotated").is_some());
+        assert!(report.pass("optimize").is_some());
+        assert_eq!(report.cache.misses, 1, "{}", report.render());
+        assert_eq!(
+            cache.fact_stats(),
+            FactStats {
+                escape_computes: 1,
+                prob_computes: functions,
+            },
+            "verify={verify}:\n{}",
+            report.render()
+        );
+    }
+}

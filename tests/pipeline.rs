@@ -156,6 +156,46 @@ fn frontend_errors_are_reported() {
     assert!(err.to_string().contains("unknown variable"), "{err}");
 }
 
+/// The frontend's nesting limit is what keeps every later recursive walk
+/// (analyses, optimizer, validator, printer, code generator) inside its
+/// stack: programs nested right up to it compile and run on a test
+/// thread, each shape nesting through a different tree node.
+#[test]
+fn nesting_at_the_limit_runs_end_to_end() {
+    let n = earthc::earth_frontend::MAX_NESTING as usize - 8;
+    let shapes = [
+        format!(
+            "int main() {{ int x; x = 0; {} x = 7; return x; }}",
+            "if (x == 0) ".repeat(n)
+        ),
+        format!(
+            "int f(int a) {{ return a; }} int main() {{ return {}7{}; }}",
+            "f(".repeat(n / 2),
+            ")".repeat(n / 2)
+        ),
+        format!(
+            "int main() {{ int x; x = 0; {} x = 7; {} return x; }}",
+            "switch (x) { case 0: ".repeat(n),
+            "}".repeat(n)
+        ),
+        format!(
+            "int main() {{ int x; x = 0; {} x = 7; {} return x; }}",
+            "{^ ".repeat(n),
+            "^}".repeat(n)
+        ),
+        format!("int main() {{ return 7{}; }}", " + 0".repeat(n)),
+    ];
+    for src in shapes {
+        let (result, report) = Pipeline::new()
+            .verify(true)
+            .lint(true)
+            .run_source_report(&src, &[])
+            .unwrap_or_else(|e| panic!("{e}\n{}", &src[..60]));
+        assert_eq!(result.ret, Value::Int(7), "{}", &src[..60]);
+        assert!(report.pass("validate-ir").is_some());
+    }
+}
+
 /// Simulator errors surface too (entry arity mismatch).
 #[test]
 fn sim_errors_are_reported() {

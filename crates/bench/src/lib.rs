@@ -8,29 +8,30 @@
 //!   Table III (performance improvement),
 //! * [`ablation`] — component / threshold / frequency ablations beyond the
 //!   paper,
-//! * [`commopt`] — the alias-mode ablation (simple / static / prob-alias /
-//!   profile-fed prob-alias) behind the `BENCH_commopt.json` artifact,
-//! * [`incremental`] — from-scratch vs incremental recompile latency after
-//!   a one-function edit, behind the `BENCH_incremental.json` artifact,
-//! * [`exec`] — interpreter vs native execution tier run latency, behind
-//!   the `BENCH_exec.json` artifact,
 //! * [`pgo`] — static heuristics vs measured-profile feedback
 //!   (instrument → simulate → recompile).
 //!
 //! Runnable binaries: `table1`, `table2`, `fig10`, `table3`,
-//! `ablation_threshold`, `ablation_placement`, `ablation_freq`,
-//! `ablation_pgo`, `bench_commopt` (all accept `--small` / `--full` to
-//! change the problem size) — plus Criterion benches `comm_costs`,
-//! `olden`, and `pipeline`.
+//! `ablation_placement`, `ablation_threshold`, `ablation_freq`,
+//! `ablation_pgo`, `ablation_inline`, `ablation_layout` and
+//! `ablation_locality` (`fig10`, `table3` and the seven ablations accept
+//! `--test` / `--small` / `--full` to change the problem size, all but
+//! `table3` also `--nodes N`), `bench_cluster` (the serving-layer
+//! scaling behind `BENCH_cluster.json`), and the `dispatch_probe`
+//! example.
+//!
+//! The paper printers run the Olden kernels on the interpreter without
+//! locality inference ([`earth_olden::run`], or the same steps spelled
+//! out; only `ablation_locality` turns the inference on, as its subject).
+//! `earthcc`, `earthd` and the `benchmark/` package at the repository
+//! root infer locality; host-time and virtual-time numbers of that
+//! pipeline come from `benchmark/`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
-pub mod commopt;
-pub mod exec;
 pub mod experiments;
-pub mod incremental;
 pub mod pgo;
 pub mod render;
 pub mod table1;

@@ -144,7 +144,7 @@ pub struct CommOptConfig {
     /// frequencies, `loop_factor` trip counts — with measured branch
     /// probabilities and trip counts, and blocking becomes a pure
     /// cost-model decision over measured execution counts
-    /// ([`should_block_profiled`](CommOptConfig::should_block_profiled)).
+    /// ([`SpanFrequency::Measured`]).
     /// `None` keeps the paper's static heuristics.
     pub profile: Option<Arc<ProfileDb>>,
     /// Which alias/frequency analysis feeds the cost model
@@ -185,166 +185,128 @@ impl CommOptConfig {
         }
     }
 
-    /// Should a group of accesses through one pointer be blocked?
+    /// Should a span of accesses through one pointer be blocked?
     ///
-    /// `read_fields`/`write_fields` count distinct fields read/written;
-    /// `struct_words` is the number of words the block moves transfer.
-    pub fn should_block(
-        &self,
-        read_fields: usize,
-        write_fields: usize,
-        struct_words: usize,
-    ) -> bool {
-        self.should_block_ex(read_fields, write_fields, struct_words, false)
-    }
-
-    /// [`CommOptConfig::should_block`] with the *fully-initializing span*
-    /// refinement: when every transferred word is written before any read,
-    /// the up-front block read is skipped, so blocking costs only the
-    /// write-back.
-    pub fn should_block_ex(
-        &self,
-        read_fields: usize,
-        write_fields: usize,
-        struct_words: usize,
-        full_init: bool,
-    ) -> bool {
+    /// Blocking pays when the `blkmov` read (skipped for a
+    /// fully-initializing span, whose every word is written before any
+    /// read) plus, if the span writes, the write-back `blkmov` costs less
+    /// *issue* time than the span's pipelined scalar reads and writes.
+    /// Two gates come first. The evidence's [`SpanFrequency`] picks one:
+    /// a static guess must clear `block_threshold`; a measured span must
+    /// have executed; an induction span's loop must continue with
+    /// probability at least 0.5, and its pipelined side is discounted by
+    /// that probability. The other is the spurious-words rule, whatever the
+    /// evidence: a transfer over `spurious_ratio` times the words needed
+    /// stays pipelined, which protects dependent chains from the longer
+    /// `blkmov` completion latency.
+    pub fn should_block(&self, span: &SpanEvidence) -> bool {
         if !self.enable_blocking {
             return false;
         }
-        let words_needed = read_fields + write_fields;
-        if words_needed < self.block_threshold {
-            return false;
-        }
-        if struct_words as f64 > self.spurious_ratio * words_needed as f64 {
-            return false;
-        }
-        let mut blocked = if full_init {
-            0.0 // fully-initializing spans skip the up-front read
-        } else {
-            self.cost.blkmov_cost(struct_words)
+        let words_needed = span.read_fields + span.write_fields;
+        let frequent_enough = match span.freq {
+            SpanFrequency::Static => words_needed >= self.block_threshold,
+            SpanFrequency::Induction(loop_prob) => loop_prob >= 0.5,
+            SpanFrequency::Measured(execs) => execs > 0,
         };
-        if write_fields > 0 {
-            // A write-back block move is needed as well.
-            blocked += self.cost.blkmov_cost(struct_words);
+        if !frequent_enough || span.words as f64 > self.spurious_ratio * words_needed as f64 {
+            return false;
         }
-        let pipelined = self.cost.pipelined_cost(read_fields, write_fields);
-        blocked < pipelined
+        let block = self.cost.blkmov_cost(span.words);
+        let read = if span.full_init { 0.0 } else { block };
+        let write_back = if span.write_fields > 0 { block } else { 0.0 };
+        let mut pipelined = self
+            .cost
+            .pipelined_cost(span.read_fields, span.write_fields);
+        if let SpanFrequency::Induction(loop_prob) = span.freq {
+            pipelined *= loop_prob;
+        }
+        read + write_back < pipelined
     }
+}
 
-    /// The blocking decision with measured evidence: `execs` is how many
-    /// times the span's accesses actually executed in the profiling run.
-    ///
-    /// A span that never executed is not blocked (its `blkmov` would be
-    /// pure overhead on the paths that do run). A span that did execute is
-    /// decided by the cost model *alone*: the static `block_threshold`
-    /// gate — a stand-in for "is this span worth it?" when frequencies are
-    /// guesses — is replaced by the measurement, so a hot two-word span
-    /// (2 × 1908 ns pipelined vs 2602 ns blocked) now blocks, and the
-    /// spurious-words rule still protects dependent chains.
-    pub fn should_block_profiled(
-        &self,
-        read_fields: usize,
-        write_fields: usize,
-        struct_words: usize,
-        full_init: bool,
-        execs: u64,
-    ) -> bool {
-        if !self.enable_blocking || execs == 0 {
-            return false;
-        }
-        let words_needed = read_fields + write_fields;
-        if struct_words as f64 > self.spurious_ratio * words_needed as f64 {
-            return false;
-        }
-        let mut blocked = if full_init {
-            0.0
-        } else {
-            self.cost.blkmov_cost(struct_words)
-        };
-        if write_fields > 0 {
-            blocked += self.cost.blkmov_cost(struct_words);
-        }
-        blocked < self.cost.pipelined_cost(read_fields, write_fields)
-    }
+/// What selection knows about a span of accesses through one pointer:
+/// the input of [`CommOptConfig::should_block`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpanEvidence {
+    /// Distinct fields the span reads.
+    pub read_fields: usize,
+    /// Distinct fields the span writes.
+    pub write_fields: usize,
+    /// Words a block move of the span transfers.
+    pub words: usize,
+    /// Every transferred word is written before any is read, so no
+    /// up-front block read is needed.
+    pub full_init: bool,
+    /// How often the span is believed to run.
+    pub freq: SpanFrequency,
+}
 
-    /// The blocking decision for a span whose pointer is a recognized loop
-    /// induction (`p = p->f` once per iteration) with continue probability
-    /// `loop_prob` (prob-alias mode only).
-    ///
-    /// The static `block_threshold` gate exists because static frequencies
-    /// are guesses; an induction span provably executes once per surviving
-    /// iteration, so — exactly as under measurement
-    /// ([`should_block_profiled`](CommOptConfig::should_block_profiled)) —
-    /// the decision falls to the cost model alone, discounted by the
-    /// probability an iteration actually runs. The spurious-words rule
-    /// still applies. A loop more likely to exit than continue
-    /// (`loop_prob < 0.5`) keeps the static decision.
-    pub fn should_block_induction(
-        &self,
-        read_fields: usize,
-        write_fields: usize,
-        struct_words: usize,
-        full_init: bool,
-        loop_prob: f64,
-    ) -> bool {
-        if !self.enable_blocking || loop_prob < 0.5 {
-            return false;
-        }
-        let words_needed = read_fields + write_fields;
-        if struct_words as f64 > self.spurious_ratio * words_needed as f64 {
-            return false;
-        }
-        let mut blocked = if full_init {
-            0.0
-        } else {
-            self.cost.blkmov_cost(struct_words)
-        };
-        if write_fields > 0 {
-            blocked += self.cost.blkmov_cost(struct_words);
-        }
-        // Conservative tilt: the pipelined side is discounted by the
-        // continue probability, so blocking must pay off even when only a
-        // `loop_prob` fraction of entries reaches the span.
-        blocked < self.cost.pipelined_cost(read_fields, write_fields) * loop_prob
-    }
+/// The source of a span's execution frequency, which picks the gate of
+/// [`CommOptConfig::should_block`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpanFrequency {
+    /// The paper's static guess: the span must need at least
+    /// `block_threshold` words.
+    Static,
+    /// The span's pointer is a recognized loop induction (`p = p->f` once
+    /// per iteration, prob-alias mode) and the loop continues with this
+    /// probability; it provably runs once per surviving iteration, so the
+    /// cost model alone decides, discounted by the probability.
+    Induction(f64),
+    /// The span's accesses executed this many times in a profiling run;
+    /// the cost model alone decides any span that ran, and one that never
+    /// ran is not blocked (its `blkmov` would be pure overhead).
+    Measured(u64),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One row per decision: the evidence, the expected answer under the
+    /// default configuration, and why.
     #[test]
-    fn paper_threshold_of_three_holds() {
+    fn blocking_decisions_follow_their_evidence() {
+        use SpanFrequency::{Induction, Measured, Static};
+        #[rustfmt::skip]
+        let rows: &[(SpanFrequency, usize, usize, usize, bool, bool, &str)] = &[
+            // freq, reads, writes, words, full_init, block, why
+            (Static, 2, 0, 2, false, false, "two reads are under the threshold of three"),
+            (Static, 3, 0, 3, false, true, "three reads of a three-word struct"),
+            (Static, 2, 2, 2, false, true, "Figure 4: two reads and two writes of a two-word struct"),
+            (Static, 3, 0, 60, false, false, "60 words streamed for three"),
+            (Static, 3, 0, 7, false, false, "spurious words: 7 > 2 x 3"),
+            (Static, 4, 0, 7, false, true, "spurious words: 7 <= 2 x 4"),
+            (Static, 0, 2, 2, true, false, "a full-init span still needs the threshold"),
+            (Measured(100), 2, 0, 2, false, true, "hot two-word span: 2 x 1908 > 2602"),
+            (Measured(0), 3, 0, 3, false, false, "a span that never ran"),
+            (Measured(100), 3, 0, 60, false, false, "spurious words under measurement"),
+            (Measured(100), 1, 0, 1, false, false, "one read never beats its own blkmov"),
+            (Measured(100), 0, 2, 2, false, false, "read and write-back: 2 x 2762 > 2 x 1749"),
+            (Measured(100), 0, 2, 2, true, true, "full init skips the read: 2762 < 2 x 1749"),
+            (Induction(0.9), 2, 0, 2, false, true, "list node: 2762 < 3816 x 0.9"),
+            (Induction(0.3), 2, 0, 2, false, false, "a loop likelier to exit"),
+            (Induction(0.9), 2, 0, 60, false, false, "spurious words on an induction"),
+            (Induction(0.9), 1, 0, 1, false, false, "one read never beats its own blkmov"),
+            (Induction(0.7), 2, 0, 2, false, false, "the discount tips it: 2762 > 3816 x 0.7"),
+        ];
         let cfg = CommOptConfig::default();
-        // Two reads: pipelined (threshold gate).
-        assert!(!cfg.should_block(2, 0, 2));
-        // Three reads of a three-word struct: blocked.
-        assert!(cfg.should_block(3, 0, 3));
-        // Two reads + two writes of a two-word struct (Figure 4): blocked.
-        assert!(cfg.should_block(2, 2, 2));
-    }
-
-    #[test]
-    fn huge_spurious_struct_shifts_to_pipelining() {
-        let cfg = CommOptConfig::default();
-        // Three fields needed out of a 60-word struct: the per-word
-        // streaming cost of the spurious fields outweighs the saving.
-        assert!(!cfg.should_block(3, 0, 60));
-        // Three fields of a 7-word struct: the spurious-ratio rule keeps
-        // it pipelined (7 > 2 x 3), protecting dependent chains from the
-        // higher blkmov completion latency.
-        assert!(!cfg.should_block(3, 0, 7));
-        assert!(cfg.should_block(4, 0, 7));
-    }
-
-    #[test]
-    fn blocking_disabled_never_blocks() {
-        let cfg = CommOptConfig {
+        let off = CommOptConfig {
             enable_blocking: false,
             ..CommOptConfig::default()
         };
-        assert!(!cfg.should_block(5, 5, 10));
+        for &(freq, read_fields, write_fields, words, full_init, block, why) in rows {
+            let span = SpanEvidence {
+                read_fields,
+                write_fields,
+                words,
+                full_init,
+                freq,
+            };
+            assert_eq!(cfg.should_block(&span), block, "{why}: {span:?}");
+            assert!(!off.should_block(&span), "blocking disabled: {span:?}");
+        }
     }
 
     #[test]
@@ -353,43 +315,6 @@ mod tests {
         assert_eq!(c.blkmov_cost(1), 2602.0);
         assert_eq!(c.blkmov_cost(3), 2602.0 + 320.0);
         assert_eq!(c.pipelined_cost(2, 1), 2.0 * 1908.0 + 1749.0);
-    }
-
-    #[test]
-    fn profiled_blocking_follows_measurement() {
-        let cfg = CommOptConfig::default();
-        // A hot two-word span is below the static threshold of three but
-        // profitable by pure cost (2 x 1908 > 2602): measurement flips it.
-        assert!(!cfg.should_block(2, 0, 2));
-        assert!(cfg.should_block_profiled(2, 0, 2, false, 100));
-        // A span that never executed is never blocked, however big.
-        assert!(cfg.should_block(3, 0, 3));
-        assert!(!cfg.should_block_profiled(3, 0, 3, false, 0));
-        // The spurious-words rule still applies under measurement.
-        assert!(!cfg.should_block_profiled(3, 0, 60, false, 100));
-        // A single profiled read is not worth a blkmov (1908 < 2602).
-        assert!(!cfg.should_block_profiled(1, 0, 1, false, 100));
-    }
-
-    #[test]
-    fn induction_blocking_is_cost_only_but_probability_gated() {
-        let cfg = CommOptConfig::default();
-        // A two-word list node (next + payload): below the static
-        // threshold, but the cost model favours one blkmov over two
-        // pipelined reads when the loop almost always continues.
-        assert!(!cfg.should_block(2, 0, 2));
-        assert!(cfg.should_block_induction(2, 0, 2, false, 0.9));
-        // A loop more likely to exit than continue keeps the static
-        // decision.
-        assert!(!cfg.should_block_induction(2, 0, 2, false, 0.3));
-        // The spurious-words rule still protects dependent chains.
-        assert!(!cfg.should_block_induction(2, 0, 60, false, 0.9));
-        // A single read never beats its own blkmov.
-        assert!(!cfg.should_block_induction(1, 0, 1, false, 0.9));
-        // The discount can tip a marginal span back to pipelining:
-        // 2 reads of a 2-word struct costs 2762 blocked vs 3816 * p
-        // pipelined — at p = 0.7 the pipelined side is cheaper.
-        assert!(!cfg.should_block_induction(2, 0, 2, false, 0.7));
     }
 
     #[test]

@@ -48,7 +48,9 @@ pub mod rce;
 pub mod selection;
 pub mod transform;
 
-pub use config::{AliasMode, CommCostModel, CommOptConfig, EscapeMode, FreqModel};
+pub use config::{
+    AliasMode, CommCostModel, CommOptConfig, EscapeMode, FreqModel, SpanEvidence, SpanFrequency,
+};
 pub use earth_analysis::{EscapeAnalysis, EscapeJustification, EscapeVerdict};
 pub use earth_profile::{FuncProfile, Profile, ProfileDb};
 pub use incremental::{

@@ -25,7 +25,7 @@
 //! policy: "for remote writes, the communication is delayed if this
 //! enables blocked communication").
 
-use crate::config::CommOptConfig;
+use crate::config::{CommOptConfig, SpanEvidence, SpanFrequency};
 use crate::motion::{Motion, MotionKind, MotionLog, ProbJustification};
 use crate::placement::Placement;
 use earth_analysis::{AccessKind, FunctionAnalysis, ProbFacts};
@@ -99,16 +99,14 @@ pub fn select(
 
 /// [`select`] with an optional measured profile and optional probability
 /// annotations (`--alias prob`). When the profiled run covered this
-/// function, blocking uses
-/// [`should_block_profiled`](CommOptConfig::should_block_profiled) over the
-/// span's measured execution count instead of the static threshold gate,
-/// and [`SelectionStats::pgo_flips`] counts the decisions that changed.
-/// The facts change exactly one decision class: a span
-/// whose pointer is a recognized loop induction (`p = p->f` once per
-/// iteration) is decided by
-/// [`should_block_induction`](CommOptConfig::should_block_induction) —
-/// the cost model discounted by the loop's continue probability — instead
-/// of the static threshold gate, and such motions carry a
+/// function, [`CommOptConfig::should_block`] decides on the span's
+/// measured execution count ([`SpanFrequency::Measured`]) instead of the
+/// static threshold gate, and [`SelectionStats::pgo_flips`] counts the
+/// decisions that changed. The facts change exactly one decision class: a
+/// span whose pointer is a recognized loop induction (`p = p->f` once per
+/// iteration) is decided on the loop's continue probability
+/// ([`SpanFrequency::Induction`]: the cost model, discounted by it)
+/// instead of the static threshold gate, and such motions carry a
 /// [`ProbJustification`] that the `earth-lint` validator independently
 /// re-derives. Span *safety* (conflict checks, terminal detection) is
 /// identical in both modes.
@@ -440,9 +438,14 @@ impl Selector<'_> {
         // A span that writes *every* transferred word before reading any
         // needs no up-front block read (RemoteFill is trivially satisfied).
         let full_init = read_fields == 0 && write_fields == range_words;
-        let static_choice =
-            self.cfg
-                .should_block_ex(read_fields, write_fields, range_words, full_init);
+        let span = SpanEvidence {
+            read_fields,
+            write_fields,
+            words: range_words,
+            full_init,
+            freq: SpanFrequency::Static,
+        };
+        let static_choice = self.cfg.should_block(&span);
         let mut justification = None;
         let block = match self.profile {
             Some(view) => {
@@ -454,13 +457,10 @@ impl Selector<'_> {
                     .map(|a| view.execs(a.label).unwrap_or(0))
                     .max()
                     .unwrap_or(0);
-                let measured = self.cfg.should_block_profiled(
-                    read_fields,
-                    write_fields,
-                    range_words,
-                    full_init,
-                    execs,
-                );
+                let measured = self.cfg.should_block(&SpanEvidence {
+                    freq: SpanFrequency::Measured(execs),
+                    ..span
+                });
                 if measured != static_choice {
                     self.plan.stats.pgo_flips += 1;
                 }
@@ -474,13 +474,10 @@ impl Selector<'_> {
                 // a statically profitable span stays blocked regardless.
                 let induction_choice = self.induction_for(p, enclosing_loop).and_then(|j| {
                     self.cfg
-                        .should_block_induction(
-                            read_fields,
-                            write_fields,
-                            range_words,
-                            full_init,
-                            j.prob,
-                        )
+                        .should_block(&SpanEvidence {
+                            freq: SpanFrequency::Induction(j.prob),
+                            ..span
+                        })
                         .then_some(j)
                 });
                 if !static_choice {

@@ -254,15 +254,29 @@ fn prob_alias_output_is_worker_invariant() {
     }
 }
 
-/// Differential correctness of prob-alias mode: for every sample program
-/// and every Olden kernel, the prob-optimized build computes the same
-/// result as the unoptimized (`simple`) build.
+/// Differential correctness of the optimization modes, and what the two
+/// communication-removing modes promise, on the pipeline `earthcc`,
+/// `earthd` and `benchmark/` run (`earthc::Pipeline`, locality inference
+/// on). Every sample program's prob-optimized build computes the simple
+/// build's result. Every Olden kernel at `Test` on 2 nodes computes it
+/// under all five modes (`simple`, `static`, `prob`, `escape`, `pgo`).
+/// Escape upgrades only delete communication, so `escape` never
+/// communicates more than `static`. On the list-heavy kernels (health,
+/// tsp) both richer modes communicate strictly less: `prob` by trading
+/// scalar reads for `blkmov` prefetches of the induction spans, `escape`
+/// by deleting node-local traffic.
 #[test]
 fn prob_optimized_matches_simple_results() {
-    use earthc::earth_olden::{by_name, run, Build, Preset};
-    use earthc::{Pipeline, Value};
-    let cfg = CommOptConfig {
+    use earthc::earth_commopt::EscapeMode;
+    use earthc::earth_olden::Preset;
+    use earthc::{Pipeline, ProfileDb, Value};
+    use std::sync::Arc;
+    let prob = CommOptConfig {
         alias: AliasMode::Prob,
+        ..CommOptConfig::default()
+    };
+    let escape = CommOptConfig {
+        escape: EscapeMode::On,
         ..CommOptConfig::default()
     };
     let programs: &[(&str, &[Value])] = &[
@@ -283,18 +297,71 @@ fn prob_optimized_matches_simple_results() {
                 .unwrap_or_else(|e| panic!("{path}: {e}"))
         };
         let simple = build(None);
-        let prob = build(Some(cfg.clone()));
+        let prob = build(Some(prob.clone()));
         assert_eq!(simple.ret, prob.ret, "{path}: prob build changed result");
     }
     for bench in earthc::earth_olden::suite() {
-        let bench = by_name(bench.name).unwrap();
-        let simple = run(&bench, &Build::Simple, Preset::Test, 2).expect("simple run");
-        let prob = run(&bench, &Build::Optimized(cfg.clone()), Preset::Test, 2).expect("prob run");
-        assert_eq!(
-            simple.ret, prob.ret,
-            "{}: prob build changed result",
-            bench.name
+        let name = bench.name;
+        let args = (bench.args)(Preset::Test);
+        let pipeline = |cfg: Option<CommOptConfig>| Pipeline::new().nodes(2).optimizer(cfg);
+        let (_, profile) = pipeline(None)
+            .instrument_source(bench.source, &args)
+            .unwrap_or_else(|e| panic!("{name} instrumented: {e}"));
+        let modes = [
+            ("simple", pipeline(None)),
+            ("static", pipeline(Some(CommOptConfig::default()))),
+            ("prob", pipeline(Some(prob.clone()))),
+            ("escape", pipeline(Some(escape.clone()))),
+            (
+                "pgo",
+                pipeline(Some(prob.clone())).profile(Some(Arc::new(ProfileDb::new(profile)))),
+            ),
+        ];
+        let runs: Vec<_> = modes
+            .iter()
+            .map(|(mode, p)| {
+                let r = p
+                    .run_source(bench.source, &args)
+                    .unwrap_or_else(|e| panic!("{name} {mode}: {e}"));
+                (*mode, r)
+            })
+            .collect();
+        let run = |mode: &str| &runs.iter().find(|(m, _)| *m == mode).unwrap().1;
+        for (mode, r) in &runs {
+            assert_eq!(
+                r.ret,
+                run("simple").ret,
+                "{name}: {mode} changed the result"
+            );
+        }
+        let comm = |mode: &str| run(mode).stats.total_comm();
+        let blkmov = |mode: &str| run(mode).stats.blkmov;
+        assert!(
+            comm("escape") <= comm("static"),
+            "{name}: escape comm {} > static comm {}",
+            comm("escape"),
+            comm("static")
         );
+        if matches!(name, "health" | "tsp") {
+            assert!(
+                comm("prob") < comm("static"),
+                "{name}: prob comm {} !< static comm {}",
+                comm("prob"),
+                comm("static")
+            );
+            assert!(
+                blkmov("prob") > blkmov("static"),
+                "{name}: prob blkmov {} !> static blkmov {}",
+                blkmov("prob"),
+                blkmov("static")
+            );
+            assert!(
+                comm("escape") < comm("static"),
+                "{name}: escape comm {} !< static comm {}",
+                comm("escape"),
+                comm("static")
+            );
+        }
     }
 }
 

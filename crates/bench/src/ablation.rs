@@ -1,9 +1,12 @@
 //! Ablation studies beyond the paper (DESIGN.md §7): isolate the effect of
 //! each optimization component, sweep the blocking threshold, and sweep the
-//! loop-frequency constant.
+//! loop-frequency constant. Every variant is an optimizer configuration
+//! of `earthc::Pipeline`.
 
-use earth_commopt::{CommOptConfig, FreqModel};
-use earth_olden::{run, Benchmark, Build, Preset};
+use earth_olden::{Benchmark, Preset};
+use earth_sim::Stats;
+use earthc::earth_commopt::{CommOptConfig, FreqModel};
+use earthc::Pipeline;
 
 /// A named optimizer configuration.
 #[derive(Debug, Clone)]
@@ -82,14 +85,8 @@ pub struct VariantResult {
     pub name: String,
     /// Virtual run time (ns).
     pub time_ns: u64,
-    /// Total communication operations.
-    pub comm: u64,
-    /// Breakdown.
-    pub read_data: u64,
-    /// Breakdown.
-    pub write_data: u64,
-    /// Breakdown.
-    pub blkmov: u64,
+    /// Communication counts.
+    pub stats: Stats,
 }
 
 /// Runs each variant of a benchmark and checks result agreement.
@@ -99,12 +96,18 @@ pub fn run_variants(
     preset: Preset,
     n_nodes: u16,
 ) -> Vec<VariantResult> {
-    let baseline = run(bench, &Build::Simple, preset, n_nodes).expect("simple run");
+    let args = (bench.args)(preset);
+    let run = |cfg: Option<CommOptConfig>| {
+        Pipeline::new()
+            .nodes(n_nodes)
+            .optimizer(cfg)
+            .run_source(bench.source, &args)
+    };
+    let baseline = run(None).expect("simple run");
     variants
         .iter()
         .map(|v| {
-            let r = run(bench, &Build::Optimized(v.config.clone()), preset, n_nodes)
-                .expect("variant run");
+            let r = run(Some(v.config.clone())).expect("variant run");
             assert_eq!(
                 r.ret, baseline.ret,
                 "{}: variant `{}` changed the result",
@@ -113,10 +116,7 @@ pub fn run_variants(
             VariantResult {
                 name: v.name.clone(),
                 time_ns: r.time_ns,
-                comm: r.stats.total_comm(),
-                read_data: r.stats.read_data,
-                write_data: r.stats.write_data,
-                blkmov: r.stats.blkmov,
+                stats: r.stats,
             }
         })
         .collect()
@@ -133,10 +133,10 @@ pub fn render_variants(bench: &str, results: &[VariantResult]) -> String {
                 r.name.clone(),
                 crate::render::secs(r.time_ns),
                 format!("{:.2}", base / r.time_ns as f64),
-                r.comm.to_string(),
-                r.read_data.to_string(),
-                r.write_data.to_string(),
-                r.blkmov.to_string(),
+                r.stats.total_comm().to_string(),
+                r.stats.read_data.to_string(),
+                r.stats.write_data.to_string(),
+                r.stats.blkmov.to_string(),
             ]
         })
         .collect();
@@ -167,7 +167,8 @@ mod tests {
         // Full optimization must communicate no more than no optimization.
         let none = results.iter().find(|r| r.name == "none").unwrap();
         let full = results.iter().find(|r| r.name == "full").unwrap();
-        assert!(full.comm < none.comm, "{} !< {}", full.comm, none.comm);
+        let (full, none) = (full.stats.total_comm(), none.stats.total_comm());
+        assert!(full < none, "{full} !< {none}");
     }
 
     #[test]
@@ -177,10 +178,10 @@ mod tests {
         let t2 = &results[0];
         let t6 = &results[4];
         assert!(
-            t2.blkmov >= t6.blkmov,
+            t2.stats.blkmov >= t6.stats.blkmov,
             "lower threshold must block at least as much: {} vs {}",
-            t2.blkmov,
-            t6.blkmov
+            t2.stats.blkmov,
+            t6.stats.blkmov
         );
     }
 

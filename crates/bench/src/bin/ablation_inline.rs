@@ -3,16 +3,9 @@
 //! benefits from interprocedural placement achieved "via function
 //! inlining".
 
-use earth_commopt::{inline_functions, optimize_program, CommOptConfig, InlineConfig};
 use earth_olden::suite;
-use earth_sim::{compile, CodegenOptions, Machine, MachineConfig};
-
-fn run(prog: &earth_ir::Program, args: &[earth_sim::Value], nodes: u16) -> earth_sim::RunResult {
-    let cp = compile(prog, CodegenOptions::default()).expect("compiles");
-    let entry = cp.function_by_name("main").expect("main");
-    let mut m = Machine::new(MachineConfig::with_nodes(nodes));
-    m.run(&cp, entry, args).expect("runs")
-}
+use earthc::earth_commopt::InlineConfig;
+use earthc::Pipeline;
 
 fn main() {
     let preset = earth_bench::preset_from_args();
@@ -21,21 +14,21 @@ fn main() {
     let mut rows = Vec::new();
     for bench in suite() {
         let args = (bench.args)(preset);
-        let base = earth_frontend::compile(bench.source).expect("compiles");
-
-        let mut opt_only = base.clone();
-        optimize_program(&mut opt_only, &CommOptConfig::default());
-        let r_opt = run(&opt_only, &args, nodes);
-
-        let mut inl_opt = base.clone();
-        let inl = inline_functions(&mut inl_opt, &InlineConfig::default());
-        optimize_program(&mut inl_opt, &CommOptConfig::default());
-        let r_both = run(&inl_opt, &args, nodes);
+        let opt_only = Pipeline::new().nodes(nodes);
+        let inl_opt = opt_only.clone().inlining(Some(InlineConfig::default()));
+        let r_opt = opt_only.run_source(bench.source, &args).expect("runs");
+        let (r_both, report) = inl_opt
+            .run_source_report(bench.source, &args)
+            .expect("runs");
         assert_eq!(r_opt.ret, r_both.ret, "{}", bench.name);
+        let inlined = report
+            .pass("inline")
+            .and_then(|p| p.get_counter("inlined_calls"))
+            .expect("the inline pass ran");
 
         rows.push(vec![
             bench.name.to_string(),
-            inl.inlined_calls.to_string(),
+            inlined.to_string(),
             earth_bench::render::secs(r_opt.time_ns),
             earth_bench::render::secs(r_both.time_ns),
             format!(

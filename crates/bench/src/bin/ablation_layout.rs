@@ -3,16 +3,8 @@
 //! without the layout pass: reordering clusters the remotely-accessed
 //! fields so the blocked transfers shrink (fewer words on the wire).
 
-use earth_commopt::{optimize_program, reorder_fields, CommOptConfig};
 use earth_olden::suite;
-use earth_sim::{compile, CodegenOptions, Machine, MachineConfig};
-
-fn run(prog: &earth_ir::Program, args: &[earth_sim::Value], nodes: u16) -> earth_sim::RunResult {
-    let cp = compile(prog, CodegenOptions::default()).expect("compiles");
-    let entry = cp.function_by_name("main").expect("main");
-    let mut m = Machine::new(MachineConfig::with_nodes(nodes));
-    m.run(&cp, entry, args).expect("runs")
-}
+use earthc::Pipeline;
 
 fn main() {
     let preset = earth_bench::preset_from_args();
@@ -21,21 +13,21 @@ fn main() {
     let mut rows = Vec::new();
     for bench in suite() {
         let args = (bench.args)(preset);
-        let base = earth_frontend::compile(bench.source).expect("compiles");
-
-        let mut plain = base.clone();
-        optimize_program(&mut plain, &CommOptConfig::default());
-        let r_plain = run(&plain, &args, nodes);
-
-        let mut laid_out = base.clone();
-        let layout = reorder_fields(&mut laid_out);
-        optimize_program(&mut laid_out, &CommOptConfig::default());
-        let r_layout = run(&laid_out, &args, nodes);
+        let plain = Pipeline::new().nodes(nodes);
+        let laid_out = plain.clone().field_reordering(true);
+        let r_plain = plain.run_source(bench.source, &args).expect("runs");
+        let (r_layout, report) = laid_out
+            .run_source_report(bench.source, &args)
+            .expect("runs");
         assert_eq!(r_plain.ret, r_layout.ret, "{}", bench.name);
+        let structs = report
+            .pass("field-reorder")
+            .and_then(|p| p.get_counter("structs_reordered"))
+            .expect("the field-reorder pass ran");
 
         rows.push(vec![
             bench.name.to_string(),
-            layout.len().to_string(),
+            structs.to_string(),
             r_plain.stats.blkmov_words.to_string(),
             r_layout.stats.blkmov_words.to_string(),
             earth_bench::render::secs(r_plain.time_ns),

@@ -4,17 +4,8 @@
 //! local accesses instead of pseudo-remote runtime calls — orthogonal to,
 //! and composing with, the communication optimization.
 
-use earth_analysis::infer_locality;
-use earth_commopt::{optimize_program, CommOptConfig};
 use earth_olden::suite;
-use earth_sim::{compile, CodegenOptions, Machine, MachineConfig};
-
-fn run(prog: &earth_ir::Program, args: &[earth_sim::Value], nodes: u16) -> earth_sim::RunResult {
-    let cp = compile(prog, CodegenOptions::default()).expect("compiles");
-    let entry = cp.function_by_name("main").expect("main");
-    let mut m = Machine::new(MachineConfig::with_nodes(nodes));
-    m.run(&cp, entry, args).expect("runs")
-}
+use earthc::Pipeline;
 
 fn main() {
     let preset = earth_bench::preset_from_args();
@@ -23,23 +14,27 @@ fn main() {
     let mut rows = Vec::new();
     for bench in suite() {
         let args = (bench.args)(preset);
-        let base = earth_frontend::compile(bench.source).expect("compiles");
-
-        let simple = run(&base, &args, nodes);
-
-        let mut loc = base.clone();
-        let report = infer_locality(&mut loc);
-        let r_loc = run(&loc, &args, nodes);
+        let loc = Pipeline::new().nodes(nodes).optimizer(None);
+        let simple = loc
+            .clone()
+            .locality(false)
+            .run_source(bench.source, &args)
+            .expect("runs");
+        let (r_loc, report) = loc.run_source_report(bench.source, &args).expect("runs");
         assert_eq!(simple.ret, r_loc.ret, "{}", bench.name);
-
-        let mut both = loc.clone();
-        optimize_program(&mut both, &CommOptConfig::default());
-        let r_both = run(&both, &args, nodes);
+        let r_both = Pipeline::new()
+            .nodes(nodes)
+            .run_source(bench.source, &args)
+            .expect("runs");
         assert_eq!(simple.ret, r_both.ret, "{}", bench.name);
+        let upgraded = report
+            .pass("locality")
+            .and_then(|p| p.get_counter("vars_upgraded"))
+            .expect("the locality pass ran");
 
         rows.push(vec![
             bench.name.to_string(),
-            report.len().to_string(),
+            upgraded.to_string(),
             simple.stats.total_comm().to_string(),
             r_loc.stats.total_comm().to_string(),
             r_both.stats.total_comm().to_string(),

@@ -1,53 +1,29 @@
 //! Experiment drivers for Figure 10 (dynamic communication counts) and
-//! Table III (performance improvement).
+//! Table III (performance improvement). The simple and optimized builds
+//! are `earthc::Pipeline`'s, with and without the optimizer; the
+//! Sequential column is [`earth_sim::run_sequential`].
 
 use crate::render;
-use earth_commopt::CommOptConfig;
-use earth_olden::{run, suite, Benchmark, Build, Preset};
+use earth_olden::{suite, Benchmark, Preset};
 use earth_sim::Stats;
-
-/// Communication-count breakdown for one build of one benchmark
-/// (Figure 10's bar contents).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommBreakdown {
-    /// Remote word reads.
-    pub read_data: u64,
-    /// Remote word writes.
-    pub write_data: u64,
-    /// Block moves.
-    pub blkmov: u64,
-}
-
-impl CommBreakdown {
-    fn from_stats(s: &Stats) -> Self {
-        CommBreakdown {
-            read_data: s.read_data,
-            write_data: s.write_data,
-            blkmov: s.blkmov,
-        }
-    }
-
-    /// Total communication operations.
-    pub fn total(&self) -> u64 {
-        self.read_data + self.write_data + self.blkmov
-    }
-}
+use earthc::Pipeline;
 
 /// One benchmark's Figure 10 data.
 #[derive(Debug, Clone)]
 pub struct Fig10Row {
     /// Benchmark name.
     pub bench: &'static str,
-    /// Counts for the simple (unoptimized) build.
-    pub simple: CommBreakdown,
+    /// Counts for the simple (unoptimized) build; Figure 10's bars are
+    /// `read_data`, `write_data` and `blkmov`.
+    pub simple: Stats,
     /// Counts for the optimized build.
-    pub optimized: CommBreakdown,
+    pub optimized: Stats,
 }
 
 impl Fig10Row {
     /// Optimized total, normalized to simple = 100 (the figure's y-axis).
     pub fn normalized_optimized(&self) -> f64 {
-        100.0 * self.optimized.total() as f64 / self.simple.total() as f64
+        100.0 * self.optimized.total_comm() as f64 / self.simple.total_comm() as f64
     }
 }
 
@@ -61,19 +37,21 @@ pub fn figure10(preset: Preset, n_nodes: u16) -> Vec<Fig10Row> {
 
 /// Measures Figure 10 for one benchmark.
 pub fn figure10_one(bench: &Benchmark, preset: Preset, n_nodes: u16) -> Fig10Row {
-    let simple = run(bench, &Build::Simple, preset, n_nodes).expect("simple run");
-    let optimized = run(
-        bench,
-        &Build::Optimized(CommOptConfig::default()),
-        preset,
-        n_nodes,
-    )
-    .expect("optimized run");
+    let args = (bench.args)(preset);
+    let simple = Pipeline::new()
+        .nodes(n_nodes)
+        .optimizer(None)
+        .run_source(bench.source, &args)
+        .expect("simple run");
+    let optimized = Pipeline::new()
+        .nodes(n_nodes)
+        .run_source(bench.source, &args)
+        .expect("optimized run");
     assert_eq!(simple.ret, optimized.ret, "{}: builds disagree", bench.name);
     Fig10Row {
         bench: bench.name,
-        simple: CommBreakdown::from_stats(&simple.stats),
-        optimized: CommBreakdown::from_stats(&optimized.stats),
+        simple: simple.stats,
+        optimized: optimized.stats,
     }
 }
 
@@ -81,10 +59,12 @@ pub fn figure10_one(bench: &Benchmark, preset: Preset, n_nodes: u16) -> Fig10Row
 pub fn render_figure10(rows: &[Fig10Row]) -> String {
     let mut data = Vec::new();
     for r in rows {
-        let n = |v: u64| -> String { format!("{:.1}", 100.0 * v as f64 / r.simple.total() as f64) };
+        let n = |v: u64| -> String {
+            format!("{:.1}", 100.0 * v as f64 / r.simple.total_comm() as f64)
+        };
         data.push(vec![
             r.bench.to_string(),
-            format!("{:.3}M", r.simple.total() as f64 / 1e6),
+            format!("{:.3}M", r.simple.total_comm() as f64 / 1e6),
             "100.0".into(),
             n(r.simple.read_data),
             n(r.simple.write_data),
@@ -158,18 +138,21 @@ impl Table3Row {
 
 /// Measures Table III for one benchmark over the given processor counts.
 pub fn table3_one(bench: &Benchmark, preset: Preset, procs: &[u16]) -> Vec<Table3Row> {
-    let seq = run(bench, &Build::Sequential, preset, 1).expect("sequential run");
+    let args = (bench.args)(preset);
+    let prog = earthc::compile_earth_c(bench.source).expect("benchmark source compiles");
+    let seq = earth_sim::run_sequential(&prog, "main", &args).expect("sequential run");
     procs
         .iter()
         .map(|&p| {
-            let simple = run(bench, &Build::Simple, preset, p).expect("simple run");
-            let optimized = run(
-                bench,
-                &Build::Optimized(CommOptConfig::default()),
-                preset,
-                p,
-            )
-            .expect("optimized run");
+            let simple = Pipeline::new()
+                .nodes(p)
+                .optimizer(None)
+                .run_source(bench.source, &args)
+                .expect("simple run");
+            let optimized = Pipeline::new()
+                .nodes(p)
+                .run_source(bench.source, &args)
+                .expect("optimized run");
             assert_eq!(simple.ret, seq.ret, "{}: simple result", bench.name);
             assert_eq!(optimized.ret, seq.ret, "{}: optimized result", bench.name);
             Table3Row {
@@ -233,7 +216,7 @@ mod tests {
         let bench = by_name("health").unwrap();
         let row = figure10_one(&bench, Preset::Test, 4);
         assert!(row.normalized_optimized() < 100.0);
-        assert!(row.simple.total() > 0);
+        assert!(row.simple.total_comm() > 0);
     }
 
     #[test]
@@ -260,5 +243,33 @@ mod tests {
         let f = figure10_one(&bench, Preset::Test, 2);
         let fs = render_figure10(&[f]);
         assert!(fs.contains("optimized"));
+    }
+
+    /// The simple build spreads over 8 nodes without pathology: same
+    /// result, and not dramatically slower than on one node. At `Small`
+    /// sizes some kernels are latency-bound (true remote ops at 8 nodes
+    /// vs pseudo-remote at 1), so this guards against pathological
+    /// distribution only; Table III measures the speedup curves.
+    #[test]
+    fn parallel_speedup_smoke() {
+        for bench in suite() {
+            let args = (bench.args)(Preset::Small);
+            let run = |nodes: u16| {
+                Pipeline::new()
+                    .nodes(nodes)
+                    .optimizer(None)
+                    .run_source(bench.source, &args)
+                    .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+            };
+            let (one, eight) = (run(1), run(8));
+            assert_eq!(one.ret, eight.ret, "{}", bench.name);
+            assert!(
+                (eight.time_ns as f64) < 2.0 * one.time_ns as f64,
+                "{}: 8 nodes much slower than 1 ({} vs {})",
+                bench.name,
+                eight.time_ns,
+                one.time_ns
+            );
+        }
     }
 }

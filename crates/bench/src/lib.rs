@@ -20,12 +20,14 @@
 //! scaling behind `BENCH_cluster.json`), and the `dispatch_probe`
 //! example.
 //!
-//! The paper printers run the Olden kernels on the interpreter without
-//! locality inference ([`earth_olden::run`], or the same steps spelled
-//! out; only `ablation_locality` turns the inference on, as its subject).
-//! `earthcc`, `earthd` and the `benchmark/` package at the repository
-//! root infer locality; host-time and virtual-time numbers of that
-//! pipeline come from `benchmark/`.
+//! Every printer builds and runs the Olden kernels through
+//! [`earthc::Pipeline`], the pipeline `earthcc` and `earthd` run: locality
+//! inference on, the native execution tier. Each variant is one of its
+//! settings (`ablation_locality` turns the inference off as its
+//! baseline), and the transform counts printed come from the report's
+//! pass counters. The Sequential column of Table III is
+//! [`earth_sim::run_sequential`]. Host-time numbers come from the
+//! `benchmark/` package at the repository root.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -51,12 +53,18 @@ pub fn preset_from_args() -> Preset {
     }
 }
 
-/// Parses `--nodes N` (default 8).
+/// Parses `--nodes N` (default 8). A missing, non-numeric or zero count
+/// prints a one-line `error:` and exits with status 2.
 pub fn nodes_from_args() -> u16 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--nodes")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8)
+    let Some(i) = args.iter().position(|a| a == "--nodes") else {
+        return 8;
+    };
+    match args.get(i + 1).map(|s| s.parse::<u16>()) {
+        Some(Ok(n)) if n >= 1 => n,
+        _ => {
+            eprintln!("error: --nodes needs an integer of at least 1");
+            std::process::exit(2)
+        }
+    }
 }

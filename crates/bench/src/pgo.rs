@@ -1,12 +1,12 @@
 //! Profile-guided-optimization ablation (EXPERIMENTS.md `ablation_pgo`):
-//! for each Olden benchmark, run the instrumented build (simple compile,
-//! per-site trace recording), fold the trace into a [`Profile`],
-//! recompile with the profile feeding placement and selection, and
-//! compare against the static heuristics.
+//! for each Olden benchmark, run the instrumented build
+//! ([`Pipeline::instrument_source`]: pre-passes only, per-site trace
+//! recording), recompile with the profile feeding placement and
+//! selection, and compare against the static heuristics. The site and
+//! flip counts are the `optimize` pass's counters.
 
-use earth_commopt::{CommOptConfig, OptReport, Profile, ProfileDb};
-use earth_olden::{run, Benchmark, Build, Preset};
-use earth_sim::{CodegenOptions, Machine, MachineConfig, RunResult};
+use earth_olden::{Benchmark, Preset};
+use earthc::{Pipeline, ProfileDb};
 use std::sync::Arc;
 
 /// The outcome of the static-vs-PGO comparison on one benchmark.
@@ -31,65 +31,29 @@ pub struct PgoResult {
     pub pgo_comm: u64,
 }
 
-/// Runs the instrumented build of a benchmark — the simple (unoptimized)
-/// compile with [`CodegenOptions::record_sites`] on, which is the same
-/// tree the feedback compile assigns sites over — and folds the run's
-/// per-site trace into a [`Profile`].
-pub fn collect_profile(bench: &Benchmark, preset: Preset, n_nodes: u16) -> Profile {
-    let (prog, _) = earth_olden::build_ir(bench, &Build::Simple);
-    let opts = CodegenOptions {
-        record_sites: true,
-        ..CodegenOptions::default()
-    };
-    let compiled = earth_sim::compile(&prog, opts).expect("instrumented codegen");
-    let entry = compiled.function_by_name("main").expect("benchmark main");
-    let mut m = Machine::new(MachineConfig::with_nodes(n_nodes));
-    let r = m
-        .run(&compiled, entry, &(bench.args)(preset))
-        .expect("instrumented run");
-    Profile::from_trace(&compiled, &r.site_trace)
-}
-
-/// Optimized compile + run keeping the optimizer's report (which
-/// [`earth_olden::run`] discards).
-fn optimized_run(
-    bench: &Benchmark,
-    cfg: CommOptConfig,
-    preset: Preset,
-    n_nodes: u16,
-) -> (RunResult, OptReport) {
-    let (prog, report) = earth_olden::build_ir(bench, &Build::Optimized(cfg));
-    let compiled = earth_sim::compile(&prog, CodegenOptions::default()).expect("optimized codegen");
-    let entry = compiled.function_by_name("main").expect("benchmark main");
-    let mut m = Machine::new(MachineConfig::with_nodes(n_nodes));
-    let r = m
-        .run(&compiled, entry, &(bench.args)(preset))
-        .expect("optimized run");
-    (r, report)
-}
-
 /// Instrument → simulate → recompile-with-profile for one benchmark,
 /// asserting that the simple, static, and profile-guided builds agree on
 /// the result.
 pub fn run_pgo(bench: &Benchmark, preset: Preset, n_nodes: u16) -> PgoResult {
-    let profile = collect_profile(bench, preset, n_nodes);
-    let db = Arc::new(ProfileDb::new(profile));
-
-    // Site accounting over the tree the optimizer will see.
-    let (prog, _) = earth_olden::build_ir(bench, &Build::Simple);
-    let sites_instrumented = earth_ir::assign_program_sites(&prog).len();
-    let sites_matched = prog
-        .iter_functions()
-        .map(|(fid, f)| db.function_view(fid, f).matched())
-        .sum();
-
-    let baseline = run(bench, &Build::Simple, preset, n_nodes).expect("simple run");
-    let (st, _) = optimized_run(bench, CommOptConfig::default(), preset, n_nodes);
-    let pgo_cfg = CommOptConfig {
-        profile: Some(db),
-        ..CommOptConfig::default()
-    };
-    let (pg, report) = optimized_run(bench, pgo_cfg, preset, n_nodes);
+    let args = (bench.args)(preset);
+    let static_build = Pipeline::new().nodes(n_nodes);
+    let (_, profile) = static_build
+        .instrument_source(bench.source, &args)
+        .expect("instrumented run");
+    let pgo_build = static_build
+        .clone()
+        .profile(Some(Arc::new(ProfileDb::new(profile))));
+    let baseline = static_build
+        .clone()
+        .optimizer(None)
+        .run_source(bench.source, &args)
+        .expect("simple run");
+    let st = static_build
+        .run_source(bench.source, &args)
+        .expect("static run");
+    let (pg, report) = pgo_build
+        .run_source_report(bench.source, &args)
+        .expect("PGO run");
     assert_eq!(
         st.ret, baseline.ret,
         "{}: static build changed the result",
@@ -100,12 +64,14 @@ pub fn run_pgo(bench: &Benchmark, preset: Preset, n_nodes: u16) -> PgoResult {
         "{}: PGO build changed the result",
         bench.name
     );
+    let optimize = report.pass("optimize").expect("the optimize pass ran");
+    let counter = |name: &str| optimize.get_counter(name).expect(name) as usize;
 
     PgoResult {
         bench: bench.name,
-        sites_instrumented,
-        sites_matched,
-        decisions_flipped: report.total().pgo_flips,
+        sites_instrumented: counter("sites_instrumented"),
+        sites_matched: counter("sites_matched"),
+        decisions_flipped: counter("decisions_flipped"),
         static_time_ns: st.time_ns,
         pgo_time_ns: pg.time_ns,
         static_comm: st.stats.total_comm(),

@@ -1,7 +1,7 @@
 //! # earth-olden — the Olden benchmark suite in EARTH-C
 //!
 //! The pointer-intensive benchmarks the paper evaluates (Table II),
-//! rewritten in the EARTH-C subset of [`earth_frontend`]:
+//! rewritten in the EARTH-C subset of `earth_frontend`:
 //!
 //! | benchmark | structure | parallelism | paper's main win |
 //! |---|---|---|---|
@@ -12,11 +12,11 @@
 //! | [`voronoi`] | binary point tree + hull lists | `{^ ... ^}` over subtrees | redundancy elim + blocking |
 //! | [`treeadd`] | balanced binary tree | `{^ ... ^}` over subtrees | blocking |
 //!
-//! Each module exposes its EARTH-C `SOURCE` and preset arguments; this
-//! crate adds the build/run harness used by the experiment drivers: the
-//! *sequential* build (pure C, all accesses local), the *simple* build
-//! (EARTH compile without communication optimization) and the *optimized*
-//! build (with the paper's communication optimization).
+//! This crate is data only: each module exposes its EARTH-C `SOURCE` and
+//! its `args` per [`Preset`], and [`suite`] / [`by_name`] list them.
+//! Building and running a kernel is `earthc::Pipeline`'s job, the same
+//! pipeline `earthcc` and `earthd` use; the paper's Sequential column is
+//! `earth_sim::run_sequential`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,9 +28,7 @@ pub mod treeadd;
 pub mod tsp;
 pub mod voronoi;
 
-use earth_commopt::{optimize_program, CommOptConfig, OptReport};
-use earth_ir::Program;
-use earth_sim::{CodegenOptions, Machine, MachineConfig, RunResult, SimError, Value};
+use earth_sim::Value;
 
 /// Problem-size presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,156 +103,9 @@ pub fn by_name(name: &str) -> Option<Benchmark> {
     suite().into_iter().find(|b| b.name == name)
 }
 
-/// Which compiler pipeline to use for a run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Build {
-    /// Pure sequential C: one node, every access local, no EARTH
-    /// operations (the paper's "Sequential C" column).
-    Sequential,
-    /// EARTH compile without communication optimization (the paper's
-    /// "simple" version).
-    Simple,
-    /// EARTH compile with communication optimization under the given
-    /// configuration (the paper's "optimized" version).
-    Optimized(CommOptConfig),
-}
-
-/// Compiles a benchmark under the chosen build, returning the IR and the
-/// optimizer's report (empty for non-optimized builds).
-///
-/// # Panics
-///
-/// Panics if the embedded benchmark source fails to compile — that is a
-/// bug in this crate, covered by tests.
-pub fn build_ir(bench: &Benchmark, build: &Build) -> (Program, OptReport) {
-    let mut prog = earth_frontend::compile(bench.source)
-        .unwrap_or_else(|e| panic!("benchmark `{}` failed to compile: {e}", bench.name));
-    let report = match build {
-        Build::Sequential | Build::Simple => OptReport::default(),
-        Build::Optimized(cfg) => optimize_program(&mut prog, cfg),
-    };
-    (prog, report)
-}
-
-/// Compiles and runs a benchmark.
-///
-/// # Errors
-///
-/// Propagates simulator errors (which would indicate a bug in the
-/// pipeline; all benchmarks are expected to run cleanly).
-pub fn run(
-    bench: &Benchmark,
-    build: &Build,
-    preset: Preset,
-    n_nodes: u16,
-) -> Result<RunResult, SimError> {
-    let (prog, _report) = build_ir(bench, build);
-    let opts = CodegenOptions {
-        force_local: matches!(build, Build::Sequential),
-        ..CodegenOptions::default()
-    };
-    let compiled = earth_sim::compile(&prog, opts).map_err(|e| SimError {
-        time_ns: 0,
-        message: e.to_string(),
-    })?;
-    let entry = compiled.function_by_name("main").ok_or_else(|| SimError {
-        time_ns: 0,
-        message: "benchmark has no main".into(),
-    })?;
-    let nodes = if matches!(build, Build::Sequential) {
-        1
-    } else {
-        n_nodes
-    };
-    let mut m = Machine::new(MachineConfig::with_nodes(nodes));
-    m.run(&compiled, entry, &(bench.args)(preset))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every benchmark must produce the *same result* under all three
-    /// builds and any node count — the optimizer must preserve semantics
-    /// and the simulation must be placement-independent.
-    #[test]
-    fn all_builds_agree_on_results() {
-        for bench in suite() {
-            let seq = run(&bench, &Build::Sequential, Preset::Test, 1).unwrap();
-            let simple1 = run(&bench, &Build::Simple, Preset::Test, 1).unwrap();
-            let simple4 = run(&bench, &Build::Simple, Preset::Test, 4).unwrap();
-            let opt4 = run(
-                &bench,
-                &Build::Optimized(CommOptConfig::default()),
-                Preset::Test,
-                4,
-            )
-            .unwrap();
-            assert_eq!(seq.ret, simple1.ret, "{}: seq vs simple/1", bench.name);
-            assert_eq!(seq.ret, simple4.ret, "{}: seq vs simple/4", bench.name);
-            assert_eq!(seq.ret, opt4.ret, "{}: seq vs optimized/4", bench.name);
-        }
-    }
-
-    /// The optimizer must reduce the dynamic communication count for every
-    /// benchmark (the claim of Figure 10).
-    #[test]
-    fn optimization_reduces_communication() {
-        for bench in suite() {
-            let simple = run(&bench, &Build::Simple, Preset::Test, 4).unwrap();
-            let opt = run(
-                &bench,
-                &Build::Optimized(CommOptConfig::default()),
-                Preset::Test,
-                4,
-            )
-            .unwrap();
-            assert!(
-                opt.stats.total_comm() < simple.stats.total_comm(),
-                "{}: opt {} !< simple {}",
-                bench.name,
-                opt.stats.total_comm(),
-                simple.stats.total_comm()
-            );
-        }
-    }
-
-    /// The optimizer fires at least one transformation on each benchmark.
-    #[test]
-    fn optimizer_fires_on_each_benchmark() {
-        for bench in suite() {
-            let (_prog, report) = build_ir(&bench, &Build::Optimized(CommOptConfig::default()));
-            let t = report.total();
-            assert!(
-                t.pipelined_reads + t.blocked_spans > 0,
-                "{}: optimizer did nothing",
-                bench.name
-            );
-        }
-    }
-
-    /// Benchmarks scale: more nodes must not *increase* the simple
-    /// version's wall time dramatically for the parallel benchmarks (a
-    /// smoke test of the distribution strategies).
-    #[test]
-    fn parallel_speedup_smoke() {
-        for bench in suite() {
-            let one = run(&bench, &Build::Simple, Preset::Small, 1).unwrap();
-            let eight = run(&bench, &Build::Simple, Preset::Small, 8).unwrap();
-            assert_eq!(one.ret, eight.ret, "{}", bench.name);
-            // At `Small` sizes some benchmarks are latency-bound (true
-            // remote ops at 8 nodes vs pseudo-remote at 1), so this only
-            // guards against pathological distribution; real speedup
-            // curves are measured at `Full` size by the Table III harness.
-            assert!(
-                (eight.time_ns as f64) < 2.0 * one.time_ns as f64,
-                "{}: 8 nodes much slower than 1 ({} vs {})",
-                bench.name,
-                eight.time_ns,
-                one.time_ns
-            );
-        }
-    }
 
     #[test]
     fn lookup_by_name() {
@@ -262,30 +113,5 @@ mod tests {
         assert!(by_name("treeadd").is_some());
         assert!(by_name("nope").is_none());
         assert_eq!(suite().len(), 6);
-    }
-}
-
-#[cfg(test)]
-mod golden {
-    use super::*;
-
-    /// Pinned Test-preset results. These catch accidental changes to the
-    /// benchmark workloads themselves (RNG sequence, tree shapes,
-    /// algorithms) — any intentional change must update them consciously.
-    #[test]
-    fn test_preset_results_are_pinned() {
-        let expected = [
-            ("power", "31.537492545350723"),
-            ("tsp", "26065.187281843177"),
-            ("health", "8"),
-            ("perimeter", "64"),
-            ("voronoi", "2051.568604596591"),
-            ("treeadd", "63"),
-        ];
-        for (name, want) in expected {
-            let b = by_name(name).unwrap();
-            let r = run(&b, &Build::Sequential, Preset::Test, 1).unwrap();
-            assert_eq!(r.ret.to_string(), want, "{name}");
-        }
     }
 }

@@ -121,7 +121,11 @@ fn nodes_or_one(obj: &[(String, Value)]) -> Result<u16, json::JsonError> {
         None | Some(Value::Null) => Ok(1),
         Some(v) => {
             let n = v.as_u64("`nodes`")?;
-            u16::try_from(n).map_err(|_| json::JsonError::shape("`nodes` must fit u16"))
+            match u16::try_from(n) {
+                Ok(0) => Err(json::JsonError::shape("`nodes` must be at least 1")),
+                Ok(n) => Ok(n),
+                Err(_) => Err(json::JsonError::shape("`nodes` must fit u16")),
+            }
         }
     }
 }
@@ -753,6 +757,20 @@ mod tests {
                 assert!(args.is_empty());
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_nodes_is_rejected() {
+        for cmd in ["run", "pgo"] {
+            let line = format!(
+                r#"{{"v":1,"id":9,"cmd":"{cmd}","source":"s","opts":{{"optimize":true,"locality":true,"use_profile":false}},"nodes":0}}"#
+            );
+            let err = Request::from_json(&line).unwrap_err();
+            assert!(
+                err.to_string().contains("`nodes` must be at least 1"),
+                "{cmd}: {err}"
+            );
         }
     }
 }

@@ -1,14 +1,17 @@
 //! The execution subsystem: one machine core under two dispatchers.
 //!
-//! Two backends execute the same [`CompiledProgram`]s:
+//! Two dispatchers execute the same
+//! [`CompiledProgram`](crate::CompiledProgram)s:
 //!
-//! * **interp** — [`Machine`], the op-at-a-time
-//!   interpreter; the semantic reference.
 //! * **native** — [`NativeMachine`] running a [`NativeProgram`]: a
 //!   pre-decoding pass resolves every jump target, field offset, and
 //!   operand slot into a flat step table, bakes per-op costs in, elides
 //!   provably-unneeded readiness checks, and chains straight-line ops
-//!   into single dispatches. The default ([`ExecBackend::default`]).
+//!   into single dispatches. Every program a user runs (`earthcc`,
+//!   `earthd`, `earthc::Pipeline`) runs here.
+//! * **interp** — [`Machine`](crate::Machine), the op-at-a-time
+//!   interpreter: the semantic reference the tests and `benchmark/`
+//!   compare the native tier against.
 //!
 //! Shared by construction — both machines wrap the same `core::Core`
 //! and there is no second copy to keep equal: machine state (heaps, the
@@ -26,7 +29,7 @@
 //! what the reference is there to check: pre-decoded operands,
 //! `CHECK`-elided readiness tests, chaining, the Int×Int fast path. The
 //! differential suites (`tests/prop_exec.rs`, `tests/exec_sweep.rs`)
-//! compare the two on every [`RunResult`] field, including
+//! compare the two on every [`RunResult`](crate::RunResult) field, including
 //! [`SiteTrace`](crate::SiteTrace) counters and stall accounting; a
 //! difference can only come from those handlers.
 
@@ -38,83 +41,32 @@ mod predecode;
 pub use native::NativeMachine;
 pub use predecode::NativeProgram;
 
-use crate::bytecode::CompiledProgram;
-use crate::machine::{Machine, MachineConfig, RunResult, SimError};
-use crate::value::Value;
-use earth_ir::FuncId;
-use std::fmt;
-use std::str::FromStr;
-
-/// Which execution engine runs the program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// The op-at-a-time interpreter (the semantic reference).
-    Interp,
-    /// The pre-decoded, closure-compiled tier (byte-identical results,
-    /// much higher run throughput). The default everywhere a backend can
-    /// be chosen.
-    #[default]
-    Native,
-}
-
-impl ExecBackend {
-    /// Canonical flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecBackend::Interp => "interp",
-            ExecBackend::Native => "native",
-        }
-    }
-}
-
-impl FromStr for ExecBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interp" | "interpreter" => Ok(ExecBackend::Interp),
-            "native" => Ok(ExecBackend::Native),
-            other => Err(format!(
-                "unknown backend `{other}` (expected `interp` or `native`)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for ExecBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Runs `func` with `args` on the chosen backend. For the native backend
-/// this pre-decodes the program first; callers running the same program
-/// repeatedly should compile a [`NativeProgram`] once and drive a
-/// [`NativeMachine`] directly.
-///
-/// # Errors
-///
-/// Propagates the backend's [`SimError`]; both backends fail identically.
-pub fn run_compiled(
-    backend: ExecBackend,
-    cfg: MachineConfig,
-    prog: &CompiledProgram,
-    func: FuncId,
-    args: &[Value],
-) -> Result<RunResult, SimError> {
-    match backend {
-        ExecBackend::Interp => Machine::new(cfg).run(prog, func, args),
-        ExecBackend::Native => {
-            let np = NativeProgram::compile(prog, &cfg.cost);
-            NativeMachine::new(cfg).run(&np, func, args)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, CodegenOptions};
+    use crate::{
+        compile, CodegenOptions, CompiledProgram, Machine, MachineConfig, RunResult, SimError,
+        Value,
+    };
+    use earth_ir::FuncId;
+
+    type Outcome = Result<RunResult, SimError>;
+
+    /// Runs `func` on the reference interpreter and on the native tier.
+    fn run_both(
+        cfg: MachineConfig,
+        prog: &CompiledProgram,
+        func: FuncId,
+        args: &[Value],
+    ) -> (Outcome, Outcome) {
+        let interp = Machine::new(cfg.clone()).run(prog, func, args);
+        let native = NativeMachine::new(cfg.clone()).run(
+            &NativeProgram::compile(prog, &cfg.cost),
+            func,
+            args,
+        );
+        (interp, native)
+    }
 
     /// Runs `src` on both backends and asserts the full results —
     /// return value, virtual time, stats, output, per-node busy time,
@@ -135,9 +87,7 @@ mod tests {
             record_op_stats: true,
             ..MachineConfig::default()
         };
-        let a = run_compiled(ExecBackend::Interp, cfg.clone(), &compiled, entry, args);
-        let b = run_compiled(ExecBackend::Native, cfg, &compiled, entry, args);
-        match (a, b) {
+        match run_both(cfg, &compiled, entry, args) {
             (Ok(x), Ok(y)) => {
                 assert_eq!(x.ret, y.ret);
                 assert_eq!(x.time_ns, y.time_ns, "virtual completion time");
@@ -269,17 +219,8 @@ mod tests {
         let compiled = compile(&prog, CodegenOptions::default()).unwrap();
         let entry = compiled.function_by_name("main").unwrap();
         let cfg = MachineConfig::default();
-        let a = run_compiled(
-            ExecBackend::Interp,
-            cfg.clone(),
-            &compiled,
-            entry,
-            &[Value::Int(0)],
-        )
-        .unwrap_err();
-        let b =
-            run_compiled(ExecBackend::Native, cfg, &compiled, entry, &[Value::Int(0)]).unwrap_err();
-        assert_eq!(a, b);
+        let (a, b) = run_both(cfg, &compiled, entry, &[Value::Int(0)]);
+        assert_eq!(a.unwrap_err(), b.unwrap_err());
     }
 
     #[test]
@@ -301,24 +242,9 @@ mod tests {
             max_ops: 10_000,
             ..MachineConfig::default()
         };
-        let a = run_compiled(ExecBackend::Interp, cfg.clone(), &compiled, entry, &[]).unwrap_err();
-        let b = run_compiled(ExecBackend::Native, cfg, &compiled, entry, &[]).unwrap_err();
+        let (a, b) = run_both(cfg, &compiled, entry, &[]);
+        let (a, b) = (a.unwrap_err(), b.unwrap_err());
         assert!(a.message.contains("budget"));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn backend_flag_parses() {
-        assert_eq!(
-            "interp".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Interp
-        );
-        assert_eq!(
-            "native".parse::<ExecBackend>().unwrap(),
-            ExecBackend::Native
-        );
-        assert!("jit".parse::<ExecBackend>().is_err());
-        assert_eq!(ExecBackend::default(), ExecBackend::Native);
-        assert_eq!(ExecBackend::Native.to_string(), "native");
     }
 }

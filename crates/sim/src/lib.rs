@@ -58,7 +58,7 @@ pub use bytecode::{CompiledFunction, CompiledProgram, NO_SITE};
 pub use codegen::{compile_program as compile, CodegenError, CodegenOptions};
 pub use cost::CostModel;
 pub use ddg::{build_ddg, render_fibers, FiberReport};
-pub use exec::{run_compiled, ExecBackend, NativeMachine, NativeProgram};
+pub use exec::{NativeMachine, NativeProgram};
 pub use machine::{Machine, MachineConfig, RunResult, SimError};
 pub use stats::{OpKind, OpStats, SiteCounters, SiteTrace, Stats};
 pub use value::{Addr, NodeId, Value};

@@ -4,8 +4,8 @@ use earth_ir::builder::FunctionBuilder;
 use earth_ir::{BinOp, BlkDir, FuncId, Operand, Program, StructDef, Ty, VarDecl};
 use earth_sim::bytecode::{Op, Opnd};
 use earth_sim::{
-    compile, run_compiled, run_program, CodegenOptions, CompiledFunction, CompiledProgram,
-    CostModel, ExecBackend, Machine, MachineConfig, NativeMachine, NativeProgram, Value,
+    compile, run_program, CodegenOptions, CompiledFunction, CompiledProgram, CostModel, Machine,
+    MachineConfig, NativeMachine, NativeProgram, Value,
 };
 
 fn run_src(src: &str, nodes: u16) -> earth_sim::RunResult {
@@ -235,8 +235,18 @@ fn deadlock_detection() {
     let cfg = MachineConfig::with_nodes(2);
     // The machine went idle after the switch to the root thread and the Mov.
     let idle_at = cfg.cost.switch_ns + cfg.cost.mov_ns;
-    for backend in [ExecBackend::Interp, ExecBackend::Native] {
-        let e = run_compiled(backend, cfg.clone(), &prog, FuncId(0), &[]).unwrap_err();
+    let native = NativeProgram::compile(&prog, &cfg.cost);
+    for (backend, e) in [
+        (
+            "interp",
+            Machine::new(cfg.clone()).run(&prog, FuncId(0), &[]),
+        ),
+        (
+            "native",
+            NativeMachine::new(cfg.clone()).run(&native, FuncId(0), &[]),
+        ),
+    ] {
+        let e = e.unwrap_err();
         assert!(e.message.starts_with("deadlock: "), "{backend}: {e}");
         assert_eq!(e.time_ns, idle_at, "{backend}");
     }

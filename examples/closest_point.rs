@@ -7,9 +7,9 @@
 //! Run with: `cargo run --example closest_point`
 
 use earthc::earth_analysis;
-use earthc::earth_commopt::{analyze_placement, optimize_program, CommOptConfig, FreqModel};
+use earthc::earth_commopt::{analyze_placement, FreqModel};
 use earthc::earth_ir::{pretty, StmtKind};
-use earthc::{CommOptConfig as Cfg, Pipeline};
+use earthc::Pipeline;
 
 const SRC: &str = r#"
 struct Point { Point* next; double x; double y; };
@@ -88,9 +88,11 @@ fn main() {
         }
     }
 
-    // Figure 8(b): the transformed function.
+    // Figure 8(b): the transformed function, as the pipeline builds it
+    // (locality inference off, to keep the paper's figure).
+    let optimizing = Pipeline::new().nodes(4).locality(false);
     let mut optimized = prog.clone();
-    optimize_program(&mut optimized, &CommOptConfig::default());
+    optimizing.apply_passes(&mut optimized).expect("optimizes");
     println!("\n== After communication selection (Figure 8(b)) ==\n");
     println!(
         "{}",
@@ -106,18 +108,12 @@ fn main() {
 
     // Dynamic effect on a 4-node machine.
     let args = [earthc::Value::Int(200)];
-    let simple = Pipeline::new()
-        .nodes(4)
+    let simple = optimizing
+        .clone()
         .optimizer(None)
-        .locality(false)
         .run_source(SRC, &args)
         .expect("simple");
-    let fast = Pipeline::new()
-        .nodes(4)
-        .optimizer(Some(Cfg::default()))
-        .locality(false)
-        .run_source(SRC, &args)
-        .expect("optimized");
+    let fast = optimizing.run_source(SRC, &args).expect("optimized");
     assert_eq!(simple.ret, fast.ret);
     println!("simple:    {:>9} ns | {}", simple.time_ns, simple.stats);
     println!("optimized: {:>9} ns | {}", fast.time_ns, fast.stats);

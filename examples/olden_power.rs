@@ -4,26 +4,29 @@
 //!
 //! Run with: `cargo run --release --example olden_power`
 
-use earthc::earth_commopt::CommOptConfig;
-use earthc::earth_olden::{by_name, run, Build, Preset};
+use earthc::earth_olden::{by_name, Preset};
+use earthc::{compile_earth_c, earth_sim, Pipeline};
 
 fn main() {
     let bench = by_name("power").expect("power is in the suite");
-    let seq = run(&bench, &Build::Sequential, Preset::Small, 1).expect("sequential");
+    let args = (bench.args)(Preset::Small);
+    let prog = compile_earth_c(bench.source).expect("power compiles");
+    let seq = earth_sim::run_sequential(&prog, "main", &args).expect("sequential");
     println!("sequential C: {:.4}s\n", seq.time_ns as f64 / 1e9);
     println!(
         "{:>6} {:>12} {:>12} {:>10} {:>10} {:>7}",
         "procs", "simple(s)", "optimized(s)", "simple-SU", "opt-SU", "%impr"
     );
     for procs in [1u16, 2, 4, 8, 16] {
-        let simple = run(&bench, &Build::Simple, Preset::Small, procs).expect("simple");
-        let opt = run(
-            &bench,
-            &Build::Optimized(CommOptConfig::default()),
-            Preset::Small,
-            procs,
-        )
-        .expect("optimized");
+        let optimized = Pipeline::new().nodes(procs);
+        let simple = optimized
+            .clone()
+            .optimizer(None)
+            .run_source(bench.source, &args)
+            .expect("simple");
+        let opt = optimized
+            .run_source(bench.source, &args)
+            .expect("optimized");
         assert_eq!(simple.ret, seq.ret);
         assert_eq!(opt.ret, seq.ret);
         println!(

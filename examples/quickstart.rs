@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use earthc::earth_ir::pretty;
-use earthc::{CommOptConfig, Pipeline, Value};
+use earthc::{Pipeline, Value};
 
 const SRC: &str = r#"
 struct Point { double x; double y; };
@@ -35,9 +35,13 @@ fn main() {
         pretty::print_function_default(&prog, prog.function_by_name("distance").unwrap())
     );
 
-    // 2. Optimize: possible-placement analysis + communication selection.
+    // 2. Optimize: possible-placement analysis + communication selection,
+    //    the pipeline's `optimize` pass (locality inference off, to keep
+    //    the paper's figure).
+    let optimizing = Pipeline::new().nodes(2).locality(false);
     let mut optimized = prog.clone();
-    let report = earthc::earth_commopt::optimize_program(&mut optimized, &CommOptConfig::default());
+    let report = optimizing.apply_passes(&mut optimized).expect("optimizes");
+    let counter = |name| report.pass("optimize").unwrap().get_counter(name).unwrap();
     println!("== After communication optimization (Figure 3(c)) ==\n");
     println!(
         "{}",
@@ -45,22 +49,17 @@ fn main() {
     );
     println!(
         "optimizer: {} pipelined reads inserted, {} original reads rewritten\n",
-        report.total().pipelined_reads,
-        report.total().reads_rewritten
+        counter("pipelined_reads"),
+        counter("reads_rewritten")
     );
 
     // 3. Run both versions on a 2-node simulated EARTH-MANNA machine.
-    let simple = Pipeline::new()
-        .nodes(2)
+    let simple = optimizing
+        .clone()
         .optimizer(None)
-        .locality(false)
         .run_source(SRC, &[])
         .expect("simple run");
-    let fast = Pipeline::new()
-        .nodes(2)
-        .locality(false)
-        .run_source(SRC, &[])
-        .expect("optimized run");
+    let fast = optimizing.run_source(SRC, &[]).expect("optimized run");
     assert_eq!(simple.ret, Value::Double(5.0));
     assert_eq!(fast.ret, Value::Double(5.0));
     println!("simple:    {:>8} ns | {}", simple.time_ns, simple.stats);

@@ -1,12 +1,12 @@
 //! `earthcc` — command-line driver for the EARTH-C pipeline.
 //!
 //! ```text
-//! earthcc run  prog.ec [--nodes N] [--backend interp|native] [--no-opt] [--no-locality]
+//! earthcc run  prog.ec [--nodes N] [--no-opt] [--no-locality]
 //!                      [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N]
 //!                      [--timings] [--report-json]
 //!                      [--arg V]... [--profile-out FILE | --profile-in FILE]
 //! earthcc pgo  prog.ec [--nodes N] [--workers N] [--arg V]...   # instrument, run, recompile
-//! earthcc dump prog.ec [--simple | --optimized] [--func NAME]
+//! earthcc dump prog.ec [--optimized] [--no-locality] [--func NAME]   # the IR `run` executes
 //! earthcc stats prog.ec [--nodes N] [--arg V]...   # simple vs optimized
 //! earthcc lint prog.ec [--json]        # parallel-soundness linter
 //! earthcc lint --explain <CODE|all>    # rule documentation (no input file)
@@ -16,10 +16,10 @@
 //! `--lint` and `--verify-placement` are accepted as aliases for the `lint`
 //! and `verify` subcommands.
 //!
-//! `--backend` picks the simulator's execution engine and defaults to
-//! `native` (the pre-decoded tier) here, in `earthcc serve` and in
-//! `earthd`; `interp` is the reference interpreter, with byte-identical
-//! output.
+//! Every program runs on the simulator's native (pre-decoded) tier, here
+//! as in `earthcc serve` and `earthd`. `dump` prints the IR the same
+//! pipeline builds: `dump --optimized` is what `run` executes, plain
+//! `dump` what `run --no-opt` executes.
 //!
 //! `--alias prob` turns on the probabilistic alias mode: branch/loop
 //! likelihood heuristics (measured frequencies under PGO) weight the
@@ -50,20 +50,19 @@
 //! `earthcc pgo` does both in one shot and compares static vs profiled.
 
 use earthc::earth_commopt::{
-    default_workers, optimize_program, optimize_program_snapshot, AliasMode, CommOptConfig,
-    EscapeMode,
+    default_workers, optimize_program_snapshot, AliasMode, CommOptConfig, EscapeMode,
 };
 use earthc::earth_ir::{diag, pretty, Severity};
 use earthc::earth_serve::client::{Client, ClientError};
 use earthc::earth_serve::cluster::ClusterClient;
 use earthc::earth_serve::proto::{Arg, CompileOptions, RequestKind, Response};
-use earthc::{earth_lint, ExecBackend, Pipeline, PipelineReport, Profile, ProfileDb, Value};
+use earthc::{earth_lint, Pipeline, PipelineReport, Profile, ProfileDb, Value};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  earthcc run    <file.ec> [--nodes N] [--backend interp|native] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--backend interp|native] [--alias binary|prob] [--escape on|off] [--workers N] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--alias binary|prob] [--escape on|off] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)\n--backend defaults to `native` wherever it is accepted (run, pgo, serve, earthd); `interp` is the reference interpreter and prints the same output"
+        "usage:\n  earthcc run    <file.ec> [--nodes N] [--op-stats] [--no-opt] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--timings] [--report-json] [--entry NAME] [--arg V]... [--profile-out FILE | --profile-in FILE]\n  earthcc pgo    <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--workers N] [--entry NAME] [--arg V]...\n  earthcc dump   <file.ec> [--optimized] [--no-locality] [--verify-placement] [--alias binary|prob] [--escape on|off] [--workers N] [--fibers] [--func NAME]\n  earthcc stats  <file.ec> [--nodes N] [--alias binary|prob] [--escape on|off] [--entry NAME] [--arg V]...\n  earthcc lint   <file.ec> [--json]\n  earthcc lint   --explain <CODE|all>\n  earthcc verify <file.ec> [--json] [--alias binary|prob] [--escape on|off]\n  earthcc serve  [--addr HOST:PORT] [--workers N] [--queue N] [--cache N] [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster --listen HOST:PORT --peers A,B,C [--vnodes N]]\n  earthcc client <compile|run|pgo|lint|stats|ping|shutdown> [file.ec] (--addr HOST:PORT | --peers A,B,C) [--nodes N] [--entry NAME] [--arg V]... [--no-opt] [--no-locality] [--use-profile] [--deadline-ms N]\n<file.ec> may be `olden:<name>` to target an embedded Olden kernel (power, tsp, health, perimeter, voronoi, treeadd)\n`dump` prints the IR of `run`'s build with the same flags (`run --no-opt`'s without --optimized)"
     );
     ExitCode::from(2)
 }
@@ -103,7 +102,6 @@ struct Opts {
     deadline_ms: Option<u64>,
     alias: AliasMode,
     escape: EscapeMode,
-    backend: ExecBackend,
     op_stats: bool,
 }
 
@@ -114,6 +112,23 @@ impl Opts {
             alias: self.alias,
             escape: self.escape,
             ..CommOptConfig::default()
+        }
+    }
+
+    /// The pipeline every subcommand that builds a program uses, with the
+    /// optimizer on or off: `run`, `pgo`, `stats`, and `dump`, which
+    /// prints the IR of the same build.
+    fn pipeline(&self, optimize: bool) -> Pipeline {
+        let pipeline = Pipeline::new()
+            .nodes(self.nodes)
+            .optimizer(optimize.then(|| self.commopt_cfg()))
+            .verify(self.verify)
+            .locality(self.locality)
+            .record_op_stats(self.op_stats)
+            .entry(self.entry.clone());
+        match self.workers {
+            Some(w) => pipeline.workers(w),
+            None => pipeline,
         }
     }
 }
@@ -142,7 +157,6 @@ fn parse_opts(rest: &[String], needs_file: bool) -> Result<Opts, String> {
         deadline_ms: None,
         alias: AliasMode::Binary,
         escape: EscapeMode::Off,
-        backend: ExecBackend::default(),
         op_stats: false,
     };
     let mut it = rest.iter();
@@ -154,6 +168,9 @@ fn parse_opts(rest: &[String], needs_file: bool) -> Result<Opts, String> {
                     .ok_or("--nodes needs a value")?
                     .parse()
                     .map_err(|_| "--nodes needs an integer")?;
+                if o.nodes == 0 {
+                    return Err("--nodes must be at least 1".into());
+                }
             }
             "--no-opt" => o.optimize = false,
             "--no-locality" => o.locality = false,
@@ -211,13 +228,6 @@ fn parse_opts(rest: &[String], needs_file: bool) -> Result<Opts, String> {
                     "off" => EscapeMode::Off,
                     other => return Err(format!("--escape must be `on` or `off`, got `{other}`")),
                 };
-            }
-            "--backend" => {
-                o.backend = it
-                    .next()
-                    .ok_or("--backend needs a value")?
-                    .parse()
-                    .map_err(|e: String| e)?;
             }
             "--op-stats" => o.op_stats = true,
             "--entry" => o.entry = it.next().ok_or("--entry needs a value")?.clone(),
@@ -499,17 +509,7 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "run" => {
-            let mut pipeline = Pipeline::new()
-                .nodes(opts.nodes)
-                .optimizer(opts.optimize.then(|| opts.commopt_cfg()))
-                .verify(opts.verify)
-                .locality(opts.locality)
-                .backend(opts.backend)
-                .record_op_stats(opts.op_stats)
-                .entry(opts.entry.clone());
-            if let Some(w) = opts.workers {
-                pipeline = pipeline.workers(w);
-            }
+            let mut pipeline = opts.pipeline(opts.optimize);
             if let Some(path) = &opts.profile_out {
                 // Instrumented run: pre-passes only, site recording on.
                 return match pipeline.instrument_source(&src, &opts.args) {
@@ -579,22 +579,14 @@ fn main() -> ExitCode {
             }
         }
         "pgo" => {
-            let mut base = Pipeline::new()
-                .nodes(opts.nodes)
-                .locality(opts.locality)
-                .backend(opts.backend)
-                .entry(opts.entry.clone());
-            if let Some(w) = opts.workers {
-                base = base.workers(w);
-            }
-            let (instrumented, profile) = match base.instrument_source(&src, &opts.args) {
+            let static_build = opts.pipeline(true);
+            let (instrumented, profile) = match static_build.instrument_source(&src, &opts.args) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("error: instrumented run failed: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            let static_build = base.clone().optimizer(Some(opts.commopt_cfg()));
             let profiled_build = static_build
                 .clone()
                 .profile(Some(Arc::new(ProfileDb::new(profile.clone()))));
@@ -637,8 +629,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if opts.dump_optimized {
-                optimize_program(&mut prog, &opts.commopt_cfg());
+            if let Err(e) = opts.pipeline(opts.dump_optimized).apply_passes(&mut prog) {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
             }
             if opts.dump_fibers {
                 let analysis = earthc::earth_analysis::analyze(&prog);
@@ -666,15 +659,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "stats" => {
-            let run = |optimize: bool| {
-                Pipeline::new()
-                    .nodes(opts.nodes)
-                    .optimizer(optimize.then(|| opts.commopt_cfg()))
-                    .locality(opts.locality)
-                    .backend(opts.backend)
-                    .entry(opts.entry.clone())
-                    .run_source(&src, &opts.args)
-            };
+            let run = |optimize: bool| opts.pipeline(optimize).run_source(&src, &opts.args);
             match (run(false), run(true)) {
                 (Ok(simple), Ok(optimized)) => {
                     assert_eq!(simple.ret, optimized.ret, "builds disagree");

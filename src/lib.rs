@@ -15,7 +15,7 @@
 //! | [`earth_analysis`] | regions/connection, read-write sets, locality |
 //! | [`earth_commopt`] | **the paper**: possible-placement analysis + communication selection |
 //! | [`earth_sim`] | EARTH-MANNA discrete-event simulator (Table-I cost model) |
-//! | [`earth_olden`] | the five Olden benchmarks in EARTH-C |
+//! | [`earth_olden`] | the six Olden benchmarks in EARTH-C: sources and problem sizes |
 //!
 //! # Examples
 //!
@@ -61,7 +61,7 @@ pub use earth_frontend::FrontendError;
 pub use earth_ir::Program;
 pub use earth_pass::{LayerTime, PassManager, PipelineReport, SnapshotSlot};
 pub use earth_profile::{Profile, ProfileDb};
-pub use earth_sim::{CostModel, ExecBackend, RunResult, SimError, Value};
+pub use earth_sim::{CostModel, RunResult, SimError, Value};
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -169,7 +169,6 @@ pub struct Pipeline {
     profile: Option<Arc<ProfileDb>>,
     entry: String,
     machine: earth_sim::MachineConfig,
-    backend: ExecBackend,
 }
 
 impl Default for Pipeline {
@@ -194,7 +193,6 @@ impl Pipeline {
             profile: None,
             entry: "main".into(),
             machine: earth_sim::MachineConfig::default(),
-            backend: ExecBackend::default(),
         }
     }
 
@@ -280,15 +278,6 @@ impl Pipeline {
     /// Overrides the machine timing model.
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.machine.cost = cost;
-        self
-    }
-
-    /// Selects the execution backend (default [`ExecBackend::Native`],
-    /// which pre-decodes the bytecode into fused closures). Both backends
-    /// produce byte-identical [`RunResult`]s; [`ExecBackend::Interp`] is
-    /// the reference interpreter they are checked against.
-    pub fn backend(mut self, b: ExecBackend) -> Self {
-        self.backend = b;
         self
     }
 
@@ -423,7 +412,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates pass and simulator errors; see
-    /// [`apply_passes`](Self::apply_passes) and [`earth_sim::Machine::run`].
+    /// [`apply_passes`](Self::apply_passes) and [`earth_sim::NativeMachine::run`].
     pub fn run_program_report(
         &self,
         mut prog: Program,
@@ -436,8 +425,9 @@ impl Pipeline {
         Ok((result, report))
     }
 
-    /// Code generation + simulation of an already-lowered program, with
-    /// the wall time of the layers ahead of the run.
+    /// Code generation + simulation on the native tier of an
+    /// already-lowered program, with the wall time of the layers ahead of
+    /// the run.
     fn simulate(
         &self,
         prog: &Program,
@@ -461,20 +451,13 @@ impl Pipeline {
             })?;
         let mut mc = self.machine.clone();
         mc.n_nodes = self.nodes;
-        // `earth_sim::run_compiled`, spelled out so that pre-decoding is
-        // timed apart from the run.
-        let result = match self.backend {
-            ExecBackend::Interp => earth_sim::Machine::new(mc).run(&compiled, entry, args)?,
-            ExecBackend::Native => {
-                let start = Instant::now();
-                let native = earth_sim::NativeProgram::compile(&compiled, &mc.cost);
-                layers.push(LayerTime {
-                    name: "predecode",
-                    wall: start.elapsed(),
-                });
-                earth_sim::NativeMachine::new(mc).run(&native, entry, args)?
-            }
-        };
+        let start = Instant::now();
+        let native = earth_sim::NativeProgram::compile(&compiled, &mc.cost);
+        layers.push(LayerTime {
+            name: "predecode",
+            wall: start.elapsed(),
+        });
+        let result = earth_sim::NativeMachine::new(mc).run(&native, entry, args)?;
         Ok((compiled, result, layers))
     }
 
@@ -493,7 +476,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates pass and simulator errors; see
-    /// [`apply_passes`](Self::apply_passes) and [`earth_sim::Machine::run`].
+    /// [`apply_passes`](Self::apply_passes) and [`earth_sim::NativeMachine::run`].
     pub fn instrument_program(
         &self,
         mut prog: Program,
@@ -533,7 +516,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Propagates pass and simulator errors; see
-    /// [`earth_sim::Machine::run`].
+    /// [`earth_sim::NativeMachine::run`].
     pub fn run_program(&self, prog: Program, args: &[Value]) -> Result<RunResult, PipelineError> {
         self.run_program_report(prog, args).map(|(r, _)| r)
     }

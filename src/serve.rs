@@ -30,7 +30,7 @@
 //! with the reuse counts surfaced in `stats` as `functions_reused` /
 //! `functions_reoptimized` / `escalations`.
 
-use crate::{CommOptConfig, ExecBackend, Pipeline, PipelineSnapshot, Profile, ProfileDb, Value};
+use crate::{CommOptConfig, Pipeline, PipelineSnapshot, Profile, ProfileDb, Value};
 use earth_ir::json::{self, Obj, ObjectExt as _};
 use earth_serve::cluster::ClusterConfig;
 use earth_serve::hash::{key_hex, Fnv1a};
@@ -96,11 +96,6 @@ pub struct PipelineBackend {
     /// Where snapshot *inputs* are persisted across restarts (under
     /// `--spill DIR`); `None` = snapshots die with the process.
     snap_dir: Option<PathBuf>,
-    /// Which engine serves `run` requests. The daemon defaults to the
-    /// native tier (byte-identical to the interpreter by contract —
-    /// the differential suites enforce it); `--backend interp` falls
-    /// back to the reference engine.
-    backend: ExecBackend,
 }
 
 impl Default for PipelineBackend {
@@ -145,15 +140,7 @@ impl PipelineBackend {
             }),
             snapshots: Mutex::new(HashMap::new()),
             snap_dir: None,
-            backend: ExecBackend::default(),
         }
-    }
-
-    /// Selects the engine for `run` requests (daemon `--backend` flag).
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// A backend that persists incremental-compilation snapshots under
@@ -177,7 +164,6 @@ impl PipelineBackend {
             }),
             snapshots: Mutex::new(HashMap::new()),
             snap_dir: Some(snap_dir.clone()),
-            backend: ExecBackend::default(),
         };
         backend.restore_snapshots(&snap_dir);
         backend
@@ -384,15 +370,9 @@ impl Backend for PipelineBackend {
             n_nodes: nodes,
             ..Default::default()
         };
-        let result = match self.backend {
-            ExecBackend::Interp => {
-                earth_sim::Machine::new(mc).run(&exec.bytecode, entry_fn, &to_values(args))
-            }
-            ExecBackend::Native => {
-                earth_sim::NativeMachine::new(mc).run(exec.native(), entry_fn, &to_values(args))
-            }
-        }
-        .map_err(|e| format!("simulation: {e}"))?;
+        let result = earth_sim::NativeMachine::new(mc)
+            .run(exec.native(), entry_fn, &to_values(args))
+            .map_err(|e| format!("simulation: {e}"))?;
         Ok(RunOutput {
             ret: result.ret.to_string(),
             time_ns: result.time_ns,
@@ -438,14 +418,9 @@ impl Backend for PipelineBackend {
 }
 
 /// Parses daemon flags shared by `earthd` and `earthcc serve`:
-/// `[--addr HOST:PORT] [--backend interp|native] [--workers N]
-/// [--queue N] [--cache N] [--spill DIR] [--deadline-ms N]
-/// [--idle-ms N] [--cluster] [--listen HOST:PORT] [--peers A,B,C]
-/// [--vnodes N]`.
-///
-/// The daemon serves `run` requests on [`ExecBackend::default`] (the
-/// native tier, as everywhere else); `--backend interp` selects the
-/// reference interpreter (results are byte-identical either way).
+/// `[--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
+/// [--spill DIR] [--deadline-ms N] [--idle-ms N] [--cluster]
+/// [--listen HOST:PORT] [--peers A,B,C] [--vnodes N]`.
 ///
 /// Cluster mode (`--cluster`) needs `--listen` (the fixed address this
 /// daemon binds *and* advertises on the hash ring — port 0 would
@@ -455,10 +430,9 @@ impl Backend for PipelineBackend {
 /// # Errors
 ///
 /// A single-line description of the offending flag.
-pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig, ExecBackend), String> {
+pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig), String> {
     let mut addr = "127.0.0.1:0".to_string();
     let mut config = ServerConfig::default();
-    let mut backend = ExecBackend::default();
     let mut cluster = false;
     let mut listen: Option<String> = None;
     let mut peers: Vec<String> = Vec::new();
@@ -473,9 +447,6 @@ pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig, ExecB
         };
         match a.as_str() {
             "--addr" => addr = it.next().ok_or("--addr needs a value")?.clone(),
-            "--backend" => {
-                backend = it.next().ok_or("--backend needs a value")?.parse()?;
-            }
             "--workers" => config.workers = num("--workers")?,
             "--queue" => config.queue_capacity = num("--queue")?,
             "--cache" => config.cache_capacity = num("--cache")?,
@@ -519,7 +490,7 @@ pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig, ExecB
     if let Some(listen) = listen {
         addr = listen;
     }
-    Ok((addr, config, backend))
+    Ok((addr, config))
 }
 
 /// Binds and runs the daemon until a `shutdown` request arrives. Prints
@@ -530,12 +501,11 @@ pub fn parse_daemon_args(rest: &[String]) -> Result<(String, ServerConfig, ExecB
 ///
 /// A single-line description of the bind failure or bad flag.
 pub fn run_daemon(rest: &[String]) -> Result<(), String> {
-    let (addr, config, exec_backend) = parse_daemon_args(rest)?;
+    let (addr, config) = parse_daemon_args(rest)?;
     let backend = match &config.spill_dir {
         Some(dir) => PipelineBackend::with_spill(dir),
         None => PipelineBackend::new(),
-    }
-    .with_backend(exec_backend);
+    };
     let server =
         Server::bind(&addr, config, backend).map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
     println!("earthd listening on {}", server.local_addr());

@@ -214,19 +214,33 @@ fn timings_cover_the_layers_around_the_passes() {
         "layers and passes add up to {accounted} ns, the command took {} ns",
         wall.as_nanos()
     );
-    // The interpreter has no pre-decode step, so no such row.
-    let out = earthcc(&[
-        "run",
-        "programs/treesum.ec",
-        "--arg",
-        "6",
-        "--backend",
-        "interp",
-        "--timings",
-    ]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
+}
+
+#[test]
+fn zero_nodes_is_a_usage_error() {
+    let out = earthcc(&["run", "programs/count.ec", "--nodes", "0", "--arg", "3"]);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stdout.contains("codegen") && !stdout.contains("predecode"),
-        "{stdout}"
+        stderr.starts_with("error: --nodes must be at least 1"),
+        "expected a leading `error:` line: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+}
+
+/// `dump --optimized` prints the IR `run` executes: the default
+/// pipeline's passes, locality inference included — the IR `earthd`
+/// answers a compile request with.
+#[test]
+fn dump_optimized_prints_the_pipelines_ir() {
+    use earthc::earth_ir::pretty;
+    let out = earthcc(&["dump", "olden:tsp", "--optimized"]);
+    assert!(out.status.success(), "{out:?}");
+    let source = earthc::earth_olden::by_name("tsp").unwrap().source;
+    let mut prog = earthc::compile_earth_c(source).unwrap();
+    earthc::Pipeline::new().apply_passes(&mut prog).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{}\n", pretty::print_program(&prog))
     );
 }

@@ -418,3 +418,58 @@ fn daemon_answers_hostile_nesting_and_keeps_serving() {
     client.shutdown().unwrap();
     join.join().unwrap();
 }
+
+/// A `run` asking for zero nodes is a malformed request: the daemon
+/// answers it with an error, and its only worker is still there to
+/// answer the next request. The client reads under a timeout, so a
+/// daemon that never answers fails the test instead of hanging it.
+#[test]
+fn zero_nodes_is_an_error_answer_and_the_worker_survives() {
+    use earthc::earth_serve::proto::{Request, RequestKind};
+    use std::io::{BufRead as _, BufReader, Write as _};
+    use std::time::Duration;
+    let (addr, _handle, join) = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let (_, source) = sources().remove(0); // count.ec: main(n) counts a list
+    let mut ask = |id: u64, nodes: u16| {
+        let kind = RequestKind::Run {
+            source: source.clone(),
+            opts: CompileOptions::default(),
+            entry: "main".into(),
+            nodes,
+            args: vec![Arg::Int(5)],
+        };
+        let request = Request {
+            id,
+            deadline_ms: None,
+            fwd: false,
+            kind,
+        };
+        writeln!(writer, "{}", request.to_json()).unwrap();
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .unwrap_or_else(|e| panic!("no answer to request {id}: {e}"));
+        Response::from_json(line.trim_end()).unwrap()
+    };
+    match ask(1, 0) {
+        Response::Error { error, .. } => {
+            assert!(error.contains("`nodes` must be at least 1"), "{error}")
+        }
+        other => panic!("expected an error answer, got {other:?}"),
+    }
+    match ask(2, 2) {
+        Response::Run { ret, .. } => assert_eq!(ret, "1"),
+        other => panic!("expected a run answer, got {other:?}"),
+    }
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    join.join().unwrap();
+}

@@ -259,12 +259,15 @@ fn prob_alias_output_is_worker_invariant() {
 /// `earthd` and `benchmark/` run (`earthc::Pipeline`, locality inference
 /// on). Every sample program's prob-optimized build computes the simple
 /// build's result. Every Olden kernel at `Test` on 2 nodes computes it
-/// under all five modes (`simple`, `static`, `prob`, `escape`, `pgo`).
-/// Escape upgrades only delete communication, so `escape` never
-/// communicates more than `static`. On the list-heavy kernels (health,
-/// tsp) both richer modes communicate strictly less: `prob` by trading
-/// scalar reads for `blkmov` prefetches of the induction spans, `escape`
-/// by deleting node-local traffic.
+/// under all five modes (`simple`, `static`, `prob`, `escape`, `pgo`),
+/// and so does its sequential build, with the result pinned below (a
+/// change to a kernel's workload must update it on purpose). The
+/// optimizer fires on every kernel and `static` communicates strictly
+/// less than `simple` (Figure 10's claim). Escape upgrades only delete
+/// communication, so `escape` never communicates more than `static`. On
+/// the list-heavy kernels (health, tsp) both richer modes communicate
+/// strictly less: `prob` by trading scalar reads for `blkmov` prefetches
+/// of the induction spans, `escape` by deleting node-local traffic.
 #[test]
 fn prob_optimized_matches_simple_results() {
     use earthc::earth_commopt::EscapeMode;
@@ -300,8 +303,17 @@ fn prob_optimized_matches_simple_results() {
         let prob = build(Some(prob.clone()));
         assert_eq!(simple.ret, prob.ret, "{path}: prob build changed result");
     }
-    for bench in earthc::earth_olden::suite() {
+    let pinned = [
+        ("power", "31.537492545350723"),
+        ("tsp", "26065.187281843177"),
+        ("health", "8"),
+        ("perimeter", "64"),
+        ("voronoi", "2051.568604596591"),
+        ("treeadd", "63"),
+    ];
+    for (bench, (pinned_name, pinned_ret)) in earthc::earth_olden::suite().into_iter().zip(pinned) {
         let name = bench.name;
+        assert_eq!(name, pinned_name);
         let args = (bench.args)(Preset::Test);
         let pipeline = |cfg: Option<CommOptConfig>| Pipeline::new().nodes(2).optimizer(cfg);
         let (_, profile) = pipeline(None)
@@ -320,22 +332,40 @@ fn prob_optimized_matches_simple_results() {
         let runs: Vec<_> = modes
             .iter()
             .map(|(mode, p)| {
-                let r = p
-                    .run_source(bench.source, &args)
+                let (r, report) = p
+                    .run_source_report(bench.source, &args)
                     .unwrap_or_else(|e| panic!("{name} {mode}: {e}"));
-                (*mode, r)
+                (*mode, r, report)
             })
             .collect();
-        let run = |mode: &str| &runs.iter().find(|(m, _)| *m == mode).unwrap().1;
-        for (mode, r) in &runs {
+        let find = |mode: &str| runs.iter().find(|(m, ..)| *m == mode).unwrap();
+        let run = |mode: &str| &find(mode).1;
+        for (mode, r, _) in &runs {
             assert_eq!(
                 r.ret,
                 run("simple").ret,
                 "{name}: {mode} changed the result"
             );
         }
+        let prog = earthc::compile_earth_c(bench.source).unwrap();
+        let seq = earthc::earth_sim::run_sequential(&prog, "main", &args)
+            .unwrap_or_else(|e| panic!("{name} sequential: {e}"));
+        assert_eq!(seq.ret, run("simple").ret, "{name}: sequential result");
+        assert_eq!(seq.ret.to_string(), pinned_ret, "{name}: pinned result");
+        let optimize = find("static").2.pass("optimize").unwrap();
+        let fired = ["pipelined_reads", "blocked_spans"]
+            .map(|c| optimize.get_counter(c).unwrap())
+            .iter()
+            .sum::<u64>();
+        assert!(fired > 0, "{name}: optimizer did nothing");
         let comm = |mode: &str| run(mode).stats.total_comm();
         let blkmov = |mode: &str| run(mode).stats.blkmov;
+        assert!(
+            comm("static") < comm("simple"),
+            "{name}: static comm {} !< simple comm {}",
+            comm("static"),
+            comm("simple")
+        );
         assert!(
             comm("escape") <= comm("static"),
             "{name}: escape comm {} > static comm {}",

@@ -8,7 +8,10 @@
 use earthc::earth_analysis;
 use earthc::earth_commopt::{optimize_program, CommOptConfig};
 use earthc::earth_olden::{suite, Preset};
-use earthc::earth_sim::{self, CodegenOptions, ExecBackend, MachineConfig, Value};
+use earthc::earth_sim::{self, CodegenOptions, MachineConfig, Value};
+
+mod backends;
+use backends::assert_backends_agree;
 
 const NODES: [u16; 3] = [1, 4, 8];
 
@@ -28,35 +31,6 @@ fn build(src: &str, optimize: bool) -> earth_sim::CompiledProgram {
     .unwrap_or_else(|e| panic!("codegen: {e}"))
 }
 
-fn assert_backends_agree(
-    compiled: &earth_sim::CompiledProgram,
-    nodes: u16,
-    args: &[Value],
-    context: &str,
-) {
-    let entry = compiled.function_by_name("main").expect("main");
-    let cfg = MachineConfig {
-        n_nodes: nodes,
-        record_op_stats: true,
-        ..MachineConfig::default()
-    };
-    let a = earth_sim::run_compiled(ExecBackend::Interp, cfg.clone(), compiled, entry, args)
-        .unwrap_or_else(|e| panic!("{context}: interp failed: {e}"));
-    let b = earth_sim::run_compiled(ExecBackend::Native, cfg, compiled, entry, args)
-        .unwrap_or_else(|e| panic!("{context}: native failed: {e}"));
-    assert_eq!(a.ret, b.ret, "{context}: return value");
-    assert_eq!(a.time_ns, b.time_ns, "{context}: virtual time");
-    assert_eq!(a.stats, b.stats, "{context}: comm stats");
-    assert_eq!(a.output, b.output, "{context}: output");
-    assert_eq!(a.node_busy_ns, b.node_busy_ns, "{context}: busy time");
-    assert_eq!(
-        a.site_trace.per_site, b.site_trace.per_site,
-        "{context}: site trace"
-    );
-    assert_eq!(a.op_stats, b.op_stats, "{context}: op histogram");
-    assert_eq!(a.op_stats.total(), a.stats.ops, "{context}: op accounting");
-}
-
 #[test]
 fn sample_programs_run_identically() {
     let corpus: &[(&str, &[Value])] = &[
@@ -73,7 +47,8 @@ fn sample_programs_run_identically() {
             let compiled = build(&src, optimize);
             for nodes in NODES {
                 let context = format!("{path} optimize={optimize} nodes={nodes}");
-                assert_backends_agree(&compiled, nodes, args, &context);
+                assert_backends_agree(MachineConfig::with_nodes(nodes), &compiled, args, &context)
+                    .unwrap_or_else(|e| panic!("{context}: both backends failed: {e}"));
             }
         }
     }
@@ -87,7 +62,8 @@ fn olden_kernels_run_identically() {
             let compiled = build(bench.source, optimize);
             for nodes in NODES {
                 let context = format!("{} optimize={optimize} nodes={nodes}", bench.name);
-                assert_backends_agree(&compiled, nodes, &args, &context);
+                assert_backends_agree(MachineConfig::with_nodes(nodes), &compiled, &args, &context)
+                    .unwrap_or_else(|e| panic!("{context}: both backends failed: {e}"));
             }
         }
     }

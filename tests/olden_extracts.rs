@@ -1,15 +1,22 @@
 //! Figure 11: the paper shows extracts from the optimized benchmarks —
 //! blocking in power (a) and perimeter (b), hoisting/redundancy
 //! elimination in health (c). These tests check our optimizer produces
-//! the same shapes on our benchmark sources.
+//! the same shapes on our benchmark sources, built by `earthc::Pipeline`
+//! as `earthcc run` and `earthcc dump --optimized` build them.
 
-use earthc::earth_commopt::CommOptConfig;
 use earthc::earth_ir::pretty;
-use earthc::earth_olden::{build_ir, by_name, Build};
+use earthc::earth_olden::by_name;
+use earthc::{Pipeline, PipelineReport, Program};
+
+fn optimized(bench: &str) -> (Program, PipelineReport) {
+    let b = by_name(bench).unwrap();
+    let mut prog = earthc::compile_earth_c(b.source).unwrap();
+    let report = Pipeline::new().apply_passes(&mut prog).unwrap();
+    (prog, report)
+}
 
 fn optimized_listing(bench: &str, func: &str) -> String {
-    let b = by_name(bench).unwrap();
-    let (prog, _) = build_ir(&b, &Build::Optimized(CommOptConfig::default()));
+    let (prog, _) = optimized(bench);
     pretty::print_function(
         &prog,
         prog.function_by_name(func).unwrap(),
@@ -84,17 +91,13 @@ fn fig11c_health_check_patients_inside() {
 /// redundancy elimination.
 #[test]
 fn fig11_suite_narrative() {
-    let power = {
-        let b = by_name("power").unwrap();
-        build_ir(&b, &Build::Optimized(CommOptConfig::default())).1
+    let counter = |bench: &str, name: &str| {
+        let (_, report) = optimized(bench);
+        report.pass("optimize").unwrap().get_counter(name).unwrap()
     };
-    assert!(power.total().blocked_spans > 0, "power blocks");
-    let health = {
-        let b = by_name("health").unwrap();
-        build_ir(&b, &Build::Optimized(CommOptConfig::default())).1
-    };
+    assert!(counter("power", "blocked_spans") > 0, "power blocks");
     assert!(
-        health.total().pipelined_reads > health.total().blocked_spans,
+        counter("health", "pipelined_reads") > counter("health", "blocked_spans"),
         "health is dominated by pipelined reads"
     );
 }

@@ -9,9 +9,12 @@
 
 use earth_qcheck::Rng;
 use earthc::earth_commopt::{optimize_program, AliasMode, CommOptConfig, EscapeMode};
-use earthc::earth_sim::{self, CodegenOptions, ExecBackend, MachineConfig, Value};
+use earthc::earth_sim::{self, CodegenOptions, MachineConfig, Value};
 use earthc::{earth_analysis, Pipeline, ProfileDb};
 use std::sync::Arc;
+
+mod backends;
+use backends::assert_backends_agree;
 
 const MODES: [&str; 5] = ["simple", "optimized", "prob", "escape", "pgo"];
 const NODES: [u16; 3] = [1, 2, 8];
@@ -61,40 +64,6 @@ fn build(src: &str, mode: &str, args: &[Value]) -> earth_sim::CompiledProgram {
         },
     )
     .unwrap_or_else(|e| panic!("codegen: {e}\n{src}"))
-}
-
-/// Runs `compiled` on both backends and asserts full result identity.
-fn assert_backends_agree(
-    compiled: &earth_sim::CompiledProgram,
-    nodes: u16,
-    args: &[Value],
-    context: &str,
-) {
-    let entry = compiled.function_by_name("main").expect("main");
-    let cfg = MachineConfig {
-        n_nodes: nodes,
-        record_op_stats: true,
-        ..MachineConfig::default()
-    };
-    let a = earth_sim::run_compiled(ExecBackend::Interp, cfg.clone(), compiled, entry, args);
-    let b = earth_sim::run_compiled(ExecBackend::Native, cfg, compiled, entry, args);
-    match (a, b) {
-        (Ok(x), Ok(y)) => {
-            assert_eq!(x.ret, y.ret, "{context}: return value");
-            assert_eq!(x.time_ns, y.time_ns, "{context}: virtual time");
-            assert_eq!(x.stats, y.stats, "{context}: comm stats");
-            assert_eq!(x.output, y.output, "{context}: output");
-            assert_eq!(x.node_busy_ns, y.node_busy_ns, "{context}: busy time");
-            assert_eq!(
-                x.site_trace.per_site, y.site_trace.per_site,
-                "{context}: site trace"
-            );
-            assert_eq!(x.op_stats, y.op_stats, "{context}: op histogram");
-            assert_eq!(x.op_stats.total(), x.stats.ops, "{context}: op accounting");
-        }
-        (Err(x), Err(y)) => assert_eq!(x, y, "{context}: errors must match"),
-        (a, b) => panic!("{context}: backends disagree: interp={a:?} native={b:?}"),
-    }
 }
 
 /// Generator 1: a list walk with a random loop body — remote loads and
@@ -246,7 +215,8 @@ fn random_programs_run_identically_on_both_backends() {
             let compiled = build(&src, mode, &args);
             for nodes in NODES {
                 let context = format!("mode={mode} nodes={nodes}");
-                assert_backends_agree(&compiled, nodes, &args, &context);
+                let cfg = MachineConfig::with_nodes(nodes);
+                let _ = assert_backends_agree(cfg, &compiled, &args, &context);
             }
         }
     });
@@ -265,7 +235,9 @@ fn error_paths_agree_on_both_backends() {
     "#;
     let compiled = build(div, "simple", &[Value::Int(0)]);
     for nodes in NODES {
-        assert_backends_agree(&compiled, nodes, &[Value::Int(0)], "div-by-zero");
+        let cfg = MachineConfig::with_nodes(nodes);
+        let e = assert_backends_agree(cfg, &compiled, &[Value::Int(0)], "div-by-zero");
+        assert!(e.is_err(), "{e:?}");
     }
 
     let spin = r#"
@@ -277,15 +249,10 @@ fn error_paths_agree_on_both_backends() {
         }
     "#;
     let compiled = build(spin, "simple", &[]);
-    let entry = compiled.function_by_name("main").unwrap();
     let cfg = MachineConfig {
         max_ops: 5_000,
-        record_op_stats: true,
         ..MachineConfig::default()
     };
-    let a = earth_sim::run_compiled(ExecBackend::Interp, cfg.clone(), &compiled, entry, &[])
-        .unwrap_err();
-    let b = earth_sim::run_compiled(ExecBackend::Native, cfg, &compiled, entry, &[]).unwrap_err();
-    assert!(a.message.contains("budget"), "{a:?}");
-    assert_eq!(a, b);
+    let e = assert_backends_agree(cfg, &compiled, &[], "budget").unwrap_err();
+    assert!(e.message.contains("budget"), "{e:?}");
 }

@@ -7,13 +7,24 @@
 //! one definition of value semantics and its error strings: the
 //! interpreter calls them for every `Bin`/`Un`/`Br`, the native tier for
 //! everything its Int×Int fast path does not cover.
+//!
+//! The records are small because a run keeps one per live thread, frame
+//! slot and activation: [`Cell`] is 16 bytes, [`ActRec`] 20 and
+//! [`Thread`] 40, and the asserts below hold them there.
 
 use crate::bytecode::{Pc, Slot};
-use crate::value::{NodeId, Value};
+use crate::value::{Addr, NodeId, Value};
 use earth_ir::{BinOp, FuncId, UnOp};
 
 /// A thread identifier (index into the machine's thread table).
 pub(crate) type ThreadId = u32;
+
+/// An activation-record identifier (index into the machine's record
+/// arena).
+pub(crate) type RecId = u32;
+
+/// The end of a link: no caller record, no free entry, no return slot.
+pub(crate) const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ThreadState {
@@ -24,118 +35,194 @@ pub(crate) enum ThreadState {
     Done,
 }
 
+/// Low bits of [`Cell::head`] that hold the value's tag; the ready time
+/// is packed above them.
+const TAG_BITS: u32 = 8;
+const TAG_INT: u64 = 0;
+const TAG_DOUBLE: u64 = 1;
+const TAG_PTR: u64 = 2;
+const TAG_NULL: u64 = 3;
+const TAG_UNINIT: u64 = 4;
+
 /// One frame slot: a value plus the virtual time it becomes usable
-/// (nonzero while a split-phase operation is still in flight).
-#[derive(Debug, Clone, Copy)]
+/// (nonzero while a split-phase operation is still in flight). The
+/// value's tag and the ready time share one word and the payload fills
+/// the other, so a cell is 16 bytes where a `(Value, u64)` pair is 24.
+#[derive(Clone, Copy)]
 pub(crate) struct Cell {
-    pub val: Value,
-    pub ready: u64,
+    head: u64,
+    bits: u64,
 }
 
-/// An activation record. `frame` is the base offset of the function's
-/// frame in the core's cell arena.
+impl Cell {
+    /// The latest ready time a cell can hold; the core turns a later one
+    /// into a [`SimError`](crate::SimError) before it is packed.
+    pub const MAX_READY: u64 = u64::MAX >> TAG_BITS;
+
+    /// An uninitialised slot, ready now.
+    pub const UNINIT: Cell = Cell {
+        head: TAG_UNINIT,
+        bits: 0,
+    };
+
+    /// `val`, usable from `ready` on, which must be at most
+    /// [`Cell::MAX_READY`].
+    #[inline(always)]
+    pub fn new(val: Value, ready: u64) -> Cell {
+        assert!(
+            ready <= Self::MAX_READY,
+            "ready time {ready} overflows a cell"
+        );
+        let (tag, bits) = match val {
+            Value::Int(v) => (TAG_INT, v as u64),
+            Value::Double(v) => (TAG_DOUBLE, v.to_bits()),
+            Value::Ptr(a) => (TAG_PTR, (a.node as u64) << 32 | a.index as u64),
+            Value::Null => (TAG_NULL, 0),
+            Value::Uninit => (TAG_UNINIT, 0),
+        };
+        Cell {
+            head: tag | ready << TAG_BITS,
+            bits,
+        }
+    }
+
+    #[inline(always)]
+    pub fn val(self) -> Value {
+        match self.tag() {
+            TAG_INT => Value::Int(self.bits as i64),
+            TAG_DOUBLE => Value::Double(f64::from_bits(self.bits)),
+            TAG_PTR => Value::Ptr(self.addr()),
+            TAG_NULL => Value::Null,
+            _ => Value::Uninit,
+        }
+    }
+
+    /// The value when it is an `Int`. The hot paths test the tag this
+    /// way: building a [`Value`] first costs a jump table per read.
+    #[inline(always)]
+    pub fn int(self) -> Option<i64> {
+        (self.tag() == TAG_INT).then_some(self.bits as i64)
+    }
+
+    /// The address when the value is a pointer (see [`Cell::int`]).
+    #[inline(always)]
+    pub fn ptr(self) -> Option<Addr> {
+        (self.tag() == TAG_PTR).then(|| self.addr())
+    }
+
+    /// [`Value::as_ptr`] of the value, with [`Cell::ptr`]'s fast path.
+    #[inline(always)]
+    pub fn as_ptr(self) -> Result<Option<Addr>, String> {
+        match self.ptr() {
+            Some(a) => Ok(Some(a)),
+            None => self.val().as_ptr(),
+        }
+    }
+
+    #[inline(always)]
+    fn tag(self) -> u64 {
+        self.head & ((1 << TAG_BITS) - 1)
+    }
+
+    #[inline(always)]
+    fn addr(self) -> Addr {
+        Addr {
+            node: (self.bits >> 32) as NodeId,
+            index: self.bits as u32,
+        }
+    }
+
+    #[inline(always)]
+    pub fn ready(self) -> u64 {
+        self.head >> TAG_BITS
+    }
+
+    /// The next entry of a free list threaded through this (freed) cell.
+    #[inline]
+    pub fn link(self) -> u32 {
+        self.bits as u32
+    }
+
+    /// A freed frame's first cell, pointing at the next free frame.
+    #[inline]
+    pub fn free_link(next: u32) -> Cell {
+        Cell {
+            head: TAG_UNINIT,
+            bits: next as u64,
+        }
+    }
+}
+
+impl std::fmt::Debug for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}@{}", self.val(), self.ready())
+    }
+}
+
+/// An activation record, one link of a thread's call chain in the core's
+/// record arena. `frame` is the base offset of the function's frame in
+/// the cell arena; `prev` is the caller's record ([`NIL`] at the bottom
+/// of the chain, and the next free record while this one is free).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ActRec {
     pub func: FuncId,
     pub pc: Pc,
-    pub frame: usize,
-    /// Slot in the *caller's* frame receiving the return value.
-    pub ret_slot: Option<Slot>,
+    pub frame: u32,
+    /// Slot in the *caller's* frame receiving the return value ([`NIL`]
+    /// for none).
+    ret_slot: Slot,
+    pub prev: RecId,
+}
+
+impl ActRec {
+    pub fn new(func: FuncId, pc: Pc, frame: u32, ret_slot: Option<Slot>, prev: RecId) -> Self {
+        ActRec {
+            func,
+            pc,
+            frame,
+            ret_slot: ret_slot.unwrap_or(NIL),
+            prev,
+        }
+    }
+
+    pub fn ret_slot(&self) -> Option<Slot> {
+        (self.ret_slot != NIL).then_some(self.ret_slot)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ParentLink {
-    /// Arm of a Fork or a forall iteration: notify parent on EndArm.
+    /// Arm of a `Fork`, running in its parent's frame: notify the parent
+    /// on `EndArm`.
     Arm(ThreadId),
+    /// A forall iteration, running in a copy of its parent's frame that
+    /// it owns: notify the parent on `EndArm`.
+    Iter(ThreadId),
     /// Remote invocation: reply to `(thread, slot)` on final Ret.
     Reply(ThreadId, Option<Slot>),
     /// The root thread.
     Root,
 }
 
-/// Frames held inline in a [`FrameStack`] before spilling to the heap.
-const INLINE_FRAMES: usize = 4;
-
-/// A thread's activation-record stack. The bottom [`INLINE_FRAMES`]
-/// frames live inline in the thread record, so spawning a thread (one
-/// per remote call, fork arm, and forall iteration) performs no host
-/// allocation; only recursion deeper than the inline window spills to a
-/// heap `Vec`. Thread creation is the hottest cost of the core on
-/// spawn-heavy programs.
-#[derive(Debug)]
-pub(crate) struct FrameStack {
-    inline: [ActRec; INLINE_FRAMES],
-    len: usize,
-    spill: Vec<ActRec>,
-}
-
-impl FrameStack {
-    pub fn new(root: ActRec) -> Self {
-        let mut inline = [root; INLINE_FRAMES];
-        inline[0] = root;
-        FrameStack {
-            inline,
-            len: 1,
-            spill: Vec::new(),
-        }
-    }
-
-    #[inline]
-    pub fn push(&mut self, r: ActRec) {
-        if self.len < INLINE_FRAMES {
-            self.inline[self.len] = r;
-        } else {
-            self.spill.push(r);
-        }
-        self.len += 1;
-    }
-
-    #[inline]
-    pub fn pop(&mut self) -> Option<ActRec> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        Some(if self.len < INLINE_FRAMES {
-            self.inline[self.len]
-        } else {
-            self.spill.pop().expect("spilled frame")
-        })
-    }
-
-    #[inline]
-    pub fn last(&self) -> Option<&ActRec> {
-        if self.len == 0 {
-            None
-        } else if self.len <= INLINE_FRAMES {
-            Some(&self.inline[self.len - 1])
-        } else {
-            self.spill.last()
-        }
-    }
-
-    #[inline]
-    pub fn last_mut(&mut self) -> Option<&mut ActRec> {
-        if self.len == 0 {
-            None
-        } else if self.len <= INLINE_FRAMES {
-            Some(&mut self.inline[self.len - 1])
-        } else {
-            self.spill.last_mut()
-        }
-    }
-}
-
 #[derive(Debug)]
 pub(crate) struct Thread {
     pub node: NodeId,
-    pub stack: FrameStack,
+    /// The running activation record; the next free thread while this
+    /// one is free.
+    pub top: RecId,
     pub state: ThreadState,
+    /// Wake events queued for this thread and not yet popped: a thread
+    /// is only retired, and its id reused, when this is zero.
+    pub queued: u16,
     pub parent: ParentLink,
     pub outstanding_children: u32,
     pub waiting_join: bool,
     pub writes_done_at: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<Cell>() == 16);
+const _: () = assert!(std::mem::size_of::<ActRec>() <= 20);
+const _: () = assert!(std::mem::size_of::<Thread>() <= 40);
 
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct NodeState {

@@ -2,15 +2,20 @@
 //! decoded and evaluated.
 //!
 //! [`Core`] owns the simulated machine — node heaps, the cell arena that
-//! holds every frame, the thread table, per-node EU accounting, the event
-//! queue, statistics — and implements, once, the parts of a run that do
-//! not depend on the program representation:
+//! holds every frame, the activation-record arena, the thread table,
+//! per-node EU accounting, the event queue, statistics — and implements,
+//! once, the parts of a run that do not depend on the program
+//! representation:
 //!
 //! * boot → event loop → [`RunResult`] ([`Core::run`]), including the
 //!   ordering contract of the scheduler (events fire in `(time, seq)`
 //!   order, an event whose thread is no longer `Ready` is dropped) and
 //!   the EU-span prologue that charges the thread-switch cost,
-//! * frame allocation in the arena and reclaim-on-return,
+//! * frame, record and thread-slot allocation, and their recycling: a
+//!   retired thread's slot, a returned-from frame and an ended forall
+//!   iteration's frame copy go on free lists that the next allocation of
+//!   the same kind takes from, so memory follows the live threads, not
+//!   the run's history,
 //! * stall and EU release accounting,
 //! * every thread-protocol transition: local and remote call, `Ret` to a
 //!   caller frame / the root / a remote caller, `Fork`, `SpawnIter`,
@@ -25,7 +30,7 @@
 //! schedule, block or wake a thread except through these methods.
 
 use super::account::{
-    ActRec, Cell, FrameStack, NodeState, ParentLink, Thread, ThreadId, ThreadState,
+    ActRec, Cell, NodeState, ParentLink, RecId, Thread, ThreadId, ThreadState, NIL,
 };
 use crate::bytecode::{Opnd, Pc, Slot, NO_SITE};
 use crate::machine::{MachineConfig, RunResult, SimError};
@@ -51,8 +56,10 @@ pub(crate) struct Ctx {
     pub base: usize,
 }
 
-/// What a transition tells the dispatcher to do next.
+/// What a transition tells the dispatcher to do next. A full word wide,
+/// for [`StepResult`]'s sake.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(u64)]
 pub(crate) enum Flow {
     /// Continue dispatching at `ctx.pc`.
     Next,
@@ -60,9 +67,15 @@ pub(crate) enum Flow {
     Release,
 }
 
-/// The error is boxed so the whole value is 16 bytes and returns in a
-/// register pair instead of through a hidden out-pointer on every step —
-/// errors are terminal, so the box cost is paid at most once per run.
+/// What every step handler returns. The error is boxed (errors are
+/// terminal, so the box is paid at most once per run) and [`Flow`] is a
+/// word, so the value is two scalars — the variant in one word, the
+/// `Flow` or the box in the other — and returns in `rax:rdx` on x86-64.
+/// With a one-byte `Flow` it is also 16 bytes, but three fields (tag at
+/// byte 0, `Flow` at byte 1, box at byte 8), and rustc returns it through
+/// a hidden out-pointer: `mov_slot_chain` then began `mov %rdi,%rbx` and
+/// ended `mov %rbx,%rax; ret`, and `value_of_chain` passed `mov %rsp,%rdi`
+/// and tested `cmpb $0x1,(%rsp)` (objdump of the release build).
 pub(crate) type StepResult = Result<Flow, Box<SimError>>;
 
 /// What the core needs to know about a function to enter it.
@@ -84,13 +97,27 @@ pub(crate) fn at(now: u64) -> impl Fn(String) -> Box<SimError> {
 }
 
 thread_local! {
-    /// The frame arena and thread table of the last run on this host
-    /// thread, emptied. A run grows both to megabytes, blocks of that size
-    /// go back to the operating system when they are freed, and the next
-    /// run would fault every page in again — a tenth of the run time on
-    /// the Olden kernels. Handing them from run to run keeps the pages.
-    static SPARE: RefCell<(Vec<Cell>, Vec<Thread>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
+    /// The frame arena, record arena and thread table of the last run on
+    /// this host thread, emptied. A run whose live set is large (treeadd
+    /// keeps nearly every thread it makes alive until its tree is summed)
+    /// grows them to megabytes, blocks of that size go back to the
+    /// operating system when they are freed, and the next run would fault
+    /// every page in again. Handing them from run to run keeps the pages.
+    static SPARE: RefCell<(Vec<Cell>, Vec<ActRec>, Vec<Thread>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
+}
+
+/// `len + n` entries of an arena whose ids are packed in 32 bits: the id
+/// of the first new entry, or the error that ends a run whose live set
+/// outgrew the width ([`NIL`] stays reserved).
+fn grow(now: u64, len: usize, n: usize, what: &str) -> Result<u32, Box<SimError>> {
+    if len + n > NIL as usize {
+        return Err(Box::new(SimError {
+            time_ns: now,
+            message: format!("{what} arena exceeds {NIL} entries"),
+        }));
+    }
+    Ok(len as u32)
 }
 
 /// The machine: global address space plus per-node EUs.
@@ -100,6 +127,9 @@ pub(crate) struct Core {
     pub heaps: Vec<NodeHeap>,
     /// The frame arena; an [`ActRec::frame`] is a base offset in here.
     pub cells: Vec<Cell>,
+    /// Per frame width, the first free frame of that width ([`NIL`] for
+    /// none); each free frame's first cell links to the next.
+    free_frames: Vec<u32>,
     pub stats: Stats,
     pub rng: u64,
     pub output: Vec<String>,
@@ -107,7 +137,12 @@ pub(crate) struct Core {
     /// the callee's frame, and block-write staging.
     pub scratch: Vec<Value>,
     nodes: Vec<NodeState>,
+    /// Every thread's call chain; free records are linked through `prev`.
+    recs: Vec<ActRec>,
+    free_rec: RecId,
+    /// The thread table; free slots are linked through `top`.
     threads: Vec<Thread>,
+    free_thread: ThreadId,
     events: BinaryHeap<Reverse<(u64, u64, ThreadId)>>,
     event_seq: u64,
     site_trace: SiteTrace,
@@ -122,6 +157,7 @@ impl Core {
         Core {
             heaps: (0..cfg.n_nodes).map(|_| NodeHeap::default()).collect(),
             cells: Vec::new(),
+            free_frames: Vec::new(),
             stats: Stats::default(),
             rng: cfg
                 .seed
@@ -130,7 +166,10 @@ impl Core {
             output: Vec::new(),
             scratch: Vec::new(),
             nodes: vec![NodeState::default(); cfg.n_nodes as usize],
+            recs: Vec::new(),
+            free_rec: NIL,
             threads: Vec::new(),
+            free_thread: NIL,
             events: BinaryHeap::new(),
             event_seq: 0,
             site_trace: SiteTrace::default(),
@@ -164,27 +203,31 @@ impl Core {
         }
         // A used machine starts from exactly the state of a fresh one.
         *self = Core::new(self.cfg.clone());
-        (self.cells, self.threads) = SPARE.take();
+        (self.cells, self.recs, self.threads) = SPARE.take();
         self.site_trace = SiteTrace::sized(n_sites, self.cfg.n_nodes as usize);
         self.scratch.extend_from_slice(args);
-        let frame = self.new_frame(&entry);
-        let root = ActRec {
-            func: entry.func,
-            pc: 0,
-            frame,
-            ret_slot: None,
-        };
-        let tid = self.new_thread(0, root, ParentLink::Root);
-        self.schedule(0, tid);
-
-        let outcome = self.simulate(dispatch);
+        let outcome = self.boot(entry).and_then(|()| self.simulate(dispatch));
         self.cells.clear();
+        self.recs.clear();
         self.threads.clear();
         SPARE.set((
             std::mem::take(&mut self.cells),
+            std::mem::take(&mut self.recs),
             std::mem::take(&mut self.threads),
         ));
         outcome
+    }
+
+    /// Makes the root thread: `entry`'s frame, filled from `scratch`, on
+    /// node 0, ready at time 0.
+    fn boot(&mut self, entry: Callee<'_>) -> Result<(), SimError> {
+        let frame = self.new_frame(0, &entry).map_err(|e| *e)?;
+        let root = ActRec::new(entry.func, 0, frame, None, NIL);
+        let tid = self
+            .new_thread(0, 0, root, ParentLink::Root)
+            .map_err(|e| *e)?;
+        self.schedule(0, tid);
+        Ok(())
     }
 
     /// The event loop, and what the run amounts to when it stops.
@@ -208,6 +251,8 @@ impl Core {
                 site_trace: std::mem::take(&mut self.site_trace),
                 op_stats: std::mem::take(&mut self.op_stats),
                 sched_events: self.event_seq,
+                peak_threads: self.threads.len(),
+                peak_frame_cells: self.cells.len(),
             }),
             // Reported at the time the last EU went idle.
             None => Err(SimError {
@@ -226,12 +271,13 @@ impl Core {
     fn next_span(&mut self) -> Option<Ctx> {
         loop {
             let Reverse((time, _, tid)) = self.events.pop()?;
-            let t = &self.threads[tid as usize];
+            let t = &mut self.threads[tid as usize];
+            t.queued -= 1;
             if t.state != ThreadState::Ready {
                 continue;
             }
             let node = t.node as usize;
-            let rec = *t.stack.last().expect("running thread has a frame");
+            let rec = self.recs[t.top as usize];
             let n = &mut self.nodes[node];
             let mut now = time.max(n.eu_free_at);
             if n.last_thread != Some(tid) {
@@ -245,57 +291,145 @@ impl Core {
                 node,
                 func: rec.func.0,
                 pc: rec.pc,
-                base: rec.frame,
+                base: rec.frame as usize,
             });
         }
     }
 
     fn schedule(&mut self, time: u64, tid: ThreadId) {
-        self.threads[tid as usize].state = ThreadState::Ready;
+        let t = &mut self.threads[tid as usize];
+        t.state = ThreadState::Ready;
+        t.queued += 1;
         self.event_seq += 1;
         self.events.push(Reverse((time, self.event_seq, tid)));
     }
 
-    fn new_thread(&mut self, node: NodeId, root: ActRec, parent: ParentLink) -> ThreadId {
-        let tid = self.threads.len() as ThreadId;
-        self.threads.push(Thread {
+    /// A blocked thread on `node` whose call chain is `root`: a free slot
+    /// of the thread table if there is one.
+    fn new_thread(
+        &mut self,
+        now: u64,
+        node: NodeId,
+        root: ActRec,
+        parent: ParentLink,
+    ) -> Result<ThreadId, Box<SimError>> {
+        let thread = Thread {
             node,
-            stack: FrameStack::new(root),
+            top: self.new_rec(now, root)?,
             state: ThreadState::Blocked,
+            queued: 0,
             parent,
             outstanding_children: 0,
             waiting_join: false,
             writes_done_at: 0,
-        });
-        tid
+        };
+        if self.free_thread != NIL {
+            let tid = self.free_thread;
+            self.free_thread = self.threads[tid as usize].top;
+            self.threads[tid as usize] = thread;
+            return Ok(tid);
+        }
+        let tid = grow(now, self.threads.len(), 1, "thread")?;
+        self.threads.push(thread);
+        Ok(tid)
     }
 
-    /// Allocates `callee`'s frame at the top of the arena, its parameter
-    /// slots filled from `scratch`, and returns its base offset.
-    fn new_frame(&mut self, callee: &Callee<'_>) -> usize {
-        let base = self.cells.len();
-        self.cells.resize(
-            base + callee.n_slots as usize,
-            Cell {
-                val: Value::Uninit,
-                ready: 0,
-            },
+    /// Ends `tid`, which has returned from or ended its last activation:
+    /// its record and its slot go on the free lists. Its node no longer
+    /// counts it as the thread the EU last ran, so the next thread to get
+    /// the id pays the switch like any other new thread.
+    fn retire(&mut self, tid: ThreadId) {
+        let t = &mut self.threads[tid as usize];
+        debug_assert_eq!(t.queued, 0, "thread {tid} retired with an event queued");
+        debug_assert_eq!(
+            t.outstanding_children, 0,
+            "thread {tid} retired with live children"
         );
-        for (&slot, &val) in callee.param_slots.iter().zip(&self.scratch) {
-            self.cells[base + slot as usize] = Cell { val, ready: 0 };
+        t.state = ThreadState::Done;
+        let (top, node) = (t.top, t.node as usize);
+        t.top = self.free_thread;
+        self.free_thread = tid;
+        self.free_rec(top);
+        let n = &mut self.nodes[node];
+        if n.last_thread == Some(tid) {
+            n.last_thread = None;
         }
-        base
+    }
+
+    fn new_rec(&mut self, now: u64, rec: ActRec) -> Result<RecId, Box<SimError>> {
+        if self.free_rec != NIL {
+            let id = self.free_rec;
+            self.free_rec = self.recs[id as usize].prev;
+            self.recs[id as usize] = rec;
+            return Ok(id);
+        }
+        let id = grow(now, self.recs.len(), 1, "activation record")?;
+        self.recs.push(rec);
+        Ok(id)
+    }
+
+    fn free_rec(&mut self, id: RecId) {
+        self.recs[id as usize].prev = self.free_rec;
+        self.free_rec = id;
+    }
+
+    /// A frame of `n` cells with unspecified contents: a free one of that
+    /// width if there is one, else new cells at the top of the arena.
+    fn alloc_frame(&mut self, now: u64, n: usize) -> Result<u32, Box<SimError>> {
+        if n == 0 {
+            return Ok(0);
+        }
+        match self.free_frames.get(n) {
+            Some(&base) if base != NIL => {
+                self.free_frames[n] = self.cells[base as usize].link();
+                Ok(base)
+            }
+            _ => {
+                let base = grow(now, self.cells.len(), n, "frame cell")?;
+                self.cells.resize(base as usize + n, Cell::UNINIT);
+                Ok(base)
+            }
+        }
+    }
+
+    fn free_frame(&mut self, base: u32, n_slots: u32) {
+        let n = n_slots as usize;
+        if n == 0 {
+            return;
+        }
+        if self.free_frames.len() <= n {
+            self.free_frames.resize(n + 1, NIL);
+        }
+        self.cells[base as usize] = Cell::free_link(self.free_frames[n]);
+        self.free_frames[n] = base;
+    }
+
+    /// Allocates `callee`'s frame, its parameter slots filled from
+    /// `scratch`, and returns its base offset.
+    fn new_frame(&mut self, now: u64, callee: &Callee<'_>) -> Result<u32, Box<SimError>> {
+        let n = callee.n_slots as usize;
+        let base = self.alloc_frame(now, n)?;
+        let frame = &mut self.cells[base as usize..base as usize + n];
+        frame.fill(Cell::UNINIT);
+        for (&slot, &val) in callee.param_slots.iter().zip(&self.scratch) {
+            frame[slot as usize] = Cell::new(val, 0);
+        }
+        Ok(base)
+    }
+
+    /// Closes the EU span at `ctx.now`.
+    fn release_eu(&mut self, ctx: &Ctx) {
+        let n = &mut self.nodes[ctx.node];
+        n.eu_free_at = ctx.now;
+        n.busy_ns += ctx.now - ctx.span_start;
     }
 
     /// Gives up the EU at `ctx.now`, parking `ctx.pc` as the point where
     /// the thread resumes.
     fn release(&mut self, ctx: &Ctx) -> Flow {
-        let n = &mut self.nodes[ctx.node];
-        n.eu_free_at = ctx.now;
-        n.busy_ns += ctx.now - ctx.span_start;
-        if let Some(rec) = self.threads[ctx.tid as usize].stack.last_mut() {
-            rec.pc = ctx.pc;
-        }
+        self.release_eu(ctx);
+        let top = self.threads[ctx.tid as usize].top;
+        self.recs[top as usize].pc = ctx.pc;
         Flow::Release
     }
 
@@ -340,119 +474,124 @@ impl Core {
         callee: Callee<'_>,
         dst: Option<Slot>,
         target: usize,
-    ) -> Flow {
-        let frame = self.new_frame(&callee);
-        let rec = ActRec {
-            func: callee.func,
-            pc: 0,
-            frame,
-            ret_slot: None,
-        };
+    ) -> StepResult {
+        let frame = self.new_frame(ctx.now, &callee)?;
         ctx.now += self.cfg.cost.call_ns;
         if target == ctx.node {
-            let t = &mut self.threads[ctx.tid as usize];
-            t.stack.last_mut().expect("caller frame").pc = ctx.pc;
-            t.stack.push(ActRec {
-                ret_slot: dst,
-                ..rec
-            });
+            let caller = self.threads[ctx.tid as usize].top;
+            self.recs[caller as usize].pc = ctx.pc;
+            let rec = ActRec::new(callee.func, 0, frame, dst, caller);
+            self.threads[ctx.tid as usize].top = self.new_rec(ctx.now, rec)?;
             ctx.func = callee.func.0;
             ctx.pc = 0;
-            ctx.base = frame;
-            Flow::Next
+            ctx.base = frame as usize;
+            Ok(Flow::Next)
         } else {
             self.stats.remote_calls += 1;
-            let child = self.new_thread(target as NodeId, rec, ParentLink::Reply(ctx.tid, dst));
+            let rec = ActRec::new(callee.func, 0, frame, None, NIL);
+            let reply = ParentLink::Reply(ctx.tid, dst);
+            let child = self.new_thread(ctx.now, target as NodeId, rec, reply)?;
             self.schedule(ctx.now + self.cfg.cost.remote_call_ns, child);
             self.threads[ctx.tid as usize].state = ThreadState::Blocked;
-            self.release(ctx)
+            Ok(self.release(ctx))
         }
     }
 
     /// Returns `v` from the current function, whose frame is `n_slots`
-    /// wide: to the caller's frame, or — from a thread's root frame — to
-    /// the run (the root thread) or to the remote caller.
+    /// wide and is freed: to the caller's frame, or — from a thread's root
+    /// frame — to the run (the root thread) or to the remote caller, and
+    /// the thread retires.
     pub fn ret(&mut self, ctx: &mut Ctx, v: Value, n_slots: u32) -> StepResult {
         ctx.now += self.cfg.cost.call_ns;
-        let t = &mut self.threads[ctx.tid as usize];
-        let popped = t.stack.pop().expect("frame");
-        // Reclaim the frame when it is still the top of the arena (always
-        // true for straight-line recursion), keeping memory proportional
-        // to stack depth rather than total calls.
-        if popped.frame + n_slots as usize == self.cells.len() {
-            self.cells.truncate(popped.frame);
-        }
-        if let Some(caller) = t.stack.last().copied() {
-            if let Some(slot) = popped.ret_slot {
-                self.set_cell(caller.frame, slot, v, 0);
+        let t = &self.threads[ctx.tid as usize];
+        let (top, parent, writes_done_at) = (t.top, t.parent, t.writes_done_at);
+        let popped = self.recs[top as usize];
+        if popped.prev != NIL {
+            self.free_frame(popped.frame, n_slots);
+            self.free_rec(top);
+            self.threads[ctx.tid as usize].top = popped.prev;
+            let caller = self.recs[popped.prev as usize];
+            if let Some(slot) = popped.ret_slot() {
+                self.set_cell(caller.frame as usize, slot, v, 0);
             }
             ctx.func = caller.func.0;
             ctx.pc = caller.pc;
-            ctx.base = caller.frame;
+            ctx.base = caller.frame as usize;
             return Ok(Flow::Next);
         }
-        t.state = ThreadState::Done;
-        let writes_done_at = t.writes_done_at;
-        match t.parent {
+        match parent {
             ParentLink::Root => {
                 // Completion waits for outstanding writes.
                 self.finished_at = ctx.now.max(writes_done_at);
                 self.result = Some(v);
             }
             ParentLink::Reply(caller, dst) => {
-                let arrive = ctx.now + self.cfg.cost.remote_call_ns;
+                let arrive = self.ready_after(ctx.now, self.cfg.cost.remote_call_ns)?;
                 // Completion of the callee's remote writes is covered by
                 // the reply ordering on EARTH; fold it into the caller's
                 // fence state.
                 self.remote_write_done(caller, writes_done_at);
                 if let Some(slot) = dst {
-                    let ct = &self.threads[caller as usize];
-                    let caller_frame = ct.stack.last().expect("caller stack").frame;
-                    self.set_cell(caller_frame, slot, v, arrive);
+                    let caller_top = self.threads[caller as usize].top;
+                    let caller_frame = self.recs[caller_top as usize].frame;
+                    self.set_cell(caller_frame as usize, slot, v, arrive);
                 }
                 self.schedule(arrive, caller);
             }
-            ParentLink::Arm(_) => return self.err(ctx.now, "return from a parallel arm"),
+            ParentLink::Arm(_) | ParentLink::Iter(_) => {
+                return self.err(ctx.now, "return from a parallel arm")
+            }
         }
-        Ok(self.release(ctx))
+        self.free_frame(popped.frame, n_slots);
+        self.release_eu(ctx);
+        self.retire(ctx.tid);
+        Ok(Flow::Release)
     }
 
     /// Spawns one thread per arm on this node, all sharing the current
     /// frame, and blocks until the last of them ends.
-    pub fn fork(&mut self, ctx: &mut Ctx, arms: &[Pc]) -> Flow {
+    pub fn fork(&mut self, ctx: &mut Ctx, arms: &[Pc]) -> StepResult {
         let t = &mut self.threads[ctx.tid as usize];
         t.outstanding_children = arms.len() as u32;
         t.waiting_join = true;
         t.state = ThreadState::Blocked;
         for &pc in arms {
             ctx.now += self.cfg.cost.spawn_ns;
-            self.spawn_arm(ctx, pc, ctx.base);
+            self.spawn_arm(ctx, pc, ParentLink::Arm(ctx.tid), ctx.base as u32)?;
         }
-        self.release(ctx)
+        Ok(self.release(ctx))
     }
 
     /// Spawns one forall iteration at `body`. The iteration gets a copy
-    /// of the current (`n_slots` wide) frame: forall bodies must not
-    /// carry dependences on ordinary variables.
-    pub fn spawn_iter(&mut self, ctx: &mut Ctx, body: Pc, n_slots: u32) {
+    /// of the current (`n_slots` wide) frame, which it owns: forall
+    /// bodies must not carry dependences on ordinary variables.
+    pub fn spawn_iter(
+        &mut self,
+        ctx: &mut Ctx,
+        body: Pc,
+        n_slots: u32,
+    ) -> Result<(), Box<SimError>> {
         ctx.now += self.cfg.cost.spawn_ns;
-        let frame = self.cells.len();
+        let n = n_slots as usize;
+        let frame = self.alloc_frame(ctx.now, n)?;
         self.cells
-            .extend_from_within(ctx.base..ctx.base + n_slots as usize);
+            .copy_within(ctx.base..ctx.base + n, frame as usize);
         self.threads[ctx.tid as usize].outstanding_children += 1;
-        self.spawn_arm(ctx, body, frame);
+        self.spawn_arm(ctx, body, ParentLink::Iter(ctx.tid), frame)
     }
 
-    fn spawn_arm(&mut self, ctx: &Ctx, pc: Pc, frame: usize) {
+    fn spawn_arm(
+        &mut self,
+        ctx: &Ctx,
+        pc: Pc,
+        parent: ParentLink,
+        frame: u32,
+    ) -> Result<(), Box<SimError>> {
         self.stats.spawns += 1;
-        let rec = ActRec {
-            func: FuncId(ctx.func),
-            pc,
-            frame,
-            ret_slot: None,
-        };
-        let child = self.new_thread(ctx.node as NodeId, rec, ParentLink::Arm(ctx.tid));
+        let rec = ActRec::new(FuncId(ctx.func), pc, frame, None, NIL);
+        let child = self.new_thread(ctx.now, ctx.node as NodeId, rec, parent)?;
         self.schedule(ctx.now, child);
+        Ok(())
     }
 
     /// Waits until every outstanding forall iteration has ended.
@@ -467,22 +606,40 @@ impl Core {
         Flow::Next
     }
 
-    /// Ends a parallel arm or forall iteration, waking the parent when it
-    /// was the last one the parent is waiting for.
-    pub fn end_arm(&mut self, ctx: &Ctx) -> Flow {
-        let t = &mut self.threads[ctx.tid as usize];
-        t.state = ThreadState::Done;
-        let writes_done_at = t.writes_done_at;
-        if let ParentLink::Arm(parent) = t.parent {
-            self.remote_write_done(parent, writes_done_at);
-            let pt = &mut self.threads[parent as usize];
-            pt.outstanding_children -= 1;
-            if pt.outstanding_children == 0 && pt.waiting_join {
-                pt.waiting_join = false;
-                self.schedule(ctx.now, parent);
+    /// Ends a parallel arm or forall iteration of a function whose frame
+    /// is `n_slots` wide, waking the parent when it was the last one the
+    /// parent is waiting for. The thread retires; an iteration's frame
+    /// copy is freed, an arm's borrowed frame stays its parent's.
+    pub fn end_arm(&mut self, ctx: &Ctx, n_slots: u32) -> Flow {
+        let t = &self.threads[ctx.tid as usize];
+        let (top, writes_done_at) = (t.top, t.writes_done_at);
+        debug_assert_eq!(
+            self.recs[top as usize].prev, NIL,
+            "an arm ends in its own frame"
+        );
+        let parent = match t.parent {
+            ParentLink::Arm(parent) => parent,
+            ParentLink::Iter(parent) => {
+                self.free_frame(self.recs[top as usize].frame, n_slots);
+                parent
             }
+            // Only hand-assembled bytecode ends a thread that is not an
+            // arm this way; it just stops.
+            ParentLink::Reply(..) | ParentLink::Root => {
+                self.threads[ctx.tid as usize].state = ThreadState::Done;
+                return self.release(ctx);
+            }
+        };
+        self.remote_write_done(parent, writes_done_at);
+        let pt = &mut self.threads[parent as usize];
+        pt.outstanding_children -= 1;
+        if pt.outstanding_children == 0 && pt.waiting_join {
+            pt.waiting_join = false;
+            self.schedule(ctx.now, parent);
         }
-        self.release(ctx)
+        self.release_eu(ctx);
+        self.retire(ctx.tid);
+        Flow::Release
     }
 
     /// Records that a remote write issued by `tid` completes at `done`
@@ -518,6 +675,19 @@ impl Core {
         Some(&mut self.site_trace.per_site[site as usize][node])
     }
 
+    /// `latency` after `now`, as the ready time of a value in flight:
+    /// an error if it does not fit a [`Cell`].
+    #[inline]
+    pub fn ready_after(&self, now: u64, latency: u64) -> Result<u64, Box<SimError>> {
+        match now.checked_add(latency) {
+            Some(ready) if ready <= Cell::MAX_READY => Ok(ready),
+            _ => self.err(
+                now,
+                format!("ready time {now} + {latency} ns overflows a frame cell"),
+            ),
+        }
+    }
+
     #[inline]
     pub fn cell(&self, base: usize, slot: Slot) -> Cell {
         self.cells[base + slot as usize]
@@ -525,12 +695,12 @@ impl Core {
 
     #[inline]
     pub fn set_cell(&mut self, base: usize, slot: Slot, val: Value, ready: u64) {
-        self.cells[base + slot as usize] = Cell { val, ready };
+        self.cells[base + slot as usize] = Cell::new(val, ready);
     }
 
     #[inline]
     pub fn slot_ready(&self, base: usize, s: Slot) -> u64 {
-        self.cells[base + s as usize].ready
+        self.cells[base + s as usize].ready()
     }
 
     #[inline]
@@ -544,16 +714,34 @@ impl Core {
     #[inline]
     pub fn opnd_val(&self, base: usize, o: &Opnd) -> Value {
         match o {
-            Opnd::Slot(s) => self.cells[base + *s as usize].val,
+            Opnd::Slot(s) => self.cells[base + *s as usize].val(),
             Opnd::Imm(v) => *v,
+        }
+    }
+
+    /// Operand `o` when it is an `Int`.
+    #[inline]
+    pub fn opnd_int(&self, base: usize, o: &Opnd) -> Option<i64> {
+        match o {
+            Opnd::Slot(s) => self.cells[base + *s as usize].int(),
+            Opnd::Imm(Value::Int(v)) => Some(*v),
+            Opnd::Imm(_) => None,
         }
     }
 
     /// The address in slot `ptr`, which a local access requires to be a
     /// pointer into this node's memory.
+    #[inline]
     pub fn expect_local_addr(&self, ctx: &Ctx, ptr: Slot) -> Result<Addr, Box<SimError>> {
-        match self.cell(ctx.base, ptr).val {
-            Value::Ptr(a) if a.node as usize == ctx.node => Ok(a),
+        match self.cell(ctx.base, ptr).ptr() {
+            Some(a) if a.node as usize == ctx.node => Ok(a),
+            _ => self.bad_local_addr(ctx, ptr),
+        }
+    }
+
+    #[cold]
+    fn bad_local_addr(&self, ctx: &Ctx, ptr: Slot) -> Result<Addr, Box<SimError>> {
+        match self.cell(ctx.base, ptr).val() {
             Value::Ptr(a) => self.err(
                 ctx.now,
                 format!(
@@ -579,13 +767,8 @@ mod tests {
     }
 
     fn thread(m: &mut Core, node: NodeId) -> ThreadId {
-        let rec = ActRec {
-            func: FuncId(0),
-            pc: 0,
-            frame: 0,
-            ret_slot: None,
-        };
-        m.new_thread(node, rec, ParentLink::Root)
+        let rec = ActRec::new(FuncId(0), 0, 0, None, NIL);
+        m.new_thread(0, node, rec, ParentLink::Root).unwrap()
     }
 
     fn order(m: &mut Core) -> Vec<ThreadId> {
@@ -639,9 +822,89 @@ mod tests {
         m.schedule(0, b);
         m.threads[a as usize].state = ThreadState::Done;
         m.release(&span);
-        let span = m.next_span().unwrap();
+        let mut span = m.next_span().unwrap();
         assert_eq!((span.tid, span.now), (b, switch + 160 + switch));
         assert_eq!(m.nodes[0].busy_ns, 110);
         assert!(m.next_span().is_none());
+
+        // A retired thread's id goes to the next new thread, which is a
+        // different thread: taking over the EU from the retiree still
+        // pays the switch, once.
+        span.now += 20;
+        m.release_eu(&span);
+        m.retire(b);
+        let c = thread(&mut m, 0);
+        assert_eq!(c, b, "the retired slot is reused");
+        m.schedule(0, c);
+        let span = m.next_span().unwrap();
+        assert_eq!((span.tid, span.now), (c, 2 * switch + 180 + switch));
+        assert_eq!(m.nodes[0].busy_ns, 130);
+        assert!(m.next_span().is_none());
+    }
+
+    #[test]
+    fn retired_threads_records_and_frames_are_reused() {
+        let mut m = core(1);
+        let callee = Callee {
+            func: FuncId(0),
+            n_slots: 3,
+            param_slots: &[],
+        };
+        let frame = m.new_frame(0, &callee).unwrap();
+        m.set_cell(frame as usize, 1, Value::Int(7), 0);
+        m.free_frame(frame, 3);
+        assert_eq!(m.new_frame(0, &callee).unwrap(), frame);
+        assert_eq!(
+            m.cell(frame as usize, 1).val(),
+            Value::Uninit,
+            "a reused frame is fresh"
+        );
+        // A different width does not take it.
+        m.free_frame(frame, 3);
+        let wide = Callee {
+            n_slots: 4,
+            ..callee
+        };
+        assert_eq!(m.new_frame(0, &wide).unwrap(), 3);
+        assert_eq!(m.new_frame(0, &callee).unwrap(), frame);
+        assert_eq!(m.cells.len(), 7);
+
+        let a = thread(&mut m, 0);
+        let top = m.threads[a as usize].top;
+        m.retire(a);
+        assert_eq!(m.threads[a as usize].state, ThreadState::Done);
+        let b = thread(&mut m, 0);
+        assert_eq!((b, m.threads[b as usize].top), (a, top));
+        assert_eq!((m.threads.len(), m.recs.len()), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "retired with an event queued")]
+    #[cfg(debug_assertions)]
+    fn a_thread_with_a_queued_event_is_never_retired() {
+        let mut m = core(1);
+        let a = thread(&mut m, 0);
+        m.schedule(5, a);
+        m.retire(a);
+    }
+
+    #[test]
+    fn a_ready_time_past_the_cell_width_is_an_error() {
+        let m = core(1);
+        assert_eq!(m.ready_after(5, 10).unwrap(), 15);
+        assert_eq!(m.ready_after(0, Cell::MAX_READY).unwrap(), Cell::MAX_READY);
+        let e = m.ready_after(1, Cell::MAX_READY).unwrap_err();
+        assert_eq!(e.time_ns, 1);
+        assert!(e.message.contains("overflows a frame cell"), "{e}");
+        assert!(m.ready_after(u64::MAX, 1).is_err());
+    }
+
+    #[test]
+    fn an_arena_past_32_bit_ids_is_an_error() {
+        assert_eq!(grow(0, 10, 5, "frame cell").unwrap(), 10);
+        assert_eq!(grow(0, NIL as usize - 1, 1, "thread").unwrap(), NIL - 1);
+        let e = grow(9, NIL as usize - 2, 3, "frame cell").unwrap_err();
+        assert_eq!(e.time_ns, 9);
+        assert!(e.message.starts_with("frame cell arena exceeds"), "{e}");
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! Shared by construction — both machines wrap the same `core::Core`
 //! and there is no second copy to keep equal: machine state (heaps, the
-//! cell arena of frames, thread table, EU accounting, statistics), the
-//! scheduler (boot, event loop, EU-span prologue, result and deadlock
-//! reporting), frame allocation and reclaim, stall/release accounting,
+//! cell arena of frames, the activation-record arena, thread table, EU
+//! accounting, statistics), the scheduler (boot, event loop, EU-span
+//! prologue, result and deadlock reporting), allocation and recycling of
+//! frames, records and thread slots, stall/release accounting,
 //! and every thread-protocol transition (call, `Ret`, `Fork`,
 //! `SpawnIter`, `JoinIters`, `EndArm`); `account` holds the records and
 //! the arithmetic evaluators.

@@ -10,7 +10,7 @@
 //! `tests/prop_exec.rs` and `tests/exec_sweep.rs` hold them to the
 //! interpreter's results cycle for cycle and byte for byte.
 
-use crate::bytecode::{CallAt, Opnd};
+use crate::bytecode::{CallAt, Opnd, Slot};
 use crate::machine::{MachineConfig, RunResult, SimError};
 use crate::value::{Addr, NodeId, Value};
 use earth_ir::{Builtin, FuncId, UnOp};
@@ -148,11 +148,11 @@ pub(crate) const BOP_GE: u8 = 10;
 /// division/remainder by zero — which reproduces the interpreter's
 /// results and error strings exactly.
 #[inline(always)]
-fn bin_fast<const BOP: u8>(av: Value, bv: Value) -> Option<Value> {
-    let (Value::Int(x), Value::Int(y)) = (av, bv) else {
+fn bin_fast<const BOP: u8>(x: Option<i64>, y: Option<i64>) -> Option<i64> {
+    let (Some(x), Some(y)) = (x, y) else {
         return None;
     };
-    Some(Value::Int(match BOP {
+    Some(match BOP {
         BOP_ADD => x.wrapping_add(y),
         BOP_SUB => x.wrapping_sub(y),
         BOP_MUL => x.wrapping_mul(y),
@@ -175,7 +175,28 @@ fn bin_fast<const BOP: u8>(av: Value, bv: Value) -> Option<Value> {
         BOP_GT => (x > y) as i64,
         BOP_GE => (x >= y) as i64,
         _ => unreachable!("bop code out of range"),
-    }))
+    })
+}
+
+/// Operand `o` when it is an `Int`; `SLOT` marks it pre-decoded as
+/// slot `slot`, read directly without the `Opnd` match.
+#[inline(always)]
+fn int_opnd<const SLOT: bool>(m: &Core, base: usize, slot: Slot, o: &Opnd) -> Option<i64> {
+    if SLOT {
+        m.cell(base, slot).int()
+    } else {
+        m.opnd_int(base, o)
+    }
+}
+
+/// Operand `o` as a value (see [`int_opnd`]).
+#[inline(always)]
+fn val_opnd<const SLOT: bool>(m: &Core, base: usize, slot: Slot, o: &Opnd) -> Value {
+    if SLOT {
+        m.cell(base, slot).val()
+    } else {
+        m.opnd_val(base, o)
+    }
 }
 
 /// `XS`/`YS` mark operands pre-decoded as slots: the slot index rides in
@@ -205,19 +226,15 @@ pub(crate) fn bin<const CHECK: bool, const BOP: u8, const XS: bool, const YS: bo
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let av = if XS {
-        m.cell(ctx.base, s.b).val
-    } else {
-        m.opnd_val(ctx.base, &s.x)
-    };
-    let bv = if YS {
-        m.cell(ctx.base, s.c).val
-    } else {
-        m.opnd_val(ctx.base, &s.y)
-    };
-    let v = match bin_fast::<BOP>(av, bv) {
-        Some(v) => v,
-        None => eval_bin(s.bop, av, bv).map_err(at(ctx.now))?,
+    let x = int_opnd::<XS>(m, ctx.base, s.b, &s.x);
+    let y = int_opnd::<YS>(m, ctx.base, s.c, &s.y);
+    let v = match bin_fast::<BOP>(x, y) {
+        Some(v) => Value::Int(v),
+        None => {
+            let av = val_opnd::<XS>(m, ctx.base, s.b, &s.x);
+            let bv = val_opnd::<YS>(m, ctx.base, s.c, &s.y);
+            eval_bin(s.bop, av, bv).map_err(at(ctx.now))?
+        }
     };
     m.set_cell(ctx.base, s.a, v, 0);
     ctx.now += s.cost;
@@ -303,8 +320,9 @@ pub(crate) fn load_remote<const CHECK: bool>(
         sc.execs += 1;
         sc.bytes += 8;
     }
-    match m.cell(ctx.base, s.b).val {
-        Value::Ptr(addr) => {
+    let c = m.cell(ctx.base, s.b);
+    match c.ptr() {
+        Some(addr) => {
             let v = m.heaps[addr.node as usize]
                 .load(addr.index, s.c as usize)
                 .map_err(at(ctx.now))?;
@@ -312,22 +330,22 @@ pub(crate) fn load_remote<const CHECK: bool>(
                 ctx.now += p.cost.pseudo_remote_ns;
                 m.set_cell(ctx.base, s.a, v, 0);
             } else {
-                let ready = ctx.now + p.cost.read_latency_ns;
+                let ready = m.ready_after(ctx.now, p.cost.read_latency_ns)?;
                 ctx.now += p.cost.read_issue_ns;
                 m.set_cell(ctx.base, s.a, v, ready);
             }
         }
         // Speculative read of an invalid address: tolerated, the result
         // must simply never be used.
-        Value::Null | Value::Uninit => {
-            let ready = ctx.now + p.cost.read_latency_ns;
+        None if matches!(c.val(), Value::Null | Value::Uninit) => {
+            let ready = m.ready_after(ctx.now, p.cost.read_latency_ns)?;
             ctx.now += p.cost.read_issue_ns;
             m.set_cell(ctx.base, s.a, Value::Uninit, ready);
         }
-        other => {
+        None => {
             return m.err(
                 ctx.now,
-                format!("remote read through non-pointer {other:?}"),
+                format!("remote read through non-pointer {:?}", c.val()),
             );
         }
     }
@@ -381,7 +399,7 @@ pub(crate) fn store_remote<const CHECK: bool>(
         sc.execs += 1;
         sc.bytes += 8;
     }
-    let Some(addr) = m.cell(ctx.base, s.b).val.as_ptr().map_err(at(ctx.now))? else {
+    let Some(addr) = m.cell(ctx.base, s.b).as_ptr().map_err(at(ctx.now))? else {
         return m.err(ctx.now, "remote write through NULL pointer");
     };
     let v = m.opnd_val(ctx.base, &s.x);
@@ -419,27 +437,28 @@ pub(crate) fn blk_read<const CHECK: bool>(
         sc.execs += 1;
         sc.bytes += 8 * words as u64;
     }
-    match m.cell(ctx.base, s.a).val {
+    match m.cell(ctx.base, s.a).val() {
         Value::Ptr(addr) => {
             let vals = m.heaps[addr.node as usize]
                 .load_range(addr.index, s.c as usize, words as usize)
                 .map_err(at(ctx.now))?;
-            let (issue, ready) = if addr.node as usize == ctx.node {
-                (p.cost.pseudo_remote_ns, ctx.now)
+            let (issue, latency) = if addr.node as usize == ctx.node {
+                (p.cost.pseudo_remote_ns, 0)
             } else {
                 (
                     p.cost.blk_issue(words as usize),
-                    ctx.now + p.cost.blk_latency(words as usize),
+                    p.cost.blk_latency(words as usize),
                 )
             };
+            let ready = m.ready_after(ctx.now, latency)?;
             let dst = ctx.base + (s.b + s.c) as usize;
             for (w, v) in vals.iter().enumerate() {
-                m.cells[dst + w] = Cell { val: *v, ready };
+                m.cells[dst + w] = Cell::new(*v, ready);
             }
             ctx.now += issue;
         }
         Value::Null | Value::Uninit => {
-            let ready = ctx.now + p.cost.blk_latency(words as usize);
+            let ready = m.ready_after(ctx.now, p.cost.blk_latency(words as usize))?;
             for w in s.c..s.c + words {
                 m.set_cell(ctx.base, s.b + w, Value::Uninit, ready);
             }
@@ -474,12 +493,12 @@ pub(crate) fn blk_write<const CHECK: bool>(
         sc.execs += 1;
         sc.bytes += 8 * words as u64;
     }
-    let Some(addr) = m.cell(ctx.base, s.a).val.as_ptr().map_err(at(ctx.now))? else {
+    let Some(addr) = m.cell(ctx.base, s.a).as_ptr().map_err(at(ctx.now))? else {
         return m.err(ctx.now, "blkmov write through NULL pointer");
     };
     m.scratch.clear();
     for w in s.c..s.c + words {
-        let v = m.cells[ctx.base + (s.b + w) as usize].val;
+        let v = m.cells[ctx.base + (s.b + w) as usize].val();
         m.scratch.push(v);
     }
     m.heaps[addr.node as usize]
@@ -618,7 +637,7 @@ pub(crate) fn atomic<const CHECK: bool, const ADD: bool>(
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let Some(addr) = m.cell(ctx.base, s.a).val.as_ptr().map_err(at(ctx.now))? else {
+    let Some(addr) = m.cell(ctx.base, s.a).as_ptr().map_err(at(ctx.now))? else {
         return m.err(ctx.now, "atomic op on unallocated shared cell");
     };
     let v = m.opnd_val(ctx.base, &s.x);
@@ -657,7 +676,7 @@ pub(crate) fn value_of<const CHECK: bool>(
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let Some(addr) = m.cell(ctx.base, s.b).val.as_ptr().map_err(at(ctx.now))? else {
+    let Some(addr) = m.cell(ctx.base, s.b).as_ptr().map_err(at(ctx.now))? else {
         return m.err(ctx.now, "valueof on unallocated shared cell");
     };
     let v = m.heaps[addr.node as usize]
@@ -669,7 +688,7 @@ pub(crate) fn value_of<const CHECK: bool>(
         ctx.now += p.cost.local_mem_ns;
     } else {
         m.stats.atomic_remote += 1;
-        let ready = ctx.now + p.cost.atomic_latency_ns;
+        let ready = m.ready_after(ctx.now, p.cost.atomic_latency_ns)?;
         m.set_cell(ctx.base, s.a, v, ready);
         ctx.now += p.cost.atomic_remote_ns;
     }
@@ -705,10 +724,12 @@ pub(crate) fn call<const CHECK: bool>(
     }
     let target: usize = match nc.at {
         CallAt::Local => ctx.node,
-        CallAt::OwnerOf(slot) => match m.cell(ctx.base, slot).val {
-            Value::Ptr(a) => a.node as usize,
-            Value::Null => return m.err(ctx.now, "OWNER_OF(NULL)"),
-            other => return m.err(ctx.now, format!("OWNER_OF of non-pointer {other:?}")),
+        CallAt::OwnerOf(slot) => match m.cell(ctx.base, slot).ptr() {
+            Some(a) => a.node as usize,
+            None => match m.cell(ctx.base, slot).val() {
+                Value::Null => return m.err(ctx.now, "OWNER_OF(NULL)"),
+                other => return m.err(ctx.now, format!("OWNER_OF of non-pointer {other:?}")),
+            },
         },
         CallAt::Node(o) => {
             let n = m.opnd_val(ctx.base, &o).as_int().map_err(at(ctx.now))?;
@@ -721,7 +742,7 @@ pub(crate) fn call<const CHECK: bool>(
         m.scratch.push(v);
     }
     ctx.pc += 1;
-    Ok(m.call(ctx, callee.callee(nc.func), nc.dst, target))
+    m.call(ctx, callee.callee(nc.func), nc.dst, target)
 }
 
 pub(crate) fn builtin<const CHECK: bool>(
@@ -847,20 +868,14 @@ pub(crate) fn br<const CHECK: bool, const BOP: u8, const XS: bool, const YS: boo
             return Ok(m.stall(ctx, s.site, r));
         }
     }
-    let av = if XS {
-        m.cell(ctx.base, s.a).val
-    } else {
-        m.opnd_val(ctx.base, &s.x)
-    };
-    let bv = if YS {
-        m.cell(ctx.base, s.d).val
-    } else {
-        m.opnd_val(ctx.base, &s.y)
-    };
     // The fast path always yields an Int, whose truthiness cannot fail.
-    let taken = match bin_fast::<BOP>(av, bv) {
-        Some(Value::Int(i)) => i != 0,
-        _ => {
+    let x = int_opnd::<XS>(m, ctx.base, s.a, &s.x);
+    let y = int_opnd::<YS>(m, ctx.base, s.d, &s.y);
+    let taken = match bin_fast::<BOP>(x, y) {
+        Some(i) => i != 0,
+        None => {
+            let av = val_opnd::<XS>(m, ctx.base, s.a, &s.x);
+            let bv = val_opnd::<YS>(m, ctx.base, s.d, &s.y);
             let v = eval_bin(s.bop, av, bv).map_err(at(ctx.now))?;
             v.truthy().map_err(at(ctx.now))?
         }
@@ -912,7 +927,7 @@ pub(crate) fn fork(
     ctx: &mut Ctx,
 ) -> StepResult {
     ctx.pc = s.b;
-    Ok(m.fork(ctx, &f.forks[s.a as usize]))
+    m.fork(ctx, &f.forks[s.a as usize])
 }
 
 pub(crate) fn spawn_iter(
@@ -922,7 +937,7 @@ pub(crate) fn spawn_iter(
     s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    m.spawn_iter(ctx, s.b, f.n_slots);
+    m.spawn_iter(ctx, s.b, f.n_slots)?;
     ctx.pc += 1;
     Ok(Flow::Next)
 }
@@ -942,11 +957,11 @@ pub(crate) fn join_iters(
 pub(crate) fn end_arm(
     m: &mut Core,
     _p: &NativeProgram,
-    _f: &NativeFunc,
+    f: &NativeFunc,
     _s: &Step,
     ctx: &mut Ctx,
 ) -> StepResult {
-    Ok(m.end_arm(ctx))
+    Ok(m.end_arm(ctx, f.n_slots))
 }
 
 // ---- fused pairs --------------------------------------------------------

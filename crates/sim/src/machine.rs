@@ -109,6 +109,14 @@ pub struct RunResult {
     /// how much of a run is scheduling: the Olden kernels execute tens to
     /// hundreds of ops per event.
     pub sched_events: u64,
+    /// The high-water mark of the thread table: the most threads alive at
+    /// once, since a finished thread's slot goes to the next new one.
+    pub peak_threads: usize,
+    /// The high-water mark of the frame arena in cells. A freed frame
+    /// goes to the next frame of its width, so this is, summed over frame
+    /// widths, the most frames of that width alive at once times the
+    /// width.
+    pub peak_frame_cells: usize,
 }
 
 impl RunResult {
@@ -295,7 +303,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                 let (v, ready) = match &src {
                     Opnd::Slot(s) => {
                         let cell = m.cell(frame, *s);
-                        (cell.val, cell.ready)
+                        (cell.val(), cell.ready())
                     }
                     Opnd::Imm(v) => (*v, 0),
                 };
@@ -330,7 +338,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     sc.execs += 1;
                     sc.bytes += 8;
                 }
-                match m.cell(frame, ptr).val {
+                match m.cell(frame, ptr).val() {
                     Value::Ptr(addr) => {
                         let v = m.heaps[addr.node as usize]
                             .load(addr.index, field as usize)
@@ -339,7 +347,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                             ctx.now += c.pseudo_remote_ns;
                             m.set_cell(frame, dst, v, 0);
                         } else {
-                            let ready = ctx.now + c.read_latency_ns;
+                            let ready = m.ready_after(ctx.now, c.read_latency_ns)?;
                             ctx.now += c.read_issue_ns;
                             m.set_cell(frame, dst, v, ready);
                         }
@@ -347,7 +355,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     // Speculative read of an invalid address: EARTH
                     // tolerates it; the result must simply never be used.
                     Value::Null | Value::Uninit => {
-                        let ready = ctx.now + c.read_latency_ns;
+                        let ready = m.ready_after(ctx.now, c.read_latency_ns)?;
                         ctx.now += c.read_issue_ns;
                         m.set_cell(frame, dst, Value::Uninit, ready);
                     }
@@ -374,7 +382,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     sc.execs += 1;
                     sc.bytes += 8;
                 }
-                let Some(addr) = m.cell(frame, ptr).val.as_ptr().map_err(at(ctx.now))? else {
+                let Some(addr) = m.cell(frame, ptr).val().as_ptr().map_err(at(ctx.now))? else {
                     return m.err(ctx.now, "remote write through NULL pointer");
                 };
                 let v = m.opnd_val(frame, &src);
@@ -401,27 +409,25 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     sc.execs += 1;
                     sc.bytes += 8 * words as u64;
                 }
-                match m.cell(frame, ptr).val {
+                match m.cell(frame, ptr).val() {
                     Value::Ptr(addr) => {
                         let vals: Vec<Value> = m.heaps[addr.node as usize]
                             .load_range(addr.index, off as usize, words as usize)
                             .map_err(at(ctx.now))?
                             .to_vec();
-                        let (issue, ready) = if addr.node as usize == node {
-                            (c.pseudo_remote_ns, ctx.now)
+                        let (issue, latency) = if addr.node as usize == node {
+                            (c.pseudo_remote_ns, 0)
                         } else {
-                            (
-                                c.blk_issue(words as usize),
-                                ctx.now + c.blk_latency(words as usize),
-                            )
+                            (c.blk_issue(words as usize), c.blk_latency(words as usize))
                         };
+                        let ready = m.ready_after(ctx.now, latency)?;
                         for (w, v) in vals.into_iter().enumerate() {
                             m.set_cell(frame, buf + off + w as u32, v, ready);
                         }
                         ctx.now += issue;
                     }
                     Value::Null | Value::Uninit => {
-                        let ready = ctx.now + c.blk_latency(words as usize);
+                        let ready = m.ready_after(ctx.now, c.blk_latency(words as usize))?;
                         for w in off..off + words {
                             m.set_cell(frame, buf + w, Value::Uninit, ready);
                         }
@@ -444,11 +450,11 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     sc.execs += 1;
                     sc.bytes += 8 * words as u64;
                 }
-                let Some(addr) = m.cell(frame, ptr).val.as_ptr().map_err(at(ctx.now))? else {
+                let Some(addr) = m.cell(frame, ptr).val().as_ptr().map_err(at(ctx.now))? else {
                     return m.err(ctx.now, "blkmov write through NULL pointer");
                 };
                 let vals: Vec<Value> = (off..off + words)
-                    .map(|w| m.cell(frame, buf + w).val)
+                    .map(|w| m.cell(frame, buf + w).val())
                     .collect();
                 m.heaps[addr.node as usize]
                     .store_range(addr.index, off as usize, &vals)
@@ -464,7 +470,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
             Op::CopySlots { dst, src, words } => {
                 for w in 0..words {
                     let v = m.cell(frame, src + w);
-                    m.set_cell(frame, dst + w, v.val, v.ready);
+                    m.set_cell(frame, dst + w, v.val(), v.ready());
                 }
                 ctx.now += c.local_op_ns * words as u64;
             }
@@ -514,7 +520,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
             }
             Op::AtomicWrite { cell, src } | Op::AtomicAdd { cell, src } => {
                 let is_add = matches!(op, Op::AtomicAdd { .. });
-                let Some(addr) = m.cell(frame, cell).val.as_ptr().map_err(at(ctx.now))? else {
+                let Some(addr) = m.cell(frame, cell).val().as_ptr().map_err(at(ctx.now))? else {
                     return m.err(ctx.now, "atomic op on unallocated shared cell");
                 };
                 let v = m.opnd_val(frame, &src);
@@ -540,7 +546,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                 }
             }
             Op::ValueOf { dst, cell } => {
-                let Some(addr) = m.cell(frame, cell).val.as_ptr().map_err(at(ctx.now))? else {
+                let Some(addr) = m.cell(frame, cell).val().as_ptr().map_err(at(ctx.now))? else {
                     return m.err(ctx.now, "valueof on unallocated shared cell");
                 };
                 let v = m.heaps[addr.node as usize]
@@ -552,7 +558,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     ctx.now += c.local_mem_ns;
                 } else {
                     m.stats.atomic_remote += 1;
-                    let ready = ctx.now + c.atomic_latency_ns;
+                    let ready = m.ready_after(ctx.now, c.atomic_latency_ns)?;
                     m.set_cell(frame, dst, v, ready);
                     ctx.now += c.atomic_remote_ns;
                 }
@@ -569,7 +575,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                 }
                 let target: usize = match place {
                     CallAt::Local => node,
-                    CallAt::OwnerOf(s) => match m.cell(frame, s).val {
+                    CallAt::OwnerOf(s) => match m.cell(frame, s).val() {
                         Value::Ptr(a) => a.node as usize,
                         Value::Null => {
                             return m.err(ctx.now, "OWNER_OF(NULL)");
@@ -588,7 +594,7 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
                     let v = m.opnd_val(frame, a);
                     m.scratch.push(v);
                 }
-                if m.call(&mut ctx, callee(cf, func), dst, target) == Flow::Release {
+                if m.call(&mut ctx, callee(cf, func), dst, target)? == Flow::Release {
                     return Ok(());
                 }
             }
@@ -688,17 +694,17 @@ fn run_thread(m: &mut Core, prog: &CompiledProgram, mut ctx: Ctx) -> Result<(), 
             }
             Op::Fork { arms, cont } => {
                 ctx.pc = cont;
-                m.fork(&mut ctx, &arms);
+                m.fork(&mut ctx, &arms)?;
                 return Ok(());
             }
-            Op::SpawnIter { body } => m.spawn_iter(&mut ctx, body, f.n_slots),
+            Op::SpawnIter { body } => m.spawn_iter(&mut ctx, body, f.n_slots)?,
             Op::JoinIters => {
                 if m.join_iters(&mut ctx) == Flow::Release {
                     return Ok(());
                 }
             }
             Op::EndArm => {
-                m.end_arm(&ctx);
+                m.end_arm(&ctx, f.n_slots);
                 return Ok(());
             }
         }

@@ -34,6 +34,14 @@ pub fn assert_backends_agree(
             );
             assert_eq!(x.op_stats, y.op_stats, "{context}: op histogram");
             assert_eq!(x.op_stats.total(), x.stats.ops, "{context}: op accounting");
+            assert_eq!(
+                x.peak_threads, y.peak_threads,
+                "{context}: thread high-water mark"
+            );
+            assert_eq!(
+                x.peak_frame_cells, y.peak_frame_cells,
+                "{context}: frame high-water mark"
+            );
         }
         (Err(x), Err(y)) => assert_eq!(x, &y, "{context}: errors must match"),
         (a, b) => panic!("{context}: backends disagree: interp={a:?} native={b:?}"),

@@ -40,6 +40,23 @@ pub struct Profile {
     sites: BTreeMap<SiteId, SiteCounters>,
 }
 
+// Keys in site order, every counter present: equal profiles encode to
+// byte-identical output. Strict: an unknown key is an error.
+earth_ir::json_codec!(#[strict] struct Profile where recorded {
+    "version" = FORMAT_VERSION,
+    sites,
+});
+
+/// A decoded profile as [`Profile::record`] builds one: sites with no
+/// events are dropped.
+fn recorded(decoded: Profile) -> Result<Profile, json::JsonError> {
+    let mut p = Profile::new();
+    for (site, c) in decoded.sites {
+        p.record(site, c);
+    }
+    Ok(p)
+}
+
 impl Profile {
     /// An empty profile (the identity of [`merge`](Profile::merge)).
     pub fn new() -> Self {
@@ -133,24 +150,7 @@ impl Profile {
     /// whitespace, every counter field present. Equal profiles produce
     /// byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(64 + self.sites.len() * 80);
-        s.push_str("{\"version\":");
-        s.push_str(&FORMAT_VERSION.to_string());
-        s.push_str(",\"sites\":{");
-        for (i, (site, c)) in self.sites.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            use std::fmt::Write;
-            json::push_string(&mut s, &site.to_string());
-            let _ = write!(
-                s,
-                ":{{\"execs\":{},\"bytes\":{},\"stall_ns\":{},\"taken\":{},\"not_taken\":{}}}",
-                c.execs, c.bytes, c.stall_ns, c.taken, c.not_taken
-            );
-        }
-        s.push_str("}}");
-        s
+        json::encode(self)
     }
 
     /// Parses the JSON encoding produced by [`to_json`](Profile::to_json)
@@ -161,51 +161,7 @@ impl Profile {
     /// Returns a [`ProfileError`] describing the first syntax problem,
     /// unknown key, or version mismatch.
     pub fn from_json(text: &str) -> Result<Profile, ProfileError> {
-        let err = |message: String| ProfileError { pos: 0, message };
-        let v = json::parse(text).map_err(ProfileError::from)?;
-        let top = v.as_object("profile").map_err(ProfileError::from)?;
-        let mut profile = Profile::new();
-        let mut version = None;
-        for (key, val) in top {
-            match key.as_str() {
-                "version" => {
-                    version = Some(val.as_u64("`version`").map_err(ProfileError::from)?);
-                }
-                "sites" => {
-                    let sites = val.as_object("`sites`").map_err(ProfileError::from)?;
-                    for (site_key, counters) in sites {
-                        let site = SiteId::parse(site_key)
-                            .ok_or_else(|| err(format!("invalid site id `{site_key}`")))?;
-                        let fields = counters
-                            .as_object("site counters")
-                            .map_err(ProfileError::from)?;
-                        let mut c = SiteCounters::default();
-                        for (name, value) in fields {
-                            let n = value
-                                .as_u64(&format!("counter `{name}`"))
-                                .map_err(ProfileError::from)?;
-                            match name.as_str() {
-                                "execs" => c.execs = n,
-                                "bytes" => c.bytes = n,
-                                "stall_ns" => c.stall_ns = n,
-                                "taken" => c.taken = n,
-                                "not_taken" => c.not_taken = n,
-                                other => return Err(err(format!("unknown counter `{other}`"))),
-                            }
-                        }
-                        profile.record(site, c);
-                    }
-                }
-                other => return Err(err(format!("unknown key `{other}`"))),
-            }
-        }
-        match version {
-            Some(FORMAT_VERSION) => Ok(profile),
-            Some(v) => Err(err(format!(
-                "unsupported profile version {v} (expected {FORMAT_VERSION})"
-            ))),
-            None => Err(err("missing `version` field".into())),
-        }
+        Ok(json::decode(text, "profile")?)
     }
 }
 

@@ -48,6 +48,17 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
+/// `kind` with id 0, no deadline and no `fwd` marker: [`Client::send`]
+/// sets the id and the deadline each time it sends.
+pub(crate) fn unsent(kind: RequestKind) -> Request {
+    Request {
+        id: 0,
+        deadline_ms: None,
+        fwd: false,
+        kind,
+    }
+}
+
 /// A blocking client. One request in flight at a time.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -84,12 +95,15 @@ impl Client {
         })
     }
 
-    /// Sends `kind` under this connection's next request id (borrowed:
-    /// a retry re-encodes the request, it does not clone it).
-    pub(crate) fn send(&mut self, kind: &RequestKind) -> Result<Response, ClientError> {
+    /// Sends `req` under this connection's next request id and deadline
+    /// (re-addressed in place: a retry re-encodes the request, it does not
+    /// clone it).
+    pub(crate) fn send(&mut self, req: &mut Request) -> Result<Response, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let mut line = Request::line(id, self.deadline_ms, false, kind);
+        req.id = id;
+        req.deadline_ms = self.deadline_ms;
+        let mut line = req.to_json();
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -120,7 +134,7 @@ impl Client {
     ///
     /// Only connection and protocol failures.
     pub fn request_once(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
-        self.send(&kind)
+        self.send(&mut unsent(kind))
     }
 
     /// Sends one request, retrying on backpressure with capped
@@ -134,8 +148,9 @@ impl Client {
     /// See [`ClientError`].
     pub fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
         let attempts = self.max_retries.max(1);
+        let mut req = unsent(kind);
         for attempt in 0..attempts {
-            match self.send(&kind)? {
+            match self.send(&mut req)? {
                 Response::Error {
                     error,
                     retry_after_ms: Some(ms),

@@ -19,7 +19,7 @@
 //! the daemon serves the request from its own backend instead — a
 //! *remote fill* — so any daemon can serve any key.
 
-use crate::client::{Client, ClientError};
+use crate::client::{unsent, Client, ClientError};
 use crate::hash::Fnv1a;
 use crate::proto::{Request, RequestKind, Response};
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -190,8 +190,9 @@ impl ClusterState {
         }
     }
 
-    /// Forwards `req` to `peer` with the single-hop marker set,
-    /// preserving the request id. On failure the peer's health record
+    /// Forwards `req` to `peer` with the single-hop marker set (for the
+    /// encoding only: `req` is left as it was), preserving the request
+    /// id. On failure the peer's health record
     /// takes a strike ([`FAILURES_BEFORE_EVICTION`] consecutive strikes
     /// evict it from the ring); the caller should then serve the
     /// request locally and call [`ClusterState::count_remote_fill`].
@@ -199,8 +200,10 @@ impl ClusterState {
     /// # Errors
     ///
     /// Connection or protocol failures talking to the peer.
-    pub fn forward(&self, req: &Request, peer: &str) -> std::io::Result<Response> {
-        let line = Request::line(req.id, req.deadline_ms, true, &req.kind);
+    pub fn forward(&self, req: &mut Request, peer: &str) -> std::io::Result<Response> {
+        let fwd = std::mem::replace(&mut req.fwd, true);
+        let line = req.to_json();
+        req.fwd = fwd;
         let pooled = self.conns.lock().unwrap().get_mut(peer).and_then(Vec::pop);
         let mut conn = match pooled {
             Some(c) => c,
@@ -403,6 +406,7 @@ impl ClusterClient {
     /// answers with a terminal error.
     pub fn request(&mut self, kind: RequestKind) -> Result<Response, ClientError> {
         let key = route_key(&kind);
+        let mut req = unsent(kind);
         let mut last_io: Option<ClientError> = None;
         for attempt in 0..self.max_attempts {
             let owner = match key {
@@ -430,7 +434,7 @@ impl ClusterClient {
                 }
             }
             let client = self.conns.get_mut(&addr).expect("just inserted");
-            match client.send(&kind) {
+            match client.send(&mut req) {
                 Ok(Response::Error {
                     error,
                     retry_after_ms: Some(ms),

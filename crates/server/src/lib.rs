@@ -29,7 +29,7 @@ pub mod ring;
 pub mod server;
 pub mod stats;
 
-use earth_ir::json::{self, Obj, ObjectExt as _};
+use earth_ir::json;
 use proto::{Arg, CompileOptions};
 
 /// A cached compilation artifact.
@@ -53,35 +53,21 @@ pub struct Artifact<E> {
     pub exec: Option<E>,
 }
 
+// A spill file is the artifact's inputs — `source` and the flattened
+// `opts` — then its outputs.
+earth_ir::json_codec!(struct Artifact<E> { source, opts: flatten, ir, report: raw, exec: ignore });
+
 impl<E> Artifact<E> {
     /// Spill-file encoding (everything except `exec`).
     pub fn to_spill_json(&self) -> String {
-        Obj::new()
-            .str("source", &self.source)
-            .bool("optimize", self.opts.optimize)
-            .bool("locality", self.opts.locality)
-            .bool("use_profile", self.opts.use_profile)
-            .str("ir", &self.ir)
-            .raw("report", &self.report)
-            .finish()
+        json::encode(self)
     }
 
     /// Restores an artifact (with `exec: None`) from
     /// [`Artifact::to_spill_json`] output. Returns `None` on any
     /// malformed input — a corrupt spill file is just a cache miss.
     pub fn from_spill_json(text: &str) -> Option<Artifact<E>> {
-        let mut obj = json::parse(text).ok()?.into_object("artifact").ok()?;
-        Some(Artifact {
-            source: obj.take_str("source").ok()?,
-            opts: CompileOptions {
-                optimize: obj.get_bool("optimize").ok()?,
-                locality: obj.get_bool("locality").ok()?,
-                use_profile: obj.get_bool("use_profile").ok()?,
-            },
-            ir: obj.take_str("ir").ok()?,
-            report: obj.field("report").map(json::Value::render)?,
-            exec: None,
-        })
+        json::decode(text, "artifact").ok()
     }
 }
 

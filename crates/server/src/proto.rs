@@ -1,7 +1,8 @@
 //! The `earthd` wire protocol: newline-delimited JSON.
 //!
-//! One request per line, one response per line, matching the repo's
-//! serde-free JSON convention ([`earth_ir::json`]). Every request
+//! One request per line, one response per line, each message declared
+//! once with [`earth_ir::json_codec!`] — the same declaration writes and
+//! reads it, so the two cannot drift apart. Every request
 //! carries a client-chosen `id` echoed in the response, a protocol
 //! version, and an optional per-request deadline. Responses are either
 //! `"ok":true` with a `kind`-specific payload, or `"ok":false` with an
@@ -14,7 +15,8 @@
 //! ```
 
 use crate::stats::ServerStats;
-use earth_ir::json::{self, Obj, ObjectExt as _, Value};
+use earth_ir::json::{self, Encode, Json, JsonError, Value};
+use earth_ir::json_codec;
 
 /// Wire protocol version; requests with another version are rejected.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -45,24 +47,7 @@ impl Default for CompileOptions {
     }
 }
 
-impl CompileOptions {
-    fn to_json(&self) -> String {
-        Obj::new()
-            .bool("optimize", self.optimize)
-            .bool("locality", self.locality)
-            .bool("use_profile", self.use_profile)
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<CompileOptions, json::JsonError> {
-        let obj = v.as_object("opts")?;
-        Ok(CompileOptions {
-            optimize: obj.get_bool("optimize")?,
-            locality: obj.get_bool("locality")?,
-            use_profile: obj.get_bool("use_profile")?,
-        })
-    }
-}
+json_codec!(struct CompileOptions { optimize, locality, use_profile });
 
 /// An entry-function argument.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,67 +58,24 @@ pub enum Arg {
     Double(f64),
 }
 
-fn args_to_json(args: &[Arg]) -> String {
-    let mut s = String::from("[");
-    for (i, a) in args.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        match a {
-            Arg::Int(n) => s.push_str(&n.to_string()),
-            Arg::Double(x) => s.push_str(&json::float(*x)),
-        }
-    }
-    s.push(']');
-    s
-}
-
-fn args_from_value(v: &Value) -> Result<Vec<Arg>, json::JsonError> {
-    v.as_array("args")?
-        .iter()
-        .map(|item| match item {
-            Value::Int(n) => Ok(Arg::Int(*n)),
-            Value::Float(x) => Ok(Arg::Double(*x)),
-            _ => Err(json::JsonError::shape("args must be numbers")),
-        })
-        .collect()
-}
-
-// Readers of the optional request fields; `Request::from_json` runs each
-// only for the endpoints that carry the field.
-
-fn opts_field(obj: &[(String, Value)]) -> Result<CompileOptions, json::JsonError> {
-    CompileOptions::from_value(
-        obj.field("opts")
-            .ok_or_else(|| json::JsonError::shape("missing `opts`"))?,
-    )
-}
-
-fn entry_or_main(obj: &[(String, Value)]) -> Result<String, json::JsonError> {
-    match obj.field("entry") {
-        None | Some(Value::Null) => Ok("main".into()),
-        Some(v) => Ok(v.as_str("`entry`")?.to_string()),
-    }
-}
-
-fn nodes_or_one(obj: &[(String, Value)]) -> Result<u16, json::JsonError> {
-    match obj.field("nodes") {
-        None | Some(Value::Null) => Ok(1),
-        Some(v) => {
-            let n = v.as_u64("`nodes`")?;
-            match u16::try_from(n) {
-                Ok(0) => Err(json::JsonError::shape("`nodes` must be at least 1")),
-                Ok(n) => Ok(n),
-                Err(_) => Err(json::JsonError::shape("`nodes` must fit u16")),
-            }
+/// A bare JSON number: an integer literal is an `Int`, any other a
+/// `Double`.
+impl Encode for Arg {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Arg::Int(n) => n.encode(out),
+            Arg::Double(x) => x.encode(out),
         }
     }
 }
 
-fn args_or_none(obj: &[(String, Value)]) -> Result<Vec<Arg>, json::JsonError> {
-    match obj.field("args") {
-        None | Some(Value::Null) => Ok(Vec::new()),
-        Some(v) => args_from_value(v),
+impl Json for Arg {
+    fn decode(v: Value, what: &str) -> Result<Self, JsonError> {
+        match v {
+            Value::Int(n) => Ok(Arg::Int(n)),
+            Value::Float(x) => Ok(Arg::Double(x)),
+            _ => Err(JsonError::shape(format!("`{what}` items must be numbers"))),
+        }
     }
 }
 
@@ -200,6 +142,26 @@ impl RequestKind {
     }
 }
 
+// A run or pgo request may leave out `entry`, `nodes` and `args`.
+json_codec!(enum RequestKind where nodes_at_least_one {
+    Compile { "cmd" = "compile", source, opts },
+    Run { "cmd" = "run", source, opts, entry = "main".into(), nodes = 1, args = Vec::new() },
+    Pgo { "cmd" = "pgo", source, entry = "main".into(), nodes = 1, args = Vec::new() },
+    Lint { "cmd" = "lint", source },
+    Stats { "cmd" = "stats" },
+    Ping { "cmd" = "ping" },
+    Shutdown { "cmd" = "shutdown" },
+});
+
+fn nodes_at_least_one(kind: RequestKind) -> Result<RequestKind, JsonError> {
+    match kind {
+        RequestKind::Run { nodes: 0, .. } | RequestKind::Pgo { nodes: 0, .. } => {
+            Err(JsonError::shape("`nodes` must be at least 1"))
+        }
+        kind => Ok(kind),
+    }
+}
+
 /// One protocol request: id, optional deadline, body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -218,58 +180,21 @@ pub struct Request {
     pub kind: RequestKind,
 }
 
+// The command goes right after the id, the body after the envelope:
+// `{"v":1,"id":7,"cmd":"run","deadline_ms":250,"source":…}`.
+json_codec!(struct Request {
+    "v" = PROTOCOL_VERSION,
+    id,
+    kind: head,
+    deadline_ms: skip,
+    fwd: skip,
+    kind: rest,
+});
+
 impl Request {
     /// Encodes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        Request::line(self.id, self.deadline_ms, self.fwd, &self.kind)
-    }
-
-    /// [`Request::to_json`] from borrowed parts: a sender that changes
-    /// only the envelope (a retry's new id, a forward's `fwd` marker)
-    /// does not clone the source text to do it.
-    pub(crate) fn line(id: u64, deadline_ms: Option<u64>, fwd: bool, kind: &RequestKind) -> String {
-        let mut o = Obj::new()
-            .u64("v", PROTOCOL_VERSION)
-            .u64("id", id)
-            .str("cmd", kind.endpoint());
-        if let Some(d) = deadline_ms {
-            o = o.u64("deadline_ms", d);
-        }
-        if fwd {
-            o = o.bool("fwd", true);
-        }
-        match kind {
-            RequestKind::Compile { source, opts } => o
-                .str("source", source)
-                .raw("opts", &opts.to_json())
-                .finish(),
-            RequestKind::Run {
-                source,
-                opts,
-                entry,
-                nodes,
-                args,
-            } => o
-                .str("source", source)
-                .raw("opts", &opts.to_json())
-                .str("entry", entry)
-                .u64("nodes", *nodes as u64)
-                .raw("args", &args_to_json(args))
-                .finish(),
-            RequestKind::Pgo {
-                source,
-                entry,
-                nodes,
-                args,
-            } => o
-                .str("source", source)
-                .str("entry", entry)
-                .u64("nodes", *nodes as u64)
-                .raw("args", &args_to_json(args))
-                .finish(),
-            RequestKind::Lint { source } => o.str("source", source).finish(),
-            RequestKind::Stats | RequestKind::Ping | RequestKind::Shutdown => o.finish(),
-        }
+        json::encode(self)
     }
 
     /// Decodes one request line.
@@ -278,54 +203,8 @@ impl Request {
     ///
     /// Returns a [`json::JsonError`] for malformed JSON, an unknown
     /// `cmd`, or a protocol-version mismatch.
-    pub fn from_json(src: &str) -> Result<Request, json::JsonError> {
-        let mut obj = json::parse(src)?.into_object("request")?;
-        let version = obj.get_u64("v")?;
-        if version != PROTOCOL_VERSION {
-            return Err(json::JsonError::shape(format!(
-                "unsupported protocol version {version} (expected {PROTOCOL_VERSION})"
-            )));
-        }
-        let id = obj.get_u64("id")?;
-        let deadline_ms = match obj.field("deadline_ms") {
-            None | Some(Value::Null) => None,
-            Some(v) => Some(v.as_u64("`deadline_ms`")?),
-        };
-        let fwd = matches!(obj.field("fwd"), Some(Value::Bool(true)));
-        let kind = match obj.take_str("cmd")?.as_str() {
-            "compile" => RequestKind::Compile {
-                source: obj.take_str("source")?,
-                opts: opts_field(&obj)?,
-            },
-            "run" => RequestKind::Run {
-                source: obj.take_str("source")?,
-                opts: opts_field(&obj)?,
-                entry: entry_or_main(&obj)?,
-                nodes: nodes_or_one(&obj)?,
-                args: args_or_none(&obj)?,
-            },
-            "pgo" => RequestKind::Pgo {
-                source: obj.take_str("source")?,
-                entry: entry_or_main(&obj)?,
-                nodes: nodes_or_one(&obj)?,
-                args: args_or_none(&obj)?,
-            },
-            "lint" => RequestKind::Lint {
-                source: obj.take_str("source")?,
-            },
-            "stats" => RequestKind::Stats,
-            "ping" => RequestKind::Ping,
-            "shutdown" => RequestKind::Shutdown,
-            other => {
-                return Err(json::JsonError::shape(format!("unknown cmd `{other}`")));
-            }
-        };
-        Ok(Request {
-            id,
-            deadline_ms,
-            fwd,
-            kind,
-        })
+    pub fn from_json(src: &str) -> Result<Request, JsonError> {
+        json::decode(src, "request")
     }
 }
 
@@ -442,93 +321,7 @@ impl Response {
 
     /// Encodes to one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
-        match self {
-            Response::Error {
-                id,
-                error,
-                retry_after_ms,
-            } => {
-                let mut o = Obj::new()
-                    .u64("id", *id)
-                    .bool("ok", false)
-                    .str("error", error);
-                if let Some(ms) = retry_after_ms {
-                    o = o.u64("retry_after_ms", *ms);
-                }
-                o.finish()
-            }
-            Response::Compile {
-                id,
-                key,
-                cached,
-                ir,
-                report,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "compile")
-                .str("key", key)
-                .bool("cached", *cached)
-                .str("ir", ir)
-                .raw("report", report)
-                .finish(),
-            Response::Run {
-                id,
-                key,
-                cached,
-                ret,
-                time_ns,
-                stats,
-                output,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "run")
-                .str("key", key)
-                .bool("cached", *cached)
-                .str("ret", ret)
-                .u64("time_ns", *time_ns)
-                .str("stats", stats)
-                .str_array("output", output)
-                .finish(),
-            Response::Pgo {
-                id,
-                sites,
-                merged_sites,
-                invalidated,
-                ret,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "pgo")
-                .u64("sites", *sites)
-                .u64("merged_sites", *merged_sites)
-                .u64("invalidated", *invalidated)
-                .str("ret", ret)
-                .finish(),
-            Response::Lint {
-                id,
-                independent,
-                diagnostics,
-            } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "lint")
-                .bool("independent", *independent)
-                .raw("diagnostics", diagnostics)
-                .finish(),
-            Response::Stats { id, stats } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "stats")
-                .raw("stats", &stats.to_json())
-                .finish(),
-            Response::Ok { id } => Obj::new()
-                .u64("id", *id)
-                .bool("ok", true)
-                .str("kind", "ok")
-                .finish(),
-        }
+        json::encode(self)
     }
 
     /// Decodes one response line.
@@ -537,71 +330,21 @@ impl Response {
     ///
     /// Returns a [`json::JsonError`] for malformed JSON or an unknown
     /// response kind.
-    pub fn from_json(src: &str) -> Result<Response, json::JsonError> {
-        let mut obj = json::parse(src)?.into_object("response")?;
-        let id = obj.get_u64("id")?;
-        if !obj.get_bool("ok")? {
-            return Ok(Response::Error {
-                id,
-                error: obj.take_str("error")?,
-                retry_after_ms: match obj.field("retry_after_ms") {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.as_u64("`retry_after_ms`")?),
-                },
-            });
-        }
-        let raw = |obj: &[(String, Value)], key: &str| {
-            obj.field(key)
-                .map(Value::render)
-                .ok_or_else(|| json::JsonError::shape(format!("missing `{key}`")))
-        };
-        match obj.take_str("kind")?.as_str() {
-            "compile" => Ok(Response::Compile {
-                id,
-                key: obj.take_str("key")?,
-                cached: obj.get_bool("cached")?,
-                ir: obj.take_str("ir")?,
-                report: raw(&obj, "report")?,
-            }),
-            "run" => Ok(Response::Run {
-                id,
-                key: obj.take_str("key")?,
-                cached: obj.get_bool("cached")?,
-                ret: obj.take_str("ret")?,
-                time_ns: obj.get_u64("time_ns")?,
-                stats: obj.take_str("stats")?,
-                output: obj
-                    .get_array("output")?
-                    .iter()
-                    .map(|v| v.as_str("output line").map(str::to_string))
-                    .collect::<Result<_, _>>()?,
-            }),
-            "pgo" => Ok(Response::Pgo {
-                id,
-                sites: obj.get_u64("sites")?,
-                merged_sites: obj.get_u64("merged_sites")?,
-                invalidated: obj.get_u64("invalidated")?,
-                ret: obj.take_str("ret")?,
-            }),
-            "lint" => Ok(Response::Lint {
-                id,
-                independent: obj.get_bool("independent")?,
-                diagnostics: raw(&obj, "diagnostics")?,
-            }),
-            "stats" => Ok(Response::Stats {
-                id,
-                stats: Box::new(ServerStats::from_value(
-                    obj.field("stats")
-                        .ok_or_else(|| json::JsonError::shape("missing `stats`"))?,
-                )?),
-            }),
-            "ok" => Ok(Response::Ok { id }),
-            other => Err(json::JsonError::shape(format!(
-                "unknown response kind `{other}`"
-            ))),
-        }
+    pub fn from_json(src: &str) -> Result<Response, JsonError> {
+        json::decode(src, "response")
     }
 }
+
+// `ok` tells an error from an answer, and `kind` one answer from another.
+json_codec!(enum Response {
+    Error { id, "ok" = false, error, retry_after_ms: skip },
+    Compile { id, "ok" = true, "kind" = "compile", key, cached, ir, report: raw },
+    Run { id, "ok" = true, "kind" = "run", key, cached, ret, time_ns, stats, output },
+    Pgo { id, "ok" = true, "kind" = "pgo", sites, merged_sites, invalidated, ret },
+    Lint { id, "ok" = true, "kind" = "lint", independent, diagnostics: raw },
+    Stats { id, "ok" = true, "kind" = "stats", stats },
+    Ok { id, "ok" = true, "kind" = "ok" },
+});
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,8 @@
 //! cache counters, queue state, and per-pass wall-time histograms
 //! aggregated from every cold compile's pipeline report.
 
-use earth_ir::json::{self, Obj, ObjectExt as _, Value};
-use std::collections::BTreeMap;
+use earth_ir::json::{self, JsonError};
+use earth_ir::json_codec;
 
 /// Number of histogram buckets (powers of two from 1 µs up).
 pub const HIST_BUCKETS: usize = 16;
@@ -44,33 +44,9 @@ impl Histogram {
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
-
-    fn to_json(&self) -> String {
-        let buckets: Vec<String> = self.buckets.iter().map(|b| b.to_string()).collect();
-        Obj::new()
-            .u64("count", self.count)
-            .u64("total_ns", self.total_ns)
-            .raw("buckets", &format!("[{}]", buckets.join(",")))
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<Histogram, json::JsonError> {
-        let obj = v.as_object("histogram")?;
-        let mut h = Histogram {
-            count: obj.get_u64("count")?,
-            total_ns: obj.get_u64("total_ns")?,
-            buckets: [0; HIST_BUCKETS],
-        };
-        let raw = obj.get_array("buckets")?;
-        if raw.len() != HIST_BUCKETS {
-            return Err(json::JsonError::shape("wrong bucket count"));
-        }
-        for (i, b) in raw.iter().enumerate() {
-            h.buckets[i] = b.as_u64("bucket")?;
-        }
-        Ok(h)
-    }
 }
+
+json_codec!(struct Histogram { count, total_ns, buckets });
 
 /// Artifact-cache counters, as exposed by the `stats` endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,35 +69,9 @@ pub struct CacheCounters {
     pub pending: u64,
 }
 
-impl CacheCounters {
-    /// JSON object form.
-    pub fn to_json(&self) -> String {
-        Obj::new()
-            .u64("hits", self.hits)
-            .u64("misses", self.misses)
-            .u64("evictions", self.evictions)
-            .u64("invalidations", self.invalidations)
-            .u64("spill_writes", self.spill_writes)
-            .u64("spill_hits", self.spill_hits)
-            .u64("entries", self.entries)
-            .u64("pending", self.pending)
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<CacheCounters, json::JsonError> {
-        let obj = v.as_object("cache")?;
-        Ok(CacheCounters {
-            hits: obj.get_u64("hits")?,
-            misses: obj.get_u64("misses")?,
-            evictions: obj.get_u64("evictions")?,
-            invalidations: obj.get_u64("invalidations")?,
-            spill_writes: obj.get_u64("spill_writes")?,
-            spill_hits: obj.get_u64("spill_hits")?,
-            entries: obj.get_u64("entries")?,
-            pending: obj.get_u64("pending")?,
-        })
-    }
-}
+json_codec!(struct CacheCounters {
+    hits, misses, evictions, invalidations, spill_writes, spill_hits, entries, pending,
+});
 
 /// Per-peer health and traffic, as seen by one daemon.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,26 +86,7 @@ pub struct PeerStats {
     pub failures: u64,
 }
 
-impl PeerStats {
-    fn to_json(&self) -> String {
-        Obj::new()
-            .str("addr", &self.addr)
-            .bool("healthy", self.healthy)
-            .u64("forwarded", self.forwarded)
-            .u64("failures", self.failures)
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<PeerStats, json::JsonError> {
-        let obj = v.as_object("peer")?;
-        Ok(PeerStats {
-            addr: obj.get_str("addr")?,
-            healthy: obj.get_bool("healthy")?,
-            forwarded: obj.get_u64("forwarded")?,
-            failures: obj.get_u64("failures")?,
-        })
-    }
-}
+json_codec!(struct PeerStats { addr, healthy, forwarded, failures });
 
 /// Cluster-mode counters, present only when the daemon runs with
 /// `--cluster`.
@@ -174,33 +105,7 @@ pub struct ClusterStats {
     pub ring_rebalances: u64,
 }
 
-impl ClusterStats {
-    fn to_json(&self) -> String {
-        let peers: Vec<String> = self.peers.iter().map(PeerStats::to_json).collect();
-        Obj::new()
-            .str("self_addr", &self.self_addr)
-            .raw("peers", &format!("[{}]", peers.join(",")))
-            .u64("forwarded", self.forwarded)
-            .u64("remote_fills", self.remote_fills)
-            .u64("ring_rebalances", self.ring_rebalances)
-            .finish()
-    }
-
-    fn from_value(v: &Value) -> Result<ClusterStats, json::JsonError> {
-        let obj = v.as_object("cluster")?;
-        Ok(ClusterStats {
-            self_addr: obj.get_str("self_addr")?,
-            peers: obj
-                .get_array("peers")?
-                .iter()
-                .map(PeerStats::from_value)
-                .collect::<Result<_, _>>()?,
-            forwarded: obj.get_u64("forwarded")?,
-            remote_fills: obj.get_u64("remote_fills")?,
-            ring_rebalances: obj.get_u64("ring_rebalances")?,
-        })
-    }
-}
+json_codec!(struct ClusterStats { self_addr, peers, forwarded, remote_fills, ring_rebalances });
 
 /// A full `stats` snapshot: uptime, per-endpoint request counts, queue
 /// state, connection-layer counters, cache counters, and per-pass
@@ -260,6 +165,14 @@ pub struct ServerStats {
     pub pass_walls: Vec<(String, Histogram)>,
 }
 
+// Wire order differs from field order: `cluster` comes last, and only in
+// cluster mode.
+json_codec!(struct ServerStats {
+    uptime_ms, toolchain, workers, queue_depth, queue_capacity, rejected, deadline_misses,
+    errors, analyses, functions_reused, functions_reoptimized, escalations, open_connections,
+    idle_closed, batched_requests, coalesced_hits, requests, cache, pass_walls, cluster: skip,
+});
+
 impl ServerStats {
     /// Total requests across all endpoints.
     pub fn total_requests(&self) -> u64 {
@@ -277,112 +190,16 @@ impl ServerStats {
 
     /// JSON object form (the `stats` response payload).
     pub fn to_json(&self) -> String {
-        let mut requests = String::from("{");
-        for (i, (k, v)) in self.requests.iter().enumerate() {
-            if i > 0 {
-                requests.push(',');
-            }
-            json::push_string(&mut requests, k);
-            requests.push(':');
-            requests.push_str(&v.to_string());
-        }
-        requests.push('}');
-        let mut walls = String::from("{");
-        for (i, (k, h)) in self.pass_walls.iter().enumerate() {
-            if i > 0 {
-                walls.push(',');
-            }
-            json::push_string(&mut walls, k);
-            walls.push(':');
-            walls.push_str(&h.to_json());
-        }
-        walls.push('}');
-        let mut o = Obj::new()
-            .u64("uptime_ms", self.uptime_ms)
-            .str("toolchain", &self.toolchain)
-            .u64("workers", self.workers)
-            .u64("queue_depth", self.queue_depth)
-            .u64("queue_capacity", self.queue_capacity)
-            .u64("rejected", self.rejected)
-            .u64("deadline_misses", self.deadline_misses)
-            .u64("errors", self.errors)
-            .u64("analyses", self.analyses)
-            .u64("functions_reused", self.functions_reused)
-            .u64("functions_reoptimized", self.functions_reoptimized)
-            .u64("escalations", self.escalations)
-            .u64("open_connections", self.open_connections)
-            .u64("idle_closed", self.idle_closed)
-            .u64("batched_requests", self.batched_requests)
-            .u64("coalesced_hits", self.coalesced_hits)
-            .raw("requests", &requests)
-            .raw("cache", &self.cache.to_json())
-            .raw("pass_walls", &walls);
-        if let Some(cluster) = &self.cluster {
-            o = o.raw("cluster", &cluster.to_json());
-        }
-        o.finish()
+        json::encode(self)
     }
 
     /// Parses a snapshot back from [`ServerStats::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns a [`json::JsonError`] on malformed or mis-shaped input.
-    pub fn from_json(src: &str) -> Result<ServerStats, json::JsonError> {
-        Self::from_value(&json::parse(src)?)
-    }
-
-    /// Parses a snapshot from an already-parsed [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`json::JsonError`] on mis-shaped input.
-    pub fn from_value(v: &Value) -> Result<ServerStats, json::JsonError> {
-        let obj = v.as_object("stats")?;
-        let mut requests = BTreeMap::new();
-        for (k, v) in obj
-            .field("requests")
-            .ok_or_else(|| json::JsonError::shape("missing `requests`"))?
-            .as_object("requests")?
-        {
-            requests.insert(k.clone(), v.as_u64("request count")?);
-        }
-        let mut pass_walls = BTreeMap::new();
-        for (k, v) in obj
-            .field("pass_walls")
-            .ok_or_else(|| json::JsonError::shape("missing `pass_walls`"))?
-            .as_object("pass_walls")?
-        {
-            pass_walls.insert(k.clone(), Histogram::from_value(v)?);
-        }
-        Ok(ServerStats {
-            uptime_ms: obj.get_u64("uptime_ms")?,
-            toolchain: obj.get_str("toolchain")?,
-            workers: obj.get_u64("workers")?,
-            queue_depth: obj.get_u64("queue_depth")?,
-            queue_capacity: obj.get_u64("queue_capacity")?,
-            rejected: obj.get_u64("rejected")?,
-            deadline_misses: obj.get_u64("deadline_misses")?,
-            errors: obj.get_u64("errors")?,
-            analyses: obj.get_u64("analyses")?,
-            functions_reused: obj.get_u64("functions_reused")?,
-            functions_reoptimized: obj.get_u64("functions_reoptimized")?,
-            escalations: obj.get_u64("escalations")?,
-            open_connections: obj.get_u64("open_connections")?,
-            idle_closed: obj.get_u64("idle_closed")?,
-            batched_requests: obj.get_u64("batched_requests")?,
-            coalesced_hits: obj.get_u64("coalesced_hits")?,
-            cluster: obj
-                .field("cluster")
-                .map(ClusterStats::from_value)
-                .transpose()?,
-            requests: requests.into_iter().collect(),
-            cache: CacheCounters::from_value(
-                obj.field("cache")
-                    .ok_or_else(|| json::JsonError::shape("missing `cache`"))?,
-            )?,
-            pass_walls: pass_walls.into_iter().collect(),
-        })
+    /// Returns a [`JsonError`] on malformed or mis-shaped input.
+    pub fn from_json(src: &str) -> Result<ServerStats, JsonError> {
+        json::decode(src, "stats")
     }
 
     /// Human-readable rendering (the `earthcc client stats` output).

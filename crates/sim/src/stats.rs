@@ -262,6 +262,16 @@ pub struct SiteCounters {
     pub not_taken: u64,
 }
 
+// A profile's counters: strict, so that a misspelt counter is an error
+// rather than a zero; a counter left out reads 0.
+earth_ir::json_codec!(#[strict] struct SiteCounters {
+    execs = 0,
+    bytes = 0,
+    stall_ns = 0,
+    taken = 0,
+    not_taken = 0,
+});
+
 impl SiteCounters {
     /// Whether nothing was recorded at this site.
     pub fn is_zero(&self) -> bool {

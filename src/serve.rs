@@ -31,7 +31,7 @@
 //! `functions_reoptimized` / `escalations`.
 
 use crate::{CommOptConfig, Pipeline, PipelineSnapshot, Profile, ProfileDb, Value};
-use earth_ir::json::{self, Obj, ObjectExt as _};
+use earth_ir::json;
 use earth_serve::cluster::ClusterConfig;
 use earth_serve::hash::{key_hex, Fnv1a};
 use earth_serve::proto::{Arg, CompileOptions, PROTOCOL_VERSION};
@@ -104,30 +104,14 @@ impl Default for PipelineBackend {
     }
 }
 
-/// The persisted form of one snapshot's producing inputs.
-fn encode_snapshot_inputs(source: &str, opts: &CompileOptions) -> String {
-    Obj::new()
-        .str("source", source)
-        .bool("optimize", opts.optimize)
-        .bool("locality", opts.locality)
-        .bool("use_profile", opts.use_profile)
-        .finish()
+/// The persisted form of one snapshot's producing inputs: the head of
+/// an artifact spill file.
+struct SnapshotInputs {
+    source: String,
+    opts: CompileOptions,
 }
 
-fn decode_snapshot_inputs(text: &str) -> Option<(String, CompileOptions)> {
-    let mut o = json::parse(text)
-        .ok()?
-        .into_object("snapshot inputs")
-        .ok()?;
-    Some((
-        o.take_str("source").ok()?,
-        CompileOptions {
-            optimize: o.get_bool("optimize").ok()?,
-            locality: o.get_bool("locality").ok()?,
-            use_profile: o.get_bool("use_profile").ok()?,
-        },
-    ))
-}
+earth_ir::json_codec!(struct SnapshotInputs { source, opts: flatten });
 
 impl PipelineBackend {
     /// A backend with no accumulated profile, running on the native
@@ -177,12 +161,12 @@ impl PipelineBackend {
             let Ok(text) = std::fs::read_to_string(entry.path()) else {
                 continue;
             };
-            let Some((source, opts)) = decode_snapshot_inputs(&text) else {
+            let Ok(inputs) = json::decode::<SnapshotInputs>(&text, "snapshot inputs") else {
                 continue;
             };
             // Deterministic replay repopulates the snapshot store; a
             // source that no longer compiles is simply dropped.
-            let _ = self.compile(&source, &opts);
+            let _ = self.compile(&inputs.source, &inputs.opts);
         }
     }
 
@@ -195,7 +179,11 @@ impl PipelineBackend {
             return;
         }
         let path = dir.join(format!("{}.json", key_hex(key)));
-        let _ = std::fs::write(path, encode_snapshot_inputs(source, opts));
+        let inputs = SnapshotInputs {
+            source: source.to_string(),
+            opts: opts.clone(),
+        };
+        let _ = std::fs::write(path, json::encode(&inputs));
     }
 
     /// The pipeline a request's options describe. `entry`/`nodes` are

@@ -19,13 +19,18 @@
 //! Pipelined requests are drained together: every complete line in the
 //! read buffer is dispatched in one wakeup (`batched_requests` counts
 //! lines arriving two-or-more to a drain).
+//!
+//! A line is at most [`MAX_LINE`] bytes. A longer one is answered with
+//! one error (id 0), after which the connection's input is read and
+//! dropped and its write half shut, so a client that never sends a
+//! newline holds a bounded buffer, not an ever-growing one.
 
 use crate::proto::Response;
 use crate::server::{Dispatched, Inner};
 use crate::Backend;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -40,6 +45,9 @@ const MIN_SLEEP: Duration = Duration::from_micros(200);
 const MAX_SLEEP: Duration = Duration::from_millis(10);
 /// Bound on flushing outstanding responses after shutdown.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
+/// Longest request line the daemon buffers: four times the largest
+/// request the tests send (a 4 MB source text).
+const MAX_LINE: usize = 16 << 20;
 
 /// A connection's unread bytes, split into newline-terminated request
 /// lines. Each byte is searched for `\n` once, however many reads a line
@@ -100,6 +108,9 @@ struct Conn {
     closing: bool,
     /// Unrecoverable socket error; drop at the next reap.
     dead: bool,
+    /// A line passed [`MAX_LINE`]: its error is queued, input is dropped
+    /// as it arrives, and the write half shuts once the error is out.
+    overlong: bool,
 }
 
 impl Conn {
@@ -113,6 +124,7 @@ impl Conn {
             pending: 0,
             closing: false,
             dead: false,
+            overlong: false,
         }
     }
 
@@ -145,17 +157,23 @@ impl Conn {
             self.wbuf.drain(..self.wsent);
             self.wsent = 0;
         }
+        if self.overlong && self.wbuf.is_empty() {
+            let _ = self.stream.shutdown(Shutdown::Write);
+        }
         moved
     }
 
-    /// Reads into `rbuf` until the socket would block.
+    /// Reads into `rbuf` until the socket would block, or until `rbuf`
+    /// holds more than [`MAX_LINE`] bytes for the caller to frame.
     fn fill(&mut self) {
         let mut chunk = [0u8; 16 * 1024];
-        while !self.closing && !self.dead {
+        while !self.closing && !self.dead && self.rbuf.buf.len() <= MAX_LINE {
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.closing = true,
                 Ok(n) => {
-                    self.rbuf.buf.extend_from_slice(&chunk[..n]);
+                    if !self.overlong {
+                        self.rbuf.buf.extend_from_slice(&chunk[..n]);
+                    }
                     self.last_activity = Instant::now();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -289,6 +307,15 @@ impl<B: Backend> EventLoop<B> {
                 }
             });
             conn.rbuf = rbuf;
+            // What is left is one unterminated line.
+            if conn.rbuf.buf.len() > MAX_LINE {
+                conn.rbuf = LineBuf::default();
+                conn.overlong = true;
+                let error = format!("bad request: line longer than {MAX_LINE} bytes");
+                conn.queue_response(&self.inner.error(0, error, None));
+                conn.flush_writes();
+                any = true;
+            }
             if lines >= 2 {
                 self.inner.note_batched(lines as u64);
             }

@@ -478,3 +478,47 @@ fn a_large_request_in_small_writes_is_answered() {
     other.shutdown().unwrap();
     join.join().unwrap();
 }
+
+/// A client that streams 1 MiB past the 16 MiB line cap without a
+/// newline gets one error and then end of stream, while another client's
+/// pings are answered throughout; once it hangs up, the connection count
+/// is back where it started.
+#[test]
+fn an_overlong_line_is_refused_and_its_connection_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (addr, _handle, join) = start(ServerConfig::default(), MockBackend::new(Duration::ZERO));
+    let mut other = Client::connect(addr).unwrap();
+    other.ping().unwrap();
+    let baseline = other.stats().unwrap().open_connections;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let piece = [b'x'; 64 << 10];
+    for i in 0..((16 << 20) + (1 << 20)) / piece.len() {
+        stream.write_all(&piece).unwrap();
+        if i % 32 == 0 {
+            other.ping().unwrap();
+        }
+    }
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match Response::from_json(reply.trim_end()).unwrap() {
+        Response::Error { id, error, .. } => {
+            assert_eq!(id, 0);
+            assert!(error.contains("line longer than"), "{error}");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(reader.read(&mut [0; 1]).unwrap(), 0, "end of stream");
+    drop(reader);
+    let started = std::time::Instant::now();
+    while other.stats().unwrap().open_connections != baseline {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "connection not closed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(other.stats().unwrap().errors, 1);
+    other.shutdown().unwrap();
+    join.join().unwrap();
+}

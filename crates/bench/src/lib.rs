@@ -13,8 +13,8 @@
 //!
 //! Runnable binaries: `table1`, `table2`, `fig10`, `table3`,
 //! `ablation_placement`, `ablation_threshold`, `ablation_freq`,
-//! `ablation_pgo`, `ablation_inline`, `ablation_layout` and
-//! `ablation_locality` (`fig10`, `table3` and the seven ablations accept
+//! `ablation_pgo`, `ablation_inline` and `ablation_locality` (`fig10`,
+//! `table3` and the six ablations accept
 //! `--test` / `--small` / `--full` to change the problem size, all but
 //! `table3` also `--nodes N`), `bench_cluster` (the serving-layer
 //! scaling behind `BENCH_cluster.json`), and the `dispatch_probe`

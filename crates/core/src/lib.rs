@@ -41,7 +41,6 @@
 pub mod config;
 pub mod incremental;
 pub mod inline;
-pub mod layout;
 pub mod motion;
 pub mod placement;
 pub mod rce;
@@ -59,7 +58,6 @@ pub use incremental::{
     IncrementalStats, PipelineSnapshot, Seed,
 };
 pub use inline::{inline_functions, InlineConfig, InlineReport};
-pub use layout::{reorder_fields, LayoutReport};
 pub use motion::{Motion, MotionKind, MotionLog, ProbJustification};
 pub use placement::{analyze_placement, analyze_placement_with, Placement};
 pub use rce::{CommSet, Rce};

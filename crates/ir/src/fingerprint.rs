@@ -427,7 +427,7 @@ pub fn function_fingerprint(prog: &Program, id: FuncId) -> Fingerprint {
 
 /// A content-hash of the struct table (names, field names, field types).
 ///
-/// Struct layout feeds sizing, blocking, and field-reorder decisions in
+/// Struct layout feeds sizing and blocking decisions in
 /// *every* function, so a struct-table change invalidates incremental
 /// state wholesale rather than per function.
 pub fn structs_fingerprint(prog: &Program) -> u64 {

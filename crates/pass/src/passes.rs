@@ -5,7 +5,6 @@
 //! | pass | kind | cache discipline |
 //! |---|---|---|
 //! | [`InlinePass`] | transform | invalidates whole program when it inlined |
-//! | [`FieldReorderPass`] | transform | invalidates whole program when it permuted |
 //! | [`LocalityPass`] | transform | invalidates whole program when it upgraded |
 //! | [`VerifyPlacementPass`] | analysis consumer | reads the cache; aborts on violations |
 //! | [`RaceLintPass`] | analysis consumer | reads the cache; records verdicts |
@@ -17,8 +16,8 @@
 use crate::{Pass, PassReport};
 use earth_analysis::AnalysisCache;
 use earth_commopt::{
-    inline_functions, optimize_program_seeded, reorder_fields, CommOptConfig, IncrementalStats,
-    InlineConfig, OptReport, PipelineSnapshot, Seed, SelectionStats,
+    inline_functions, optimize_program_seeded, CommOptConfig, IncrementalStats, InlineConfig,
+    OptReport, PipelineSnapshot, Seed, SelectionStats,
 };
 use earth_ir::{assign_program_sites, Diagnostic, Program, Severity};
 use earth_lint::LintReport;
@@ -53,32 +52,6 @@ impl Pass for InlinePass {
         report.counter("inlined_calls", r.inlined_calls as u64);
         if r.inlined_calls > 0 {
             // Call sites disappeared: every caller's effects changed.
-            cache.invalidate_all();
-        }
-        Ok(())
-    }
-}
-
-/// Struct field reordering (the paper's §7 extension).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FieldReorderPass;
-
-impl Pass for FieldReorderPass {
-    fn name(&self) -> &'static str {
-        "field-reorder"
-    }
-
-    fn run(
-        &mut self,
-        prog: &mut Program,
-        cache: &mut AnalysisCache,
-        report: &mut PassReport,
-    ) -> Result<(), Vec<Diagnostic>> {
-        let r = reorder_fields(prog);
-        report.counter("structs_reordered", r.len() as u64);
-        if !r.is_empty() {
-            // FieldIds were permuted program-wide: every field-sensitive
-            // read/write set is stale.
             cache.invalidate_all();
         }
         Ok(())

@@ -144,8 +144,8 @@ pub fn compile_earth_c(src: &str) -> Result<Program, FrontendError> {
 }
 
 /// End-to-end pipeline builder: frontend → compilation passes (inlining,
-/// field reordering, locality inference, placement verification, race
-/// linting, communication optimization, IR validation) → threaded-code
+/// locality inference, placement verification, race linting,
+/// communication optimization, IR validation) → threaded-code
 /// generation → simulation.
 ///
 /// The compilation phases run under a [`earth_pass::PassManager`] over one
@@ -164,7 +164,6 @@ pub struct Pipeline {
     lint: bool,
     infer_locality: bool,
     inline: Option<earth_commopt::InlineConfig>,
-    reorder_fields: bool,
     workers: Option<usize>,
     profile: Option<Arc<ProfileDb>>,
     entry: String,
@@ -188,7 +187,6 @@ impl Pipeline {
             lint: false,
             infer_locality: true,
             inline: None,
-            reorder_fields: false,
             workers: None,
             profile: None,
             entry: "main".into(),
@@ -261,14 +259,6 @@ impl Pipeline {
         self
     }
 
-    /// Enables struct field reordering (the paper's §7 extension: cluster
-    /// remotely-accessed fields so partial block moves shrink); off by
-    /// default.
-    pub fn field_reordering(mut self, on: bool) -> Self {
-        self.reorder_fields = on;
-        self
-    }
-
     /// Sets the entry function (default `main`).
     pub fn entry(mut self, name: impl Into<String>) -> Self {
         self.entry = name.into();
@@ -290,7 +280,7 @@ impl Pipeline {
     }
 
     /// Builds the pass pipeline this configuration describes, in order:
-    /// inline → field-reorder → locality → prob-alias → escape →
+    /// inline → locality → prob-alias → escape →
     /// verify-placement → race-lint → optimize → validate-ir (transform
     /// passes only when enabled; `prob-alias` only under
     /// [`AliasMode::Prob`](earth_commopt::AliasMode); `escape` only under
@@ -303,9 +293,6 @@ impl Pipeline {
         let mut pm = PassManager::new();
         if let Some(icfg) = &self.inline {
             pm.register(earth_pass::InlinePass::new(icfg.clone()));
-        }
-        if self.reorder_fields {
-            pm.register(earth_pass::FieldReorderPass);
         }
         if self.infer_locality {
             pm.register(earth_pass::LocalityPass);
@@ -462,7 +449,7 @@ impl Pipeline {
     }
 
     /// Runs the *instrumented* build of an already-compiled program: the
-    /// configured pre-passes (inlining, field reordering, locality) but
+    /// configured pre-passes (inlining, locality) but
     /// **no** communication optimization, code generated with
     /// [`record_sites`](earth_sim::CodegenOptions::record_sites), and the
     /// run's per-site trace folded into a [`Profile`].

@@ -395,8 +395,8 @@ fn prob_optimized_matches_simple_results() {
     }
 }
 
-/// The end-to-end pipeline (with inlining and field reordering enabled, so
-/// every transform pass runs) is worker-count-invariant too: same result,
+/// The end-to-end pipeline (with inlining enabled, so every transform pass
+/// runs) is worker-count-invariant too: same result,
 /// same virtual time, same dynamic communication stats.
 #[test]
 fn full_pipeline_is_worker_invariant() {
@@ -422,7 +422,6 @@ fn full_pipeline_is_worker_invariant() {
             .nodes(4)
             .workers(workers)
             .inlining(Some(earthc::earth_commopt::InlineConfig::default()))
-            .field_reordering(true)
             .verify(true)
             .lint(true)
             .run_source(&wrapped, &[])

@@ -55,14 +55,12 @@ fn verify_lint_optimize_analyze_once() {
 fn pass_order_matches_configuration() {
     let pipeline = Pipeline::new()
         .inlining(Some(InlineConfig::default()))
-        .field_reordering(true)
         .verify(true)
         .lint(true);
     assert_eq!(
         pipeline.pass_manager(None).pass_names(),
         [
             "inline",
-            "field-reorder",
             "locality",
             "verify-placement",
             "race-lint",
@@ -76,7 +74,6 @@ fn pass_order_matches_configuration() {
         names,
         [
             "inline",
-            "field-reorder",
             "locality",
             "verify-placement",
             "race-lint",

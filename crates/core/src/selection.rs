@@ -426,7 +426,7 @@ impl Selector<'_> {
         let struct_words = self.prog.struct_def(sid).size_words();
         // Partial block moves (the paper's §7 extension): only the
         // contiguous field range covering all accessed fields needs to
-        // cross the network. Field reordering (see `layout`) shrinks it.
+        // cross the network.
         let lo_field = accesses.iter().map(|a| a.field.0).min().expect("non-empty");
         let hi_field = accesses.iter().map(|a| a.field.0).max().expect("non-empty");
         let range_words = (hi_field - lo_field + 1) as usize;
